@@ -26,6 +26,7 @@ from .harness import (
     RoundRobinPolicy,
     combined_pvm,
     evaluate_sequence,
+    grid_log_likelihoods,
     ml_phase_estimate,
     run_ensemble,
     run_pvm_cascade,
@@ -41,6 +42,7 @@ from .measure import (
     lose_qubit_pure,
     measure_mixed,
     measure_pure,
+    pvm_branches,
     pvm_from_bloch,
     sample_outcome,
 )

@@ -19,14 +19,14 @@ import numpy as np
 from .errors import (ConfigError, DickeSimError, DomainError, EXIT_CONFIG,
                      EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY_FAILED,
                      ResourceLimitError)
-from .harness import PhaseChannel, combined_pvm, run_ensemble, run_pvm_cascade
+from .harness import (PhaseChannel, combined_pvm, input_from_config, run_ensemble,
+                      run_pvm_cascade)
 from .measure import (SingleQubitPVM, computational_pvm, hadamard_pvm,
                       measure_mixed, measure_pure, pvm_from_bloch)
 from .oracle import apply_kraus_outcomes_at, density_cap, expand_density, partial_trace
 from .serialize import (SCHEMA_VERSION, dumps_json, measurement_from_json,
                         rows_to_csv, state_from_json, state_to_json)
-from .states import (SymmetricDensity, SymmetricKet, basis_state,
-                     general_split, make_ket, to_density)
+from .states import SymmetricDensity, SymmetricKet, general_split, to_density
 from .verify import random_symmetric_ket, run_suite
 
 BENCH_COLUMNS = [
@@ -51,31 +51,18 @@ def _emit(args, text: str) -> None:
 def _parse_state(spec: str):
     """dicke:n,nu | noon:n | uniform:n | file:path"""
     kind, _, rest = spec.partition(":")
-    if kind == "dicke":
-        try:
-            n, nu = (int(x) for x in rest.split(","))
-        except ValueError:
-            raise ConfigError(f"expected dicke:n,nu, got {spec!r}") from None
-        return basis_state(n, nu)
-    if kind == "noon":
-        n = _parse_int(rest, spec)
-        amps = np.zeros(n + 1, dtype=complex)
-        amps[0] = amps[n] = 1.0
-        return make_ket(n, amps)
-    if kind == "uniform":
-        n = _parse_int(rest, spec)
-        return make_ket(n, np.ones(n + 1, dtype=complex))
     if kind == "file":
         with open(rest, encoding="utf-8") as fh:
             return state_from_json(json.load(fh))
-    raise ConfigError(f"unknown state spec {spec!r}")
-
-
-def _parse_int(text: str, spec: str) -> int:
+    fields = {"dicke": ("n", "nu"), "noon": ("n",), "uniform": ("n",)}.get(kind)
+    if fields is None:
+        raise ConfigError(f"unknown state spec {spec!r}")
     try:
-        return int(text)
+        values = dict(zip(fields, (int(x) for x in rest.split(",")), strict=True))
     except ValueError:
-        raise ConfigError(f"bad integer in {spec!r}") from None
+        raise ConfigError(f"expected {kind}:{','.join(fields)}, got {spec!r}") from None
+    n = values.pop("n")
+    return input_from_config({"type": kind, **values}, n)
 
 
 def _parse_pvm(spec: str):

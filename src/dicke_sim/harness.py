@@ -5,6 +5,11 @@ measured by a detector PVM chosen by a feedback policy; loss events may be
 interleaved.  Trials are driven by explicit event schedules so that loss
 transparency can be asserted deterministically, and every trial is
 reproducible from its seed.
+
+Losses are deferred: a loss changes no later measurement probability and a
+partial trace commutes with a measurement on another qubit, so trials, forced
+replays and the likelihood measure the pure ket at every step (through
+`measure.pvm_branches`) and trace the lost qubits out of the final ket once.
 """
 
 from __future__ import annotations
@@ -17,18 +22,19 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .measure import (
-    MeasurementOutcome,
+    ZERO_PROB_EPS,
     SingleQubitPVM,
     lose_qubit,
-    lose_qubit_pure,
-    measure_mixed,
     measure_pure,
+    pvm_branches,
     pvm_from_bloch,
     sample_outcome,
 )
-from .states import SymmetricDensity, SymmetricKet
+from .serialize import state_to_json
+from .states import SymmetricDensity, SymmetricKet, basis_state, make_ket, to_density
 
 ESTIMATE_GRID = 1024
+TIE_TOL = 1e-10  # log-likelihood slack of a tie; below the 1e-9 of perfbench's grid-maximum check
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,10 @@ class PhaseChannel:
     """Unitary single-qubit channel diag(1, e^{i phi}); phi is the unknown."""
 
     phi: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.phi):
+            raise DomainError(f"channel phase must be finite, got {self.phi}")
 
     def unitary(self) -> np.ndarray:
         return np.array([[1.0, 0.0], [0.0, np.exp(1j * self.phi)]], dtype=complex)
@@ -143,27 +153,15 @@ class ExperimentTrace:
     def outcome_labels(self) -> tuple[int, ...]:
         return tuple(ev.label for ev in self.events if ev.kind == "measure")
 
-    def final_state_summary(self) -> dict:
-        st = self.final_state
-        if isinstance(st, SymmetricKet):
-            return {"kind": "ket", "n": st.n, "amps": [[z.real, z.imag] for z in st.amps]}
-        return {
-            "kind": "density",
-            "n": st.n,
-            "alpha": [[[z.real, z.imag] for z in row] for row in st.alpha],
-        }
 
-
-def _measure_state(state, pvm: SingleQubitPVM) -> list[MeasurementOutcome]:
-    if isinstance(state, SymmetricKet):
-        return measure_pure(state, pvm)
-    return measure_mixed(state, pvm.kraus_pair())
-
-
-def _lose_state(state):
-    if isinstance(state, SymmetricKet):
-        return lose_qubit_pure(state)
-    return lose_qubit(state)
+def _trace_out(ket: SymmetricKet, k: int) -> SymmetricKet | SymmetricDensity:
+    """The k deferred losses, applied once to the final ket; k = 0 keeps it pure."""
+    if k == 0:
+        return ket
+    state = to_density(ket)
+    for _ in range(k):
+        state = lose_qubit(state)
+    return state
 
 
 def run_trial(
@@ -175,67 +173,84 @@ def run_trial(
 ) -> ExperimentTrace:
     """Execute one trial: deterministic for fixed (inputs, seed).
 
-    The compact state stays a pure ket until the first loss; from then on it
-    is carried as a density matrix.
+    Measurements act on the pure ket and `lose` events are only recorded; the
+    final state is that ket, or a density matrix once the lost qubits are
+    traced out of it.
     """
     if len(schedule.events) > input_state.n:
         raise DomainError(
             f"schedule has {len(schedule.events)} events but only {input_state.n} qubits"
         )
     rng = np.random.default_rng(seed)
-    state = input_state
+    ket = input_state
     events: list[TraceEvent] = []
     measured: list[TraceEvent] = []
     for step, kind in enumerate(schedule.events):
         if kind == "lose":
-            state = _lose_state(state)
             events.append(TraceEvent(step, "lose"))
             continue
         theta, phi = policy.next_setting(measured)
-        outcomes = _measure_state(state, combined_pvm(channel, pvm_from_bloch(theta, phi)))
+        outcomes = measure_pure(ket, combined_pvm(channel, pvm_from_bloch(theta, phi)))
         label = sample_outcome(outcomes, rng)
         chosen = outcomes[label]
-        state = chosen.require_post_state()
+        ket = chosen.require_post_state()
         ev = TraceEvent(step, "measure", theta, phi, label, chosen.probability)
         events.append(ev)
         measured.append(ev)
-    return ExperimentTrace(seed, tuple(events), state)
+    return ExperimentTrace(seed, tuple(events), _trace_out(ket, len(events) - len(measured)))
 
 
 def evaluate_sequence(
-    input_state: SymmetricKet | SymmetricDensity,
+    input_state: SymmetricKet,
     channel: PhaseChannel,
     steps: list,
 ) -> tuple[list[float], SymmetricKet | SymmetricDensity]:
     """Replay a fixed event sequence and return each conditional probability.
 
     steps: ("lose",) or ("measure", (theta, phi), label).  No sampling takes
-    place; the recorded labels are forced.  Used for loss-transparency checks
-    and likelihood evaluation.
+    place; the recorded labels are forced, and one below ZERO_PROB_EPS raises
+    ZeroProbabilityError.  Losses are deferred as in run_trial.
     """
-    state = input_state
+    ket = input_state
     probs: list[float] = []
     for step in steps:
         if step[0] == "lose":
-            state = _lose_state(state)
             continue
         _, (theta, phi), label = step
-        outcomes = _measure_state(state, combined_pvm(channel, pvm_from_bloch(theta, phi)))
-        chosen = outcomes[label]
+        chosen = measure_pure(ket, combined_pvm(channel, pvm_from_bloch(theta, phi)))[label]
         probs.append(chosen.probability)
-        state = chosen.require_post_state()
-    return probs, state
+        ket = chosen.require_post_state()
+    return probs, _trace_out(ket, len(steps) - len(probs))
 
 
-def trace_replay_steps(trace: ExperimentTrace) -> list:
-    """Convert a trace back into evaluate_sequence steps."""
-    steps = []
+def grid_log_likelihoods(
+    input_state: SymmetricKet,
+    trace: ExperimentTrace,
+    grid_size: int = ESTIMATE_GRID,
+) -> np.ndarray:
+    """Log-likelihood of the trace's labels at each phase 2 pi g / grid_size.
+
+    One replay of the recorded settings and labels over a (grid_size, n+1)
+    batch of kets, one row per candidate phase, skipping losses.  A row whose
+    forced label falls below ZERO_PROB_EPS reads -inf; its ket is left
+    unnormalized, so no NaN reaches later steps.
+    """
+    phis = 2.0 * math.pi * np.arange(grid_size) / grid_size
+    # the channel diag(1, e^{i phi}) folded into the detector, as in combined_pvm
+    channels = np.stack([np.ones(grid_size), np.exp(1j * phis)], axis=-1)[:, None, :]
+    kets = np.broadcast_to(input_state.amps, (grid_size, input_state.n + 1))
+    ll = np.zeros(grid_size)
     for ev in trace.events:
         if ev.kind == "lose":
-            steps.append(("lose",))
-        else:
-            steps.append(("measure", (ev.theta, ev.phi), ev.label))
-    return steps
+            continue
+        kappas = pvm_from_bloch(ev.theta, ev.phi).kappa[[ev.label]] * channels  # forced row only
+        branch = pvm_branches(kets, kappas)[:, 0]
+        p = (branch.real**2 + branch.imag**2).sum(axis=-1)
+        alive = p >= ZERO_PROB_EPS
+        p = np.where(alive, p, 1.0)
+        ll = np.where(alive, ll + np.log(p), -math.inf)
+        kets = branch / np.sqrt(p)[:, None]
+    return ll
 
 
 def ml_phase_estimate(
@@ -245,26 +260,14 @@ def ml_phase_estimate(
 ) -> float:
     """Maximum-likelihood phase over a uniform grid of candidate phases.
 
-    The recorded detector settings and outcome labels are replayed under each
-    candidate; ties resolve to the smallest grid point.
+    Ties resolve to the smallest grid point within TIE_TOL of the maximum
+    log-likelihood, so a flat likelihood (Dicke inputs, NOON with fewer than n
+    measurements) gives 0.0 and exact ties (NOON with n measurements) give the
+    smallest maximum, whatever the rounding.  All points impossible: 0.0.
     """
-    steps = trace_replay_steps(trace)
-    best_phi, best_ll = 0.0, -math.inf
-    for g in range(grid_size):
-        cand = 2.0 * math.pi * g / grid_size
-        ll = 0.0
-        try:
-            probs, _ = evaluate_sequence(input_state, PhaseChannel(cand), steps)
-        except DomainError:
-            continue
-        for p in probs:
-            if p <= 0.0:
-                ll = -math.inf
-                break
-            ll += math.log(p)
-        if ll > best_ll:
-            best_phi, best_ll = cand, ll
-    return best_phi
+    ll = grid_log_likelihoods(input_state, trace, grid_size)
+    g = int(np.argmax(ll >= ll.max() - TIE_TOL))  # all -inf: every point ties, g = 0
+    return 2.0 * math.pi * g / grid_size
 
 
 # --- ensemble configuration -------------------------------------------------
@@ -291,8 +294,6 @@ def _reject_unknown(doc: dict, allowed: set, what: str) -> None:
 
 
 def input_from_config(doc: dict, n: int) -> SymmetricKet:
-    from .states import basis_state, make_ket  # local import keeps module load light
-
     if not isinstance(doc, dict) or "type" not in doc:
         raise ConfigError("input must be an object with a 'type' field")
     _reject_unknown(doc, _INPUT_KEYS, "input")
@@ -387,18 +388,11 @@ def _trace_document(trial: int, trace: ExperimentTrace) -> dict:
     return {
         "trial": trial,
         "seed": trace.seed,
-        "events": [
-            {
-                "step": ev.step,
-                "kind": ev.kind,
-                "theta": ev.theta,
-                "phi": ev.phi,
-                "label": ev.label,
-                "probability": ev.probability,
-            }
-            for ev in trace.events
-        ],
-        "final_state": trace.final_state_summary(),
+        "events": [dict(vars(ev)) for ev in trace.events],  # TraceEvent fields are the keys
+        "final_state": {
+            "kind": "ket" if isinstance(trace.final_state, SymmetricKet) else "density",
+            **state_to_json(trace.final_state),
+        },
     }
 
 

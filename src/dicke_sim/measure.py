@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidMeasurementError, ZeroProbabilityError
-from .states import SymmetricDensity, SymmetricKet, split_last_qubit, to_density
+from .states import (SymmetricDensity, SymmetricKet, _require_finite, split_last_qubit,
+                     to_density)
 
 ZERO_PROB_EPS = 1e-14
 COMPLETENESS_TOL = 1e-10
@@ -33,6 +34,7 @@ class SingleQubitKraus:
         arr = np.asarray(self.matrix, dtype=complex)
         if arr.shape != (2, 2):
             raise DomainError(f"Kraus matrix must be 2x2, got shape {arr.shape}")
+        _require_finite(arr, "Kraus matrix")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -51,6 +53,7 @@ class SingleQubitPVM:
         arr = np.asarray(self.kappa, dtype=complex)
         if arr.shape != (2, 2):
             raise DomainError(f"kappa must be 2x2, got shape {arr.shape}")
+        _require_finite(arr, "kappa")
         dev = np.max(np.abs(arr @ arr.conj().T - np.eye(2)))
         if dev > PVM_TOL:
             raise InvalidMeasurementError(
@@ -99,6 +102,8 @@ def pvm_from_bloch(theta: float, phi: float) -> SingleQubitPVM:
 
     |0'> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, |1'> orthogonal.
     """
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise DomainError(f"Bloch angles must be finite, got ({theta}, {phi})")
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     phase = complex(math.cos(phi), math.sin(phi))
     kappa = np.array(
@@ -115,20 +120,23 @@ def hadamard_pvm() -> SingleQubitPVM:
     return pvm_from_bloch(math.pi / 2.0, 0.0)
 
 
-def measure_pure(ket: SymmetricKet, pvm: SingleQubitPVM) -> list[MeasurementOutcome]:
-    """Measure one qubit of a pure symmetric state with a PVM.
+def pvm_branches(amps: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Unnormalized branch amplitudes b[..., ell, nu] of a PVM on the last qubit.
 
-    Branch amplitudes are
-        b_ell[nu] = ( sqrt(n-nu) psi_nu kappa[ell,0]
-                      + sqrt(nu+1) psi_{nu+1} kappa[ell,1] ) / sqrt(n)
-    with p_ell = ||b_ell||^2; p_0 + p_1 = 1.
+    b_ell = kappa[ell, 0] c0 + kappa[ell, 1] c1 with (c0, c1) from
+    split_last_qubit, and p_ell = ||b_ell||^2.  Leading axes of amps[..., nu]
+    and kappa[..., ell, b] broadcast: one call serves one ket or a batch.
     """
+    c0, c1 = split_last_qubit(amps)
+    return kappa[..., :, 0, None] * c0[..., None, :] + kappa[..., :, 1, None] * c1[..., None, :]
+
+
+def measure_pure(ket: SymmetricKet, pvm: SingleQubitPVM) -> list[MeasurementOutcome]:
+    """Measure one qubit of a pure symmetric state with a PVM (see pvm_branches)."""
     if ket.n < 1:
         raise DomainError("cannot measure an empty string")
-    c0, c1 = split_last_qubit(ket)
     outcomes = []
-    for ell in (0, 1):
-        b = pvm.kappa[ell, 0] * c0 + pvm.kappa[ell, 1] * c1
+    for ell, b in enumerate(pvm_branches(ket.amps, pvm.kappa)):
         p = float(np.linalg.norm(b) ** 2)
         post = SymmetricKet(ket.n - 1, b / math.sqrt(p)) if p >= ZERO_PROB_EPS else None
         outcomes.append(MeasurementOutcome(ell, p, post, basis=pvm))

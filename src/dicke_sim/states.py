@@ -22,10 +22,17 @@ from .errors import DegenerateStateError, DomainError
 NORM_TOL = 1e-12
 
 
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    """NaN and inf pass every `deviation > tol` check, so they are refused first."""
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} must be finite")
+
+
 def _as_complex_vector(values, length: int, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     if arr.shape != (length,):
         raise DomainError(f"{what} must have length {length}, got shape {arr.shape}")
+    _require_finite(arr, what)
     return arr
 
 
@@ -69,6 +76,7 @@ class SymmetricDensity:
         d = self.n + 1
         if arr.shape != (d, d):
             raise DomainError(f"alpha must be {d}x{d}, got shape {arr.shape}")
+        _require_finite(arr, "alpha")
         herm_dev = np.max(np.abs(arr - arr.conj().T))
         if herm_dev > NORM_TOL:
             raise DomainError(f"alpha is not Hermitian: max deviation {herm_dev:.3e}")
@@ -182,17 +190,17 @@ def general_split(n: int, nu: int, k: int) -> list[SplitCoefficient]:
     ]
 
 
-def split_last_qubit(ket: SymmetricKet) -> tuple[np.ndarray, np.ndarray]:
+def split_last_qubit(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Branch vectors over the first n-1 qubits when one qubit is factored out.
 
-    Returns (c0, c1) with c0[nu] = psi_nu * sqrt((n-nu)/n) and
-    c1[nu] = psi_{nu+1} * sqrt((nu+1)/n); the input state is recovered as
-    sum_nu c0[nu] |nu>|0> + c1[nu] |nu>|1>, so ||c0||^2 + ||c1||^2 = 1.
+    Returns (c0, c1) with c0[..., nu] = psi_nu * sqrt((n-nu)/n) and
+    c1[..., nu] = psi_{nu+1} * sqrt((nu+1)/n) for the kets amps[..., nu];
+    each is sum_nu c0[nu] |nu>|0> + c1[nu] |nu>|1>, so ||c0||^2 + ||c1||^2 = 1.
     """
-    n = ket.n
+    n = amps.shape[-1] - 1
     if n < 1:
         raise DomainError("cannot split a qubit off an empty string")
     nus = np.arange(n)
-    c0 = ket.amps[:n] * np.sqrt((n - nus) / n)
-    c1 = ket.amps[1:] * np.sqrt((nus + 1) / n)
+    c0 = amps[..., :n] * np.sqrt((n - nus) / n)
+    c1 = amps[..., 1:] * np.sqrt((nus + 1) / n)
     return c0, c1

@@ -14,13 +14,22 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError, NotSymmetricError, ResourceLimitError
-from .harness import PhaseChannel, evaluate_sequence
+from .harness import (
+    FeedbackPolicy,
+    LossSchedule,
+    PhaseChannel,
+    combined_pvm,
+    evaluate_sequence,
+    grid_log_likelihoods,
+    run_trial,
+)
 from .measure import (
     SingleQubitKraus,
     SingleQubitPVM,
     lose_qubit,
     measure_mixed,
     measure_pure,
+    pvm_from_bloch,
 )
 from .oracle import (
     DenseDensity,
@@ -141,13 +150,16 @@ def dense_pure_pvm_sequence(
     return joint, amps
 
 
-def compact_sequence_prob(state, steps) -> float:
-    """Joint probability of forced labels on the compact representation.
+def compact_sequence_prob(state, steps) -> tuple[float, list[float], object]:
+    """Forced labels on the compact representation, one step at a time.
 
     steps: ("measure_pvm", pvm, label) | ("measure_kraus", kraus_set, label)
-    | ("lose",).
+    | ("lose",).  Each loss is applied where it occurs, so the state turns
+    mixed there; this is the reference for the deferred-loss replays.
+    Returns (joint probability, probability of each measurement, final state).
     """
     joint = 1.0
+    probs = []
     for step in steps:
         if step[0] == "lose":
             state = lose_qubit(state if isinstance(state, SymmetricDensity) else to_density(state))
@@ -163,8 +175,18 @@ def compact_sequence_prob(state, steps) -> float:
             outcomes = measure_mixed(state, measurement)
         chosen = outcomes[label]
         joint *= chosen.probability
+        probs.append(chosen.probability)
         state = chosen.require_post_state()
-    return joint
+    return joint, probs, state
+
+
+def _coefficient_gap(a, b) -> float:
+    """Largest coefficient difference of two compact states of the same kind."""
+    if type(a) is not type(b) or a.n != b.n:
+        return math.inf
+    if isinstance(a, SymmetricKet):
+        return float(np.max(np.abs(a.amps - b.amps)))
+    return float(np.max(np.abs(a.alpha - b.alpha)))
 
 
 def embed_qubit(rest_amps: np.ndarray, qubit: np.ndarray, position: int, n: int) -> np.ndarray:
@@ -268,7 +290,7 @@ def check_split_vs_oracle(
                 cases += 1
         # branch reconstruction of a random ket
         ket = random_symmetric_ket(n, rng)
-        c0, c1 = split_last_qubit(ket)
+        c0, c1 = split_last_qubit(ket.amps)
         recon = np.zeros(2**n, dtype=complex)
         for b, branch in enumerate((c0, c1)):
             sub = _branch_dense(branch, n - 1)
@@ -368,7 +390,7 @@ def check_measurement_oracle(max_n: int = 10, seeds: int = 50, tol: float = 1e-1
                 state = outcomes[label].require_post_state()
                 compact_steps.append(("measure_pvm", pvm, label))
                 dense_steps.append((pos, pvm, label))
-            p_compact = compact_sequence_prob(ket, compact_steps)
+            p_compact, _, _ = compact_sequence_prob(ket, compact_steps)
             p_dense, _ = dense_pure_pvm_sequence(expand(ket), dense_steps)
             worst = max(worst, abs(p_compact - p_dense))
             cases += 1
@@ -394,10 +416,14 @@ def check_loss_independence(max_n: int = 10, seeds: int = 50, tol: float = 1e-10
     """Loss events change no measurement probability.
 
     (a) compact probabilities after k losses equal the original state's;
-    (b) lossy vs lossless replay of the same outcome labels;
+    (b) the deferred-loss evaluate_sequence vs compact_sequence_prob, which
+        loses each qubit where the loss occurs: probabilities at `tol`, the
+        final state at 1e-12;
     (c) dense interleavings that also trace out already-measured qubits.
     """
+    state_tol = 1e-12
     worst = 0.0
+    state_worst = 0.0
     cases = 0
     for seed in range(seeds):
         rng = np.random.default_rng(6000 + seed)
@@ -411,7 +437,7 @@ def check_loss_independence(max_n: int = 10, seeds: int = 50, tol: float = 1e-10
             probs = [o.probability for o in measure_mixed(reduced, kraus)]
             worst = max(worst, max(abs(a - b) for a, b in zip(base, probs)))
             cases += 1
-        # (b) interleaved losses vs lossless, recorded probabilities
+        # (b) interleaved losses: deferred replay vs losses where they occur
         ket = random_symmetric_ket(n, rng)
         m = int(rng.integers(1, n))
         steps = [
@@ -426,12 +452,17 @@ def check_loss_independence(max_n: int = 10, seeds: int = 50, tol: float = 1e-10
                 lossy.append(("lose",))
                 budget -= 1
             lossy.append(step)
+        reference = [
+            s if s[0] == "lose" else ("measure_pvm", combined_pvm(channel, pvm_from_bloch(*s[1])), s[2])
+            for s in lossy
+        ]
         try:
-            p_clean, _ = evaluate_sequence(ket, channel, steps)
-            p_lossy, _ = evaluate_sequence(ket, channel, lossy)
+            p_deferred, final_deferred = evaluate_sequence(ket, channel, lossy)
+            _, p_stepwise, final_stepwise = compact_sequence_prob(ket, reference)
         except DomainError:
             continue  # a forced label hit a zero-probability branch
-        worst = max(worst, max(abs(a - b) for a, b in zip(p_clean, p_lossy)))
+        worst = max(worst, max(abs(a - b) for a, b in zip(p_deferred, p_stepwise)))
+        state_worst = max(state_worst, _coefficient_gap(final_deferred, final_stepwise))
         cases += 1
         # (c) dense PVM run: random interleaved losses of never-measured spares
         # and of already-measured qubits, vs the compact lossless reference
@@ -464,7 +495,45 @@ def check_loss_independence(max_n: int = 10, seeds: int = 50, tol: float = 1e-10
                 measured_done.append(pos)
             worst = max(worst, abs(p_dense - p_ref))
             cases += 1
-    return PropertyResult("loss_independence", cases, worst, tol, worst <= tol)
+    passed = worst <= tol and state_worst <= state_tol
+    note = "" if state_worst <= state_tol else f"final states differ by {state_worst:.3e}"
+    worst = max(worst, state_worst)
+    return PropertyResult("loss_independence", cases, worst, tol, passed, note)
+
+
+def check_estimator_replay(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -> PropertyResult:
+    """Batched grid log-likelihoods match the step-by-step lossy replay.
+
+    On random lossy feedback traces, grid_log_likelihoods must equal, at every
+    candidate phase of a small grid, the log of compact_sequence_prob's joint
+    probability, which applies each loss where it occurs.
+    """
+    grid = 16  # small, so that the suite stays cheap
+    worst = 0.0
+    cases = 0
+    for seed in range(seeds):
+        rng = np.random.default_rng(13_000 + seed)
+        n = int(rng.integers(2, max_n + 1))
+        ket = random_symmetric_ket(n, rng)
+        schedule = LossSchedule.random(n, 0.3, int(rng.integers(0, 2**31)))
+        policy = FeedbackPolicy(*(float(x) for x in rng.uniform(0.0, math.pi, 3)))
+        channel = PhaseChannel(float(rng.uniform(0.0, 2.0 * math.pi)))
+        trace = run_trial(ket, channel, policy, schedule, int(rng.integers(0, 2**31)))
+        got = grid_log_likelihoods(ket, trace, grid)
+        for g in range(grid):
+            candidate = PhaseChannel(2.0 * math.pi * g / grid)
+            steps = [
+                ("lose",) if ev.kind == "lose"
+                else ("measure_pvm", combined_pvm(candidate, pvm_from_bloch(ev.theta, ev.phi)), ev.label)
+                for ev in trace.events
+            ]
+            try:
+                want = math.log(compact_sequence_prob(ket, steps)[0])
+            except DomainError:
+                want = -math.inf  # a forced label below ZERO_PROB_EPS
+            worst = max(worst, 0.0 if want == got[g] else abs(want - got[g]))
+            cases += 1
+    return PropertyResult("estimator_replay_equivalence", cases, worst, tol, worst <= tol)
 
 
 def check_pure_state_sufficiency(max_n: int = 10, seeds: int = 50, tol: float = 1e-10) -> PropertyResult:
@@ -658,6 +727,7 @@ PROPERTY_BUILDERS = {
     ),
     "permutation_group_law": lambda p: check_permutation_group(min(p.max_n, 8), p.seeds),
     "pvm_update_specialization": lambda p: check_remark12_specialization(min(p.max_n, 8), p.seeds),
+    "estimator_replay_equivalence": lambda p: check_estimator_replay(p.max_n, p.seeds, p.tolerance),
 }
 
 

@@ -210,6 +210,39 @@ class TestCliSimulate:
                 assert abs(a["probability"] - b["probability"]) < 1e-10
 
 
+class TestNonFiniteInputs:
+    """NaN and inf exit 3 with a one-line message when the object is built."""
+
+    @pytest.mark.parametrize("pvm", ["bloch:nan,0", "bloch:inf,0"])
+    def test_measure_bloch_angles(self, pvm, capsys):
+        assert main(["measure", "--state", "dicke:3,1", "--pvm", pvm]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "finite" in captured.err
+
+    @pytest.mark.parametrize("field", ["amps", "phi"])
+    def test_simulate_config(self, field, tmp_path, capsys):
+        config = {
+            "input": {"type": "custom", "amps": [[1.0, 0.0], [0.5, 0.0], [0.0, 0.0]]},
+            "n": 2,
+            "phi": 0.4,
+            "policy": {"type": "feedback", "delta": 0.8},
+            "schedule": ["measure", "lose"],
+            "trials": 2,
+            "seed": 3,
+        }
+        if field == "amps":
+            config["input"]["amps"][1] = [math.nan, 0.0]
+        else:
+            config["phi"] = math.nan
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))  # Python's json writes and reads NaN
+        assert main(["simulate", "--config", str(path)]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "finite" in captured.err
+
+
 class TestCliVerify:
     def test_smoke_all_pass(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -7,23 +7,27 @@ import pytest
 
 from dicke_sim.errors import ConfigError, DomainError
 from dicke_sim.harness import (
+    ExperimentTrace,
     FeedbackPolicy,
     FixedPolicy,
     LossSchedule,
     PhaseChannel,
+    TIE_TOL,
     RoundRobinPolicy,
+    TraceEvent,
     combined_pvm,
     evaluate_sequence,
+    grid_log_likelihoods,
+    input_from_config,
     ml_phase_estimate,
     parse_config,
     run_ensemble,
     run_pvm_cascade,
     run_trial,
-    trace_replay_steps,
 )
-from dicke_sim.measure import hadamard_pvm, measure_pure, pvm_from_bloch
-from dicke_sim.states import SymmetricDensity, SymmetricKet, basis_state
-from dicke_sim.verify import random_symmetric_ket
+from dicke_sim.measure import hadamard_pvm, lose_qubit, measure_mixed, measure_pure, pvm_from_bloch
+from dicke_sim.states import SymmetricDensity, SymmetricKet, basis_state, make_ket, to_density
+from dicke_sim.verify import check_estimator_replay, random_symmetric_ket
 
 
 class TestCombinedPvm:
@@ -157,6 +161,32 @@ class TestRunTrial:
         assert isinstance(trace.final_state, SymmetricDensity)
         assert len(trace.events) == 3
 
+    def test_final_state_matches_stepwise_mixed_replay(self):
+        # losses are deferred to the end; the reference loses each qubit where
+        # the schedule says and measures the mixed state from then on
+        rng = np.random.default_rng(41)
+        ket = random_symmetric_ket(10, rng)
+        channel, policy = PhaseChannel(0.9), FeedbackPolicy(0.7, 1.2, 0.4)
+        schedule = LossSchedule.random(10, 0.4, seed=8)
+        assert 0 < schedule.events.count("lose") < 10
+        trace = run_trial(ket, channel, policy, schedule, seed=17)
+        state = ket
+        for ev in trace.events:
+            if isinstance(state, SymmetricKet) and ev.kind == "lose":
+                state = to_density(state)
+            if ev.kind == "lose":
+                state = lose_qubit(state)
+                continue
+            pvm = combined_pvm(channel, pvm_from_bloch(ev.theta, ev.phi))
+            if isinstance(state, SymmetricKet):
+                chosen = measure_pure(state, pvm)[ev.label]
+            else:
+                chosen = measure_mixed(state, pvm.kraus_pair())[ev.label]
+            assert chosen.probability == pytest.approx(ev.probability, abs=1e-12)
+            state = chosen.require_post_state()
+        assert isinstance(trace.final_state, SymmetricDensity)
+        assert np.max(np.abs(trace.final_state.alpha - state.alpha)) < 1e-12
+
     def test_schedule_too_long(self):
         with pytest.raises(DomainError):
             run_trial(
@@ -270,18 +300,63 @@ class TestRunEnsemble:
 
 class TestMlEstimate:
     def test_estimate_is_grid_argmax(self):
-        ket = basis_state(6, 3)
+        ket = random_symmetric_ket(6, np.random.default_rng(29))
         trace = run_trial(ket, PhaseChannel(2.2), FeedbackPolicy(0.5), LossSchedule.lossless(6), seed=3)
         est = ml_phase_estimate(ket, trace, grid_size=128)
-        steps = trace_replay_steps(trace)
+        steps = [("measure", (ev.theta, ev.phi), ev.label) for ev in trace.events]
 
         def loglik(phi):
             probs, _ = evaluate_sequence(ket, PhaseChannel(phi), steps)
             return sum(math.log(p) for p in probs)
 
         best = loglik(est)
-        for g in range(0, 128, 7):
+        for g in range(128):
             assert best >= loglik(2 * math.pi * g / 128) - 1e-12
+
+    def test_flat_likelihood_gives_zero(self):
+        # a Dicke input only picks up a global phase: every grid point ties
+        ket = basis_state(6, 2)
+        schedule = LossSchedule(("measure", "lose", "measure", "measure"))
+        for seed in range(4):
+            trace = run_trial(ket, PhaseChannel(1.3), FeedbackPolicy(0.5), schedule, seed=seed)
+            assert ml_phase_estimate(ket, trace) == 0.0
+
+    def test_exact_ties_give_smallest_maximum(self):
+        # NOON with n measurements is periodic in 2 pi / n: on the 1024-point
+        # grid, g and g + 512 tie exactly
+        n = 6
+        ket = input_from_config({"type": "noon"}, n)
+        for seed in range(4):
+            trace = run_trial(ket, PhaseChannel(0.9), FeedbackPolicy(0.5), LossSchedule.lossless(n), seed=seed)
+            ll = grid_log_likelihoods(ket, trace)
+            tied = np.flatnonzero(ll >= ll.max() - TIE_TOL)
+            assert len(tied) >= 2
+            assert np.allclose(ll[:512], ll[512:], atol=1e-12)
+            assert ml_phase_estimate(ket, trace) == 2 * math.pi * tied[0] / 1024
+            assert tied[0] < 512
+
+    @pytest.mark.filterwarnings("error")  # no 0/0 or log(0): no NaN reaches later steps
+    def test_impossible_labels_read_minus_inf(self):
+        # |+>|+> with an equatorial detector: label 0 has probability
+        # cos^2(phi/2), below ZERO_PROB_EPS only at phi = pi (g = 512)
+        ket = make_ket(2, [0.5, math.sqrt(0.5), 0.5])
+        trace = run_trial(ket, PhaseChannel(0.3), FixedPolicy(math.pi / 2, 0.0), LossSchedule.lossless(2), seed=0)
+        assert trace.outcome_labels() == (0, 0)
+        ll = grid_log_likelihoods(ket, trace)
+        assert ll[512] == -math.inf
+        phis = 2 * math.pi * np.arange(1024) / 1024
+        want = 2 * np.log(np.cos(phis / 2) ** 2)
+        assert np.allclose(np.delete(ll, 512), np.delete(want, 512), rtol=0, atol=1e-9)
+        assert ml_phase_estimate(ket, trace) == 0.0
+        # a label impossible at every grid point: all -inf, estimate 0.0
+        vacuum = basis_state(2, 0)
+        never = ExperimentTrace(0, (TraceEvent(0, "measure", 0.0, 0.0, 1, 0.0),), vacuum)
+        assert np.all(grid_log_likelihoods(vacuum, never) == -math.inf)
+        assert ml_phase_estimate(vacuum, never) == 0.0
+
+    def test_grid_matches_stepwise_lossy_replay(self):
+        result = check_estimator_replay(max_n=10, seeds=30, tol=1e-10)
+        assert result.passed, result
 
     def test_deterministic(self):
         ket = basis_state(4, 2)

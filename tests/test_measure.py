@@ -44,6 +44,17 @@ class TestPvmFromBloch:
         kappa = pvm_from_bloch(math.pi / 2, math.pi / 2).kappa
         assert np.allclose(kappa @ kappa.conj().T, np.eye(2), atol=1e-15)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            pvm_from_bloch(bad, 0.0)
+        with pytest.raises(DomainError, match="finite"):
+            pvm_from_bloch(0.0, bad)
+        with pytest.raises(DomainError, match="finite"):
+            SingleQubitPVM(np.array([[1, 0], [0, bad]], dtype=complex))
+        with pytest.raises(DomainError, match="finite"):
+            SingleQubitKraus(0, np.array([[1, 0], [0, bad]], dtype=complex))
+
     def test_rows_not_orthonormal_rejected(self):
         with pytest.raises(InvalidMeasurementError):
             SingleQubitPVM(np.array([[1, 0], [1, 0]], dtype=complex))

@@ -94,6 +94,16 @@ class TestConstructors:
         with pytest.raises(DomainError):
             SymmetricDensity(1, np.eye(2, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN slips past every `deviation > tol` check, so finiteness comes first
+        with pytest.raises(DomainError, match="finite"):
+            SymmetricKet(1, np.array([1.0, bad]))
+        with pytest.raises(DomainError, match="finite"):
+            make_ket(1, [1.0, bad])
+        with pytest.raises(DomainError, match="finite"):
+            SymmetricDensity(1, np.array([[1.0, 0.0], [0.0, bad]], dtype=complex))
+
     def test_amps_are_read_only(self):
         ket = basis_state(2, 0)
         with pytest.raises(ValueError):
@@ -204,7 +214,7 @@ class TestGeneralSplit:
     def test_matches_split_last_qubit_on_basis_states(self):
         for n, nu in [(4, 0), (4, 2), (7, 7), (9, 3)]:
             coeffs = {c.mu: c.value for c in general_split(n, nu, 1)}
-            c0, c1 = split_last_qubit(basis_state(n, nu))
+            c0, c1 = split_last_qubit(basis_state(n, nu).amps)
             if nu <= n - 1:
                 assert coeffs.get(0, 0.0) == pytest.approx(abs(c0[nu]), abs=1e-14)
             if nu >= 1:
@@ -213,12 +223,12 @@ class TestGeneralSplit:
 
 class TestSplitLastQubit:
     def test_paper_worked_example(self):
-        c0, c1 = split_last_qubit(basis_state(3, 1))
+        c0, c1 = split_last_qubit(basis_state(3, 1).amps)
         assert np.allclose(c0, [0, math.sqrt(2 / 3), 0], atol=1e-15)
         assert np.allclose(c1, [math.sqrt(1 / 3), 0, 0], atol=1e-15)
 
     def test_all_zeros_has_no_one_branch(self):
-        c0, c1 = split_last_qubit(basis_state(5, 0))
+        c0, c1 = split_last_qubit(basis_state(5, 0).amps)
         assert np.allclose(c0, np.eye(5)[0])
         assert np.allclose(c1, 0.0)
 
@@ -226,7 +236,7 @@ class TestSplitLastQubit:
         rng = np.random.default_rng(11)
         for n in (1, 3, 8):
             amps = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
-            c0, c1 = split_last_qubit(make_ket(n, amps))
+            c0, c1 = split_last_qubit(make_ket(n, amps).amps)
             assert np.linalg.norm(c0) ** 2 + np.linalg.norm(c1) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_dense_reconstruction_roundtrip(self):
@@ -235,7 +245,7 @@ class TestSplitLastQubit:
         rng = np.random.default_rng(12)
         amps = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         ket = make_ket(6, amps)
-        c0, c1 = split_last_qubit(ket)
+        c0, c1 = split_last_qubit(ket.amps)
         recon = np.zeros(2**6, dtype=complex)
         for b, branch in enumerate((c0, c1)):
             norm = np.linalg.norm(branch)
@@ -248,4 +258,4 @@ class TestSplitLastQubit:
         post = SymmetricKet(0, np.array([1.0 + 0j]))
         assert post.n == 0
         with pytest.raises(DomainError):
-            split_last_qubit(post)
+            split_last_qubit(post.amps)
