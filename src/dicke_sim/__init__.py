@@ -31,6 +31,7 @@ from .harness import (
     run_ensemble,
     run_pvm_cascade,
     run_trial,
+    run_trials,
 )
 from .measure import (
     MeasurementOutcome,

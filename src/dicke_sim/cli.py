@@ -234,12 +234,19 @@ def bench_dense(n: int, repetitions: int, seed: int) -> dict:
     }
 
 
+def _sizes(spec: str, flag: str) -> list[int]:
+    try:
+        return [int(s) for s in spec.split(",") if s]
+    except ValueError:
+        raise ConfigError(f"{flag} must be comma-separated integers, got {spec!r}") from None
+
+
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    if args.reps < 1:
+        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
+    sizes, dense_sizes = _sizes(args.sizes, "--sizes"), _sizes(args.dense_sizes, "--dense-sizes")
     rows = [bench_compact(n, args.reps, args.seed) for n in sizes]
-    if args.dense_sizes:
-        for n in (int(s) for s in args.dense_sizes.split(",") if s):
-            rows.append(bench_dense(n, args.reps, args.seed))
+    rows += [bench_dense(n, args.reps, args.seed) for n in dense_sizes]
     if args.format == "json":
         _emit(args, dumps_json({"schema_version": SCHEMA_VERSION, "rows": rows}))
     else:

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidMeasurementError, ZeroProbabilityError
-from .states import (SymmetricDensity, SymmetricKet, _require_finite, split_last_qubit,
-                     to_density)
+from .states import (NORM_TOL, SymmetricDensity, SymmetricKet, _require_finite,
+                     split_last_qubit, to_density)
 
 ZERO_PROB_EPS = 1e-14
 COMPLETENESS_TOL = 1e-10
 PVM_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
+_IDENTITY = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -54,11 +55,7 @@ class SingleQubitPVM:
         if arr.shape != (2, 2):
             raise DomainError(f"kappa must be 2x2, got shape {arr.shape}")
         _require_finite(arr, "kappa")
-        dev = np.max(np.abs(arr @ arr.conj().T - np.eye(2)))
-        if dev > PVM_TOL:
-            raise InvalidMeasurementError(
-                f"PVM rows are not orthonormal: max deviation {dev:.3e}"
-            )
+        require_pvm_rows(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "kappa", arr)
 
@@ -97,19 +94,35 @@ class MeasurementOutcome:
         return self.post_state
 
 
-def pvm_from_bloch(theta: float, phi: float) -> SingleQubitPVM:
-    """PVM whose |0'> points along Bloch angles (theta, phi).
+def require_pvm_rows(kappas: np.ndarray) -> None:
+    """Raise unless every kappa[..., ell, b] has orthonormal rows; NaN fails too."""
+    gram = kappas @ kappas.conj().swapaxes(-1, -2)
+    dev = np.abs(gram - _IDENTITY).max(initial=0.0)
+    if not dev <= PVM_TOL:
+        raise InvalidMeasurementError(f"PVM rows are not orthonormal: max deviation {dev:.3e}")
 
-    |0'> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, |1'> orthogonal.
+
+def bloch_kappas(theta, phi) -> np.ndarray:
+    """kappa[..., ell, b] of the PVMs whose |0'> points along Bloch angles (theta, phi).
+
+    |0'> = cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, |1'> orthogonal.  The
+    angles broadcast, so one call builds one detector or a batch of them.
     """
-    if not (math.isfinite(theta) and math.isfinite(phi)):
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
         raise DomainError(f"Bloch angles must be finite, got ({theta}, {phi})")
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    phase = complex(math.cos(phi), math.sin(phi))
-    kappa = np.array(
-        [[c, s * phase.conjugate()], [-s * phase, c]], dtype=complex
-    )
-    return SingleQubitPVM(kappa)
+    half = np.divide(theta, 2.0)
+    c, s = np.cos(half), np.sin(half)
+    phase = np.cos(phi) + 1j * np.sin(phi)
+    kappa = np.empty(np.broadcast_shapes(np.shape(theta), np.shape(phi)) + (2, 2), dtype=complex)
+    kappa[..., 0, 0] = kappa[..., 1, 1] = c
+    kappa[..., 0, 1] = s * phase.conj()
+    kappa[..., 1, 0] = -s * phase
+    return kappa
+
+
+def pvm_from_bloch(theta: float, phi: float) -> SingleQubitPVM:
+    """PVM whose |0'> points along Bloch angles (theta, phi); see bloch_kappas."""
+    return SingleQubitPVM(bloch_kappas(theta, phi))
 
 
 def computational_pvm() -> SingleQubitPVM:
@@ -143,6 +156,33 @@ def measure_pure(ket: SymmetricKet, pvm: SingleQubitPVM) -> list[MeasurementOutc
     return outcomes
 
 
+def measure_pure_batch(
+    kets: np.ndarray, kappas: np.ndarray, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measure one qubit of each ket in kets[T, nu] with its own PVM kappas[T].
+
+    Each row keeps the branch that pick_labels draws with uniforms[T].
+    Returns (labels, their probabilities, the renormalized kept kets).  The
+    checks of SingleQubitPVM, sample_outcome, require_post_state and
+    SymmetricKet run once over the batch, written so that NaN fails them.
+    """
+    require_pvm_rows(kappas)
+    branches = pvm_branches(kets, kappas)
+    probs = (branches.real**2 + branches.imag**2).sum(axis=-1)
+    labels = pick_labels(probs, uniforms)
+    rows = np.arange(len(kets))
+    kept = probs[rows, labels]
+    if not (kept >= ZERO_PROB_EPS).all():
+        raise ZeroProbabilityError(
+            f"a drawn outcome has probability {np.min(kept):.3e} below {ZERO_PROB_EPS}"
+        )
+    kets = branches[rows, labels] / np.sqrt(kept)[:, None]
+    dev = np.abs(np.sqrt((kets.real**2 + kets.imag**2).sum(axis=-1)) - 1.0).max(initial=0.0)
+    if not dev <= NORM_TOL:
+        raise DomainError(f"ket is not normalized: |norm - 1| = {dev:.3e}")
+    return labels, kept, kets
+
+
 def _check_complete(kraus_set: list[SingleQubitKraus]) -> None:
     if not kraus_set:
         raise InvalidMeasurementError("empty Kraus set")
@@ -164,16 +204,17 @@ def _kraus_update(alpha: np.ndarray, n: int, gram: np.ndarray) -> np.ndarray:
         alpha'[nu, mu] = (1/n) * sum_{b, b'} gram[b', b]
                          * c_b(nu) * c_b'(mu) * alpha[nu+b, mu+b']
 
-    with c_0(x) = sqrt(n-x), c_1(x) = sqrt(x+1).
+    with c_0(x) = sqrt(n-x), c_1(x) = sqrt(x+1).  Leading axes of alpha
+    broadcast, as in a batch of states.
     """
     idx = np.arange(n)
     c0 = np.sqrt(n - idx)
     c1 = np.sqrt(idx + 1.0)
     out = (
-        gram[0, 0] * np.outer(c0, c0) * alpha[:n, :n]
-        + gram[1, 0] * np.outer(c0, c1) * alpha[:n, 1:]
-        + gram[0, 1] * np.outer(c1, c0) * alpha[1:, :n]
-        + gram[1, 1] * np.outer(c1, c1) * alpha[1:, 1:]
+        gram[0, 0] * np.outer(c0, c0) * alpha[..., :n, :n]
+        + gram[1, 0] * np.outer(c0, c1) * alpha[..., :n, 1:]
+        + gram[0, 1] * np.outer(c1, c0) * alpha[..., 1:, :n]
+        + gram[1, 1] * np.outer(c1, c1) * alpha[..., 1:, 1:]
     )
     return out / n
 
@@ -206,14 +247,25 @@ def measure_mixed(
     return outcomes
 
 
-def lose_qubit(rho: SymmetricDensity) -> SymmetricDensity:
-    """Trace out one qubit: the gram matrix of a full trace is the identity."""
-    n = rho.n
+def trace_out_qubit(alpha: np.ndarray) -> np.ndarray:
+    """alpha[..., mu, nu] with one qubit traced out: a full trace has gram = identity.
+
+    Leading axes broadcast; every trace must stay 1 within NORM_TOL (NaN fails).
+    """
+    n = alpha.shape[-1] - 1
     if n < 1:
         raise DomainError("cannot lose a qubit from an empty string")
-    alpha = _kraus_update(rho.alpha, n, np.eye(2))
-    alpha = (alpha + alpha.conj().T) / 2.0
-    return SymmetricDensity(n - 1, alpha)
+    out = _kraus_update(alpha, n, np.eye(2))
+    out = (out + out.conj().swapaxes(-1, -2)) / 2.0
+    dev = np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0).max(initial=0.0)
+    if not dev <= NORM_TOL:
+        raise DomainError(f"alpha has trace != 1 after a loss: deviation {dev:.3e}")
+    return out
+
+
+def lose_qubit(rho: SymmetricDensity) -> SymmetricDensity:
+    """Trace out one qubit of a mixed state (see trace_out_qubit)."""
+    return SymmetricDensity(rho.n - 1, trace_out_qubit(rho.alpha))
 
 
 def lose_qubit_pure(ket: SymmetricKet) -> SymmetricDensity:
@@ -221,15 +273,22 @@ def lose_qubit_pure(ket: SymmetricKet) -> SymmetricDensity:
     return lose_qubit(to_density(ket))
 
 
+def pick_labels(probs: np.ndarray, uniforms) -> np.ndarray:
+    """Outcome index of each row of probs[..., K] for its uniform draw uniforms[...].
+
+    The first index whose running sum exceeds the draw; when rounding leaves
+    the draw at or above the total, the most probable index (the first on a
+    tie).  Each row must sum to 1 within PROB_SUM_TOL; NaN fails that check.
+    """
+    acc = np.cumsum(probs, axis=-1)
+    dev = np.abs(acc[..., -1] - 1.0).max(initial=0.0)
+    if not dev <= PROB_SUM_TOL:
+        raise DomainError(f"outcome probabilities do not sum to 1: deviation {dev:.3e}")
+    below = np.asarray(uniforms)[..., None] < acc
+    return np.where(below.any(axis=-1), below.argmax(axis=-1), np.argmax(probs, axis=-1))
+
+
 def sample_outcome(outcomes: list[MeasurementOutcome], rng: np.random.Generator) -> int:
-    """Draw an outcome label with the recorded probabilities."""
-    total = sum(o.probability for o in outcomes)
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise DomainError(f"outcome probabilities sum to {total}, not 1")
-    r = rng.random()
-    acc = 0.0
-    for o in outcomes:
-        acc += o.probability
-        if r < acc:
-            return o.label
-    return max(outcomes, key=lambda o: o.probability).label
+    """Draw an outcome label with the recorded probabilities (see pick_labels)."""
+    probs = np.array([o.probability for o in outcomes])
+    return outcomes[int(pick_labels(probs, rng.random()))].label

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotSymmetricError, ResourceLimitError
+from .errors import ConfigError, DomainError, NotSymmetricError, ResourceLimitError
 from .measure import SingleQubitKraus, _check_complete
 from .states import SymmetricDensity, SymmetricKet
 
@@ -30,7 +30,12 @@ NORM_TOL = 1e-12
 
 def density_cap() -> int:
     env = os.environ.get("DICKE_SIM_DENSE_CAP")
-    return int(env) if env else DEFAULT_DENSITY_CAP
+    if not env:
+        return DEFAULT_DENSITY_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"DICKE_SIM_DENSE_CAP must be an integer, got {env!r}") from None
 
 
 def ket_cap() -> int:

@@ -16,12 +16,15 @@ import numpy as np
 from .errors import DomainError, NotSymmetricError, ResourceLimitError
 from .harness import (
     FeedbackPolicy,
+    FixedPolicy,
     LossSchedule,
     PhaseChannel,
+    RoundRobinPolicy,
     combined_pvm,
     evaluate_sequence,
     grid_log_likelihoods,
     run_trial,
+    run_trials,
 )
 from .measure import (
     SingleQubitKraus,
@@ -536,6 +539,58 @@ def check_estimator_replay(max_n: int = 10, seeds: int = 20, tol: float = 1e-10)
     return PropertyResult("estimator_replay_equivalence", cases, worst, tol, worst <= tol)
 
 
+def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -> PropertyResult:
+    """A block of trials equals each trial run alone and the stepwise lossy replay.
+
+    On random inputs, policies (fixed, round-robin, feedback) and lossy
+    schedules, run_trials runs one block of four seeds.  Each trial's labels,
+    probabilities and final state must equal run_trial on its seed alone,
+    exactly; compact_sequence_prob, replaying the trial with each loss applied
+    where it occurs, must give the same probabilities at `tol` and the same
+    final state at 1e-12.
+    """
+    state_tol = 1e-12
+    worst = 0.0
+    state_worst = 0.0
+    mismatched = 0
+    cases = 0
+    for seed in range(seeds):
+        rng = np.random.default_rng(14_000 + seed)
+        n = int(rng.integers(2, max_n + 1))
+        ket = random_symmetric_ket(n, rng)
+        a = [float(x) for x in rng.uniform(0.0, math.pi, 4)]
+        policy = (FixedPolicy(a[0], a[1]), RoundRobinPolicy(((a[0], a[1]), (a[2], a[3]))),
+                  FeedbackPolicy(a[0], a[1], a[2]))[seed % 3]
+        schedule = LossSchedule.random(n, 0.3, int(rng.integers(0, 2**31)))
+        channel = PhaseChannel(float(rng.uniform(0.0, 2.0 * math.pi)))
+        block = [int(s) for s in rng.integers(0, 2**31, 4)]
+        for trace in run_trials(ket, channel, policy, schedule, block):
+            alone = run_trial(ket, channel, policy, schedule, trace.seed)
+            if alone.events != trace.events or _coefficient_gap(alone.final_state, trace.final_state) != 0.0:
+                mismatched += 1
+            steps = [
+                ("lose",) if ev.kind == "lose"
+                else ("measure_pvm", combined_pvm(channel, pvm_from_bloch(ev.theta, ev.phi)), ev.label)
+                for ev in trace.events
+            ]
+            try:
+                _, probs, final = compact_sequence_prob(ket, steps)
+            except DomainError:  # a drawn label the reference cannot condition on
+                probs, final = [math.inf], None
+            recorded = [ev.probability for ev in trace.events if ev.kind == "measure"]
+            worst = max([worst] + [abs(p - q) for p, q in zip(probs, recorded)])
+            state_worst = max(state_worst, _coefficient_gap(trace.final_state, final))
+            cases += 1
+    passed = mismatched == 0 and worst <= tol and state_worst <= state_tol
+    notes = []
+    if mismatched:
+        notes.append(f"{mismatched} trials differ from run_trial alone")
+    if state_worst > state_tol:
+        notes.append(f"final states differ by {state_worst:.3e}")
+    return PropertyResult("batched_trial_equivalence", cases, max(worst, state_worst), tol, passed,
+                          "; ".join(notes))
+
+
 def check_pure_state_sufficiency(max_n: int = 10, seeds: int = 50, tol: float = 1e-10) -> PropertyResult:
     """Dense post-PVM state = |l'> at the measured spot (x) compact rest."""
     worst = 0.0
@@ -728,6 +783,7 @@ PROPERTY_BUILDERS = {
     "permutation_group_law": lambda p: check_permutation_group(min(p.max_n, 8), p.seeds),
     "pvm_update_specialization": lambda p: check_remark12_specialization(min(p.max_n, 8), p.seeds),
     "estimator_replay_equivalence": lambda p: check_estimator_replay(p.max_n, p.seeds, p.tolerance),
+    "batched_trial_equivalence": lambda p: check_batched_trials(p.max_n, p.seeds, p.tolerance),
 }
 
 

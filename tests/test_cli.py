@@ -243,6 +243,55 @@ class TestNonFiniteInputs:
         assert len(captured.err.splitlines()) == 1 and "finite" in captured.err
 
 
+class TestMalformedInputs:
+    """Bad field types and flag values exit 2 with one line, never a traceback."""
+
+    def _simulate(self, tmp_path, **overrides):
+        config = {
+            "input": {"type": "dicke", "nu": 1},
+            "n": 3,
+            "phi": 1.1,
+            "policy": {"type": "feedback", "delta": 0.8},
+            "schedule": ["measure", "lose", "measure"],
+            "trials": 6,
+            "seed": 99,
+        }
+        config.update(overrides)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return ["simulate", "--config", str(path)]
+
+    def _assert_config_error(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_n_not_an_integer(self, tmp_path, capsys):
+        self._assert_config_error(self._simulate(tmp_path, n="abc"), capsys)
+
+    def test_trials_not_an_integer(self, tmp_path, capsys):
+        self._assert_config_error(self._simulate(tmp_path, trials="x"), capsys)
+
+    def test_custom_amps_not_pairs(self, tmp_path, capsys):
+        argv = self._simulate(tmp_path, input={"type": "custom", "amps": [1, 2]})
+        self._assert_config_error(argv, capsys)
+
+    def test_round_robin_bases_not_objects(self, tmp_path, capsys):
+        argv = self._simulate(tmp_path, policy={"type": "round_robin", "bases": [1]})
+        self._assert_config_error(argv, capsys)
+
+    def test_bench_zero_reps(self, capsys):
+        self._assert_config_error(["bench", "--reps", "0"], capsys)
+
+    def test_bench_size_not_an_integer(self, capsys):
+        self._assert_config_error(["bench", "--sizes", "8,abc"], capsys)
+
+    def test_dense_cap_not_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("DICKE_SIM_DENSE_CAP", "abc")
+        self._assert_config_error(["verify"], capsys)
+
+
 class TestCliVerify:
     def test_smoke_all_pass(self, tmp_path, capsys):
         out = tmp_path / "report.json"

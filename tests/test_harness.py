@@ -24,10 +24,11 @@ from dicke_sim.harness import (
     run_ensemble,
     run_pvm_cascade,
     run_trial,
+    run_trials,
 )
 from dicke_sim.measure import hadamard_pvm, lose_qubit, measure_mixed, measure_pure, pvm_from_bloch
 from dicke_sim.states import SymmetricDensity, SymmetricKet, basis_state, make_ket, to_density
-from dicke_sim.verify import check_estimator_replay, random_symmetric_ket
+from dicke_sim.verify import check_batched_trials, check_estimator_replay, random_symmetric_ket
 
 
 class TestCombinedPvm:
@@ -62,16 +63,16 @@ class TestCombinedPvm:
 
 class TestPolicies:
     def test_fixed(self):
-        assert FixedPolicy(0.1, 0.2).next_setting([]) == (0.1, 0.2)
+        assert _setting(FixedPolicy(0.1, 0.2), []) == (0.1, 0.2)
 
     def test_round_robin_cycles(self):
         policy = RoundRobinPolicy(((0.0, 0.0), (1.0, 1.0)))
         hist = []
-        assert policy.next_setting(hist) == (0.0, 0.0)
-        hist.append(_measured(0))
-        assert policy.next_setting(hist) == (1.0, 1.0)
-        hist.append(_measured(1))
-        assert policy.next_setting(hist) == (0.0, 0.0)
+        assert _setting(policy, hist) == (0.0, 0.0)
+        hist.append(0)
+        assert _setting(policy, hist) == (1.0, 1.0)
+        hist.append(1)
+        assert _setting(policy, hist) == (0.0, 0.0)
 
     def test_round_robin_empty_rejected(self):
         with pytest.raises(ConfigError):
@@ -80,22 +81,34 @@ class TestPolicies:
     def test_feedback_steps_by_delta_over_m(self):
         policy = FeedbackPolicy(delta=0.6, initial_phi=1.0)
         hist = []
-        assert policy.next_setting(hist)[1] == pytest.approx(1.0)
-        hist.append(_measured(0))
-        assert policy.next_setting(hist)[1] == pytest.approx(1.0 + 0.6)
-        hist.append(_measured(1))
-        assert policy.next_setting(hist)[1] == pytest.approx(1.0 + 0.6 - 0.3)
+        assert _setting(policy, hist)[1] == pytest.approx(1.0)
+        hist.append(0)
+        assert _setting(policy, hist)[1] == pytest.approx(1.0 + 0.6)
+        hist.append(1)
+        assert _setting(policy, hist)[1] == pytest.approx(1.0 + 0.6 - 0.3)
 
     def test_feedback_pure_function_of_history(self):
         policy = FeedbackPolicy(delta=0.4)
-        hist = [_measured(1), _measured(0), _measured(1)]
-        assert policy.next_setting(hist) == policy.next_setting(list(hist))
+        hist = [1, 0, 1]
+        assert _setting(policy, hist) == _setting(policy, list(hist))
+
+    def test_feedback_batch_equals_running_sum_loop(self):
+        # the per-trial loop the batched method replaced, as the exact reference
+        policy = FeedbackPolicy(delta=0.7, theta=1.1, initial_phi=0.25)
+        labels = np.random.default_rng(4).integers(0, 2, size=(6, 40))
+        for m in range(41):
+            thetas, phis = policy.next_settings(labels[:, :m])
+            for t in range(6):
+                phase = policy.initial_phi
+                for j, label in enumerate(labels[t, :m].tolist(), start=1):
+                    phase += policy.delta / j if label == 0 else -policy.delta / j
+                assert (thetas[t], phis[t]) == (policy.theta, phase)
 
 
-def _measured(label):
-    from dicke_sim.harness import TraceEvent
-
-    return TraceEvent(0, "measure", 0.0, 0.0, label, 0.5)
+def _setting(policy, labels):
+    """(theta, phi) for one trial with these labels so far, via the batched method."""
+    theta, phi = policy.next_settings(np.array([labels], dtype=int).reshape(1, len(labels)))
+    return (float(theta[0]), float(phi[0]))
 
 
 class TestLossSchedule:
@@ -192,6 +205,82 @@ class TestRunTrial:
             run_trial(
                 basis_state(2, 1), PhaseChannel(0), FixedPolicy(), LossSchedule.lossless(3), seed=0
             )
+
+
+class TestBatchedTrials:
+    def _lossy_feedback_config(self, trials):
+        rng = np.random.default_rng(31)
+        amps = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        return {
+            "input": {"type": "custom", "amps": [[z.real, z.imag] for z in amps.tolist()]},
+            "n": 8,
+            "phi": 1.4,
+            "policy": {"type": "feedback", "delta": 0.6, "initial_phi": 0.3},
+            "schedule": ["measure", "lose", "measure", "measure", "lose", "measure"],
+            "trials": trials,
+            "seed": 500,
+            "estimate": True,
+        }
+
+    def test_blocks_match_trial_by_trial(self, monkeypatch):
+        import dicke_sim.harness as harness
+
+        config = self._lossy_feedback_config(10)
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 4 * 16 * 9**2)  # blocks of 4, 4 and 2
+        sizes = []
+        batched = harness.run_trials
+
+        def recording(*args):
+            sizes.append(len(args[-1]))
+            return batched(*args)
+
+        monkeypatch.setattr(harness, "run_trials", recording)
+        report = run_ensemble(config)
+        assert sizes == [4, 4, 2]
+        parsed = parse_config(config)
+        args = (parsed["input"], parsed["channel"], parsed["policy"], parsed["schedule"])
+        counts, estimates = {}, {}
+        for t in range(10):
+            trace = run_trial(*args, parsed["seed"] + t)
+            labels = "".join(str(b) for b in trace.outcome_labels())
+            counts[labels] = counts.get(labels, 0) + 1
+            key = f"{ml_phase_estimate(parsed['input'], trace):.10f}"
+            estimates[key] = estimates.get(key, 0) + 1
+        assert {k: v["count"] for k, v in report["outcome_sequences"].items()} == counts
+        assert report["estimation"]["estimate_distribution"] == estimates
+
+    def test_trial_does_not_depend_on_its_block(self):
+        parsed = parse_config(self._lossy_feedback_config(1))
+        args = (parsed["input"], parsed["channel"], parsed["policy"], parsed["schedule"])
+        block = run_trials(*args, [3, 9, 4, 1, 5])
+        for trace in block:
+            alone = run_trial(*args, trace.seed)
+            assert alone.events == trace.events
+            assert np.array_equal(alone.final_state.alpha, trace.final_state.alpha)
+
+    def test_workers_match_on_lossy_feedback(self):
+        import io
+
+        config = self._lossy_feedback_config(9)
+        sinks = io.StringIO(), io.StringIO()
+        one = run_ensemble(config, workers=1, trace_sink=sinks[0])
+        two = run_ensemble(config, workers=2, trace_sink=sinks[1])
+        assert one == two
+        assert sinks[0].getvalue() == sinks[1].getvalue()
+
+    def test_nan_setting_rejected(self):
+        class NanForSecondTrial(FixedPolicy):
+            def next_settings(self, labels):
+                theta, phi = super().next_settings(labels)
+                phi[1] = math.nan
+                return theta, phi
+
+        with pytest.raises(DomainError, match="finite"):
+            run_trials(basis_state(3, 1), PhaseChannel(0.2), NanForSecondTrial(), LossSchedule.lossless(2), [1, 2, 3])
+
+    def test_matches_stepwise_lossy_replay(self):
+        result = check_batched_trials(max_n=10, seeds=30, tol=1e-10)
+        assert result.passed, result
 
 
 class TestLossTransparency:

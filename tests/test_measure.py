@@ -16,9 +16,14 @@ from dicke_sim.measure import (
     lose_qubit,
     lose_qubit_pure,
     measure_mixed,
+    MeasurementOutcome,
+    bloch_kappas,
     measure_pure,
+    measure_pure_batch,
+    pick_labels,
     pvm_from_bloch,
     sample_outcome,
+    trace_out_qubit,
 )
 from dicke_sim.states import SymmetricDensity, basis_state, make_ket, to_density
 from dicke_sim.verify import (
@@ -238,6 +243,94 @@ class TestSampleOutcome:
         out = measure_pure(basis_state(3, 1), computational_pvm())
         with pytest.raises(DomainError):
             sample_outcome([out[0], out[0]], np.random.default_rng(1))  # sums to 4/3
+
+
+class TestSharedLabelRule:
+    """pick_labels, the one label rule behind sample_outcome and batched trials."""
+
+    @staticmethod
+    def scalar_rule(probs, u):
+        # sample_outcome's running-sum loop with its most-probable fallback
+        acc = 0.0
+        for label, p in enumerate(probs):
+            acc += p
+            if u < acc:
+                return label
+        return max(range(len(probs)), key=lambda i: probs[i])
+
+    def test_matches_scalar_loop(self):
+        rng = np.random.default_rng(8)
+        p0 = rng.random(2000)
+        p1 = 1.0 - p0
+        p1[:500] -= 5e-11  # sums just below 1, inside PROB_SUM_TOL
+        p0[500:600] = p1[500:600] = 0.5 - 2e-11  # equal probabilities
+        u = rng.random(2000)
+        u[:100] = 1.0 - 1e-11  # at or above the total for the short rows: fallback
+        u[500:550] = 1.0 - 1e-12  # a tied fallback goes to label 0
+        probs = np.stack([p0, p1], axis=-1)
+        want = [self.scalar_rule(p.tolist(), x) for p, x in zip(probs, u)]
+        assert pick_labels(probs, u).tolist() == want
+        assert any(x >= a + b for a, b, x in zip(p0, p1, u))  # the fallback was exercised
+
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        for (a, b), x, label in zip(probs[::20], u[::20], want[::20]):
+            outcomes = [MeasurementOutcome(0, float(a), None), MeasurementOutcome(1, float(b), None)]
+            assert sample_outcome(outcomes, Fixed(float(x))) == label
+
+    def test_bad_sums_rejected(self):
+        for row in ([0.7, 0.7], [math.nan, 0.5], [0.5, math.inf]):
+            with pytest.raises(DomainError):
+                pick_labels(np.array([[0.5, 0.5], row]), np.array([0.1, 0.1]))
+
+
+class TestBatchedMeasurement:
+    def test_matches_measure_pure(self):
+        rng = np.random.default_rng(12)
+        kets = [random_symmetric_ket(6, rng) for _ in range(5)]
+        thetas, phis = rng.uniform(0, math.pi, 5), rng.uniform(0, 2 * math.pi, 5)
+        u = rng.random(5)
+        labels, probs, post = measure_pure_batch(
+            np.array([k.amps for k in kets]), bloch_kappas(thetas, phis), u
+        )
+        for t, ket in enumerate(kets):
+            outcomes = measure_pure(ket, pvm_from_bloch(thetas[t], phis[t]))
+            assert labels[t] == (0 if u[t] < outcomes[0].probability else 1)
+            chosen = outcomes[labels[t]]
+            assert probs[t] == pytest.approx(chosen.probability, abs=1e-15)
+            assert np.max(np.abs(post[t] - chosen.post_state.amps)) < 1e-15
+
+    def test_nan_in_one_row_rejected(self):
+        rng = np.random.default_rng(13)
+        kets = np.array([random_symmetric_ket(4, rng).amps for _ in range(3)])
+        kappas = bloch_kappas(np.full(3, 0.4), np.full(3, 1.1))
+        u = np.full(3, 0.5)
+        bad_kappas = kappas.copy()
+        bad_kappas[1, 0, 1] = math.nan
+        with pytest.raises(InvalidMeasurementError):
+            measure_pure_batch(kets, bad_kappas, u)
+        bad_kets = kets.copy()
+        bad_kets[2, 3] = math.nan
+        with pytest.raises(DomainError):
+            measure_pure_batch(bad_kets, kappas, u)
+        alpha = np.array([np.outer(k, k.conj()) for k in kets])
+        alpha[0, 1, 1] = math.nan
+        with pytest.raises(DomainError):
+            trace_out_qubit(alpha)
+        with pytest.raises(DomainError):
+            bloch_kappas(np.array([0.4, math.nan]), np.zeros(2))
+
+    def test_drawn_branch_below_eps_rejected(self):
+        # p0 = 1e-15 is drawn by u = 0: no conditional state, as in require_post_state
+        kets = np.array([[1.0, 0.0], [math.sqrt(1e-15), math.sqrt(1.0 - 1e-15)]], dtype=complex)
+        kappas = bloch_kappas(np.zeros(2), np.zeros(2))
+        with pytest.raises(ZeroProbabilityError):
+            measure_pure_batch(kets, kappas, np.array([0.5, 0.0]))
 
 
 class TestKrausUpdateFormula:
