@@ -336,8 +336,13 @@ def _reject_unknown(doc: dict, allowed: set, what: str) -> None:
 
 
 def _as(kind, value, what: str):
-    """kind(value), or a ConfigError naming the field."""
+    """kind(value), or a ConfigError naming the field.
+
+    int() would truncate a non-integral number, so one is refused instead.
+    """
     try:
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from None
@@ -431,10 +436,10 @@ def parse_config(config: dict) -> dict:
         "schedule": schedule_from_config(config["schedule"]),
         "trials": trials,
         "seed": _as(int, config["seed"], "config 'seed'"),
-        "estimate": bool(
-            config.get("estimate", config["policy"].get("type") == "feedback")
-        ),
+        "estimate": config.get("estimate", config["policy"].get("type") == "feedback"),
     }
+    if not isinstance(parsed["estimate"], bool):
+        raise ConfigError(f"config 'estimate' must be true or false, got {parsed['estimate']!r}")
     if len(parsed["schedule"].events) > n:
         raise ConfigError("schedule longer than the number of input qubits")
     return parsed

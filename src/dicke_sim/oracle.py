@@ -6,6 +6,13 @@ permutation operators realized as index relabelings.  Qubit position 1 is the
 least significant bit of the index, matching the |b_n ... b_1> ordering used
 by the compact modules.
 
+The kernels do not spell out that definition: a channel on one qubit is one
+4x4 superoperator product over rho reshaped around that qubit's bit, and the
+symmetry check compares swapped-axis views.  Their reference is the Kronecker
+definition, kron(I, K, I) rho kron(I, K, I)^dag and P(pi) built from
+apply_permutation, which tests/test_oracle.py compares them with at every
+position.
+
 Dense work is capped (kets at 20 qubits, densities at 12 by default); the
 DICKE_SIM_DENSE_CAP environment variable overrides the density cap.
 """
@@ -210,36 +217,43 @@ def is_symmetric_over(rho: DenseDensity, subset, tol: float) -> bool:
     """Check rho = P(pi) rho and rho = rho P(pi)^dag for subset permutations.
 
     Adjacent transpositions of the sorted subset generate the full symmetric
-    group on the subset, so checking them suffices.
+    group on the subset, so checking them suffices.  The transposition of
+    positions p < q swaps two axes of the matrix reshaped around those bits;
+    the row side and the column side are checked separately.
     """
-    positions = sorted(subset)
+    positions = sorted(set(subset))
     if any(not 1 <= p <= rho.n for p in positions):
         raise DomainError(f"subset {positions} not within 1..{rho.n}")
-    m = rho.matrix
+    n, m = rho.n, rho.matrix
+    d = 2**n
     for p, q in zip(positions, positions[1:]):
-        j = _index_map(transposition(rho.n, p, q))
-        jinv = np.argsort(j)  # transpositions are involutions, but stay generic
-        if np.max(np.abs(m[jinv, :] - m)) > tol:
+        bits = (2 ** (n - q), 2, 2 ** (q - p - 1), 2, 2 ** (p - 1))
+        rows = m.reshape(bits + (d,))
+        if np.max(np.abs(rows.swapaxes(1, 3) - rows)) > tol:
             return False
-        if np.max(np.abs(m[:, jinv] - m)) > tol:
+        cols = m.reshape((d,) + bits)
+        if np.max(np.abs(cols.swapaxes(2, 4) - cols)) > tol:
             return False
     return True
 
 
-def _apply_one_sided(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(tensor, axis, 0)
-    moved = np.tensordot(mat, moved, axes=(1, 0))
-    return np.moveaxis(moved, 0, axis)
+def _channel_at(matrix: np.ndarray, n: int, position: int, kraus_mats) -> np.ndarray:
+    """sum_K (K at position) rho (K at position)^dag, unnormalized.
+
+    The channel acts on the (row bit, column bit) pair of the qubit as the
+    4x4 superoperator S = sum_K K (x) conj(K), so rho, reshaped to
+    (L, 2, R, L, 2, R) around that bit, takes one (4, 4) @ (4, 4^n / 4) product.
+    """
+    left, right = 2 ** (n - position), 2 ** (position - 1)
+    sup = sum(np.kron(k, k.conj()) for k in kraus_mats)
+    t = matrix.reshape(left, 2, right, left, 2, right).transpose(1, 4, 0, 2, 3, 5)
+    out = (sup @ t.reshape(4, -1)).reshape(t.shape)
+    return out.transpose(2, 0, 3, 4, 1, 5).reshape(2**n, 2**n)
 
 
 def _sandwich_at(matrix: np.ndarray, n: int, position: int, k: np.ndarray) -> np.ndarray:
     """(K at position) rho (K at position)^dag, unnormalized."""
-    t = matrix.reshape([2] * (2 * n))
-    row_axis = n - position
-    col_axis = 2 * n - position
-    t = _apply_one_sided(t, k, row_axis)
-    t = _apply_one_sided(t, k.conj(), col_axis)
-    return t.reshape(2**n, 2**n)
+    return _channel_at(matrix, n, position, [k])
 
 
 def apply_kraus_at(
@@ -249,7 +263,7 @@ def apply_kraus_at(
     if not 1 <= position <= rho.n:
         raise DomainError(f"position {position} not within 1..{rho.n}")
     _check_complete(kraus_set)
-    total = sum(_sandwich_at(rho.matrix, rho.n, position, k.matrix) for k in kraus_set)
+    total = _channel_at(rho.matrix, rho.n, position, [k.matrix for k in kraus_set])
     total = (total + total.conj().T) / 2.0
     return DenseDensity(rho.n, total)
 
@@ -275,8 +289,8 @@ def apply_kraus_outcomes_at(
 
 def apply_matrix_at_ket(amps: np.ndarray, n: int, position: int, mat: np.ndarray) -> np.ndarray:
     """(M at position)|psi> on raw amplitudes; no normalization."""
-    t = amps.reshape([2] * n)
-    return _apply_one_sided(t, mat, n - position).reshape(-1)
+    t = amps.reshape(2 ** (n - position), 2, 2 ** (position - 1))
+    return np.matmul(mat, t).reshape(-1)
 
 
 def partial_trace_raw(matrix: np.ndarray, n: int, positions) -> np.ndarray:

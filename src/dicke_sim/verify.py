@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotSymmetricError, ResourceLimitError
+from .errors import DickeSimError, DomainError, NotSymmetricError, ResourceLimitError
 from .harness import (
     FeedbackPolicy,
     FixedPolicy,
@@ -39,6 +39,7 @@ from .oracle import (
     DenseKet,
     Permutation,
     _sandwich_at,
+    apply_kraus_at,
     apply_kraus_outcomes_at,
     apply_matrix_at_ket,
     apply_permutation,
@@ -357,9 +358,7 @@ def check_residual_symmetry(max_n: int = 8, cases: int = 200, tol: float = 1e-10
         size = int(rng.integers(1, n - 1))
         touched = [int(p) + 1 for p in rng.choice(n, size=size, replace=False)]
         for position in touched:
-            results = apply_kraus_outcomes_at(rho, position, random_kraus_pair(rng))
-            total = sum(p * c.matrix for p, c in results if c is not None)
-            rho = DenseDensity(n, (total + total.conj().T) / 2.0)
+            rho = apply_kraus_at(rho, position, random_kraus_pair(rng))
         complement = sorted(set(range(1, n + 1)) - set(touched))
         if not is_symmetric_over(rho, complement, tol):
             fail = f"complement symmetry broken (seed {seed}, touched {sorted(touched)})"
@@ -674,9 +673,7 @@ def check_loss_mechanism_irrelevance(max_n: int = 8, seeds: int = 30, tol: float
         n = int(rng.integers(2, max_n + 1))
         rho = expand_density(random_symmetric_density(n, rng))
         j = int(rng.integers(1, n + 1))
-        results = apply_kraus_outcomes_at(rho, j, random_kraus_pair(rng))
-        mangled = sum(p * c.matrix for p, c in results if c is not None)
-        mangled = DenseDensity(n, (mangled + mangled.conj().T) / 2.0)
+        mangled = apply_kraus_at(rho, j, random_kraus_pair(rng))
         a = partial_trace(mangled, {j})
         b = partial_trace(rho, {j})
         worst = max(worst, float(np.max(np.abs(a.matrix - b.matrix))))
@@ -812,7 +809,7 @@ def run_suite(
             futures = {name: pool.submit(_run_one_property, name, params) for name in names}
             results = [futures[name].result() for name in names]
     else:
-        results = [PROPERTY_BUILDERS[name](params) for name in names]
+        results = [_run_one_property(name, params) for name in names]
     return {
         "schema_version": 1,
         "parameters": {
@@ -827,4 +824,9 @@ def run_suite(
 
 
 def _run_one_property(name: str, params: SuiteParams) -> PropertyResult:
-    return PROPERTY_BUILDERS[name](params)
+    """One property; a library error it raises fails it instead of the suite."""
+    try:
+        return PROPERTY_BUILDERS[name](params)
+    except DickeSimError as exc:
+        return PropertyResult(name, 0, math.inf, params.tolerance, False,
+                              f"raised {type(exc).__name__}: {exc}")

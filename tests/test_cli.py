@@ -273,6 +273,15 @@ class TestMalformedInputs:
     def test_trials_not_an_integer(self, tmp_path, capsys):
         self._assert_config_error(self._simulate(tmp_path, trials="x"), capsys)
 
+    def test_n_not_integral(self, tmp_path, capsys):
+        self._assert_config_error(self._simulate(tmp_path, n=2.5), capsys)
+
+    def test_trials_not_integral(self, tmp_path, capsys):
+        self._assert_config_error(self._simulate(tmp_path, trials=3.9), capsys)
+
+    def test_estimate_not_a_boolean(self, tmp_path, capsys):
+        self._assert_config_error(self._simulate(tmp_path, estimate="no"), capsys)
+
     def test_custom_amps_not_pairs(self, tmp_path, capsys):
         argv = self._simulate(tmp_path, input={"type": "custom", "amps": [1, 2]})
         self._assert_config_error(argv, capsys)
@@ -312,6 +321,28 @@ class TestCliVerify:
         report = json.loads(out.read_text())
         failing = [p["name"] for p in report["properties"] if not p["passed"]]
         assert failing == ["split_reconstruction"]
+
+    def test_raising_property_fails_by_name(self, tmp_path, monkeypatch, capsys):
+        import dicke_sim.oracle as oracle
+
+        def unconjugated(matrix, n, position, kraus_mats):  # a broken channel kernel
+            t = matrix.reshape(2 ** (n - position), 2, 2 ** (position - 1), 2 ** (n - position), 2,
+                               2 ** (position - 1))
+            return sum(np.einsum("ac,bd,lcrmds->larmbs", k, k, t) for k in kraus_mats).reshape(matrix.shape)
+
+        monkeypatch.setattr(oracle, "_channel_at", unconjugated)
+        out = tmp_path / "report.json"
+        rc = main(["verify", "--max-n", "3", "--seeds", "2", "--out", str(out)])
+        assert rc == EXIT_VERIFY_FAILED
+        report = json.loads(out.read_text())
+        assert len(report["properties"]) == 15
+        by_name = {p["name"]: p for p in report["properties"]}
+        raised = by_name["residual_symmetry_after_channels"]
+        assert raised["passed"] is False and raised["cases"] == 0
+        assert raised["note"].startswith("raised DomainError") and "trace" in raised["note"]
+        assert by_name["worked_example_split"]["passed"] is True
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "residual_symmetry_after_channels" in err
 
     def test_resource_limit_exit_code(self, capsys):
         assert main(["verify", "--max-n", "99", "--seeds", "1"]) == EXIT_RESOURCE

@@ -11,6 +11,7 @@ from dicke_sim.oracle import (
     DenseDensity,
     DenseKet,
     Permutation,
+    _sandwich_at,
     apply_kraus_at,
     apply_kraus_outcomes_at,
     apply_permutation,
@@ -25,6 +26,7 @@ from dicke_sim.oracle import (
 )
 from dicke_sim.states import SymmetricKet, basis_state, make_ket, to_density
 from dicke_sim.verify import (
+    random_dense_density,
     random_kraus_pair,
     random_permutation,
     random_symmetric_density,
@@ -176,6 +178,90 @@ class TestApplyKrausAt:
         rho = expand_density(to_density(basis_state(2, 1)))
         with pytest.raises(DomainError):
             apply_kraus_at(rho, 3, computational_pvm().kraus_pair())
+
+
+def _at(n: int, position: int, k: np.ndarray) -> np.ndarray:
+    """K at the given position, as the full Kronecker product I_L (x) K (x) I_R."""
+    return np.kron(np.kron(np.eye(2 ** (n - position)), k), np.eye(2 ** (position - 1)))
+
+
+def _transposition_matrix(n: int, p: int, q: int) -> np.ndarray:
+    """P(p q) column by column, from apply_permutation on the basis kets."""
+    eye = np.eye(2**n, dtype=complex)
+    return np.stack([apply_permutation(DenseKet(n, e), transposition(n, p, q)).amps for e in eye], axis=1)
+
+
+class TestKernelsAgainstKronecker:
+    """The channel kernels against kron(I_L, K, I_R) rho kron(I_L, K, I_R)^dag.
+
+    The verify suite cannot see a transposed (row bit, column bit) pair on the
+    measured qubit: no other qubit's reduced state changes under it.  These
+    tests use non-Hermitian K and densities that are not symmetric.
+    """
+
+    CASES = [(n, position) for n in range(1, 7) for position in range(1, n + 1)]
+
+    @pytest.mark.parametrize("n, position", CASES)
+    def test_sandwich(self, n, position):
+        rng = np.random.default_rng(100 * n + position)
+        rho = random_dense_density(n, rng).matrix
+        k = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        want = _at(n, position, k) @ rho @ _at(n, position, k).conj().T
+        assert np.max(np.abs(_sandwich_at(rho, n, position, k) - want)) < 1e-14
+
+    @pytest.mark.parametrize("n, position", CASES)
+    def test_channel_and_outcomes(self, n, position):
+        rng = np.random.default_rng(200 * n + position)
+        rho = random_dense_density(n, rng)
+        kraus = random_kraus_pair(rng)
+        raws = [_at(n, position, k.matrix) @ rho.matrix @ _at(n, position, k.matrix).conj().T for k in kraus]
+        out = apply_kraus_at(rho, position, kraus)
+        assert np.max(np.abs(out.matrix - sum(raws))) < 1e-14
+        for (p, cond), raw in zip(apply_kraus_outcomes_at(rho, position, kraus), raws):
+            assert abs(p - raw.trace().real) < 1e-14
+            assert np.max(np.abs(cond.matrix - raw / raw.trace().real)) < 1e-14
+
+
+class TestIsSymmetricOverDefinition:
+    """is_symmetric_over against P rho = rho and rho P^dag = rho for every pair."""
+
+    @staticmethod
+    def _definition(rho: DenseDensity, subset, tol: float) -> bool:
+        positions = sorted(subset)
+        for i, p in enumerate(positions):
+            for q in positions[i + 1:]:
+                perm = _transposition_matrix(rho.n, p, q)
+                if np.max(np.abs(perm @ rho.matrix - rho.matrix)) > tol:
+                    return False
+                if np.max(np.abs(rho.matrix @ perm.conj().T - rho.matrix)) > tol:
+                    return False
+        return True
+
+    def _agree(self, rho: DenseDensity, tol: float = 1e-10) -> list[bool]:
+        n = rho.n
+        subsets = [range(1, n + 1)] + [
+            [p for p in range(1, n + 1) if p != j] for j in range(1, n + 1)
+        ] + [[1, n], [j for j in range(1, n + 1) if j % 2]]
+        got = [is_symmetric_over(rho, s, tol) for s in subsets]
+        assert got == [self._definition(rho, s, tol) for s in subsets]
+        return got
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_symmetric(self, n):
+        rho = expand_density(random_symmetric_density(n, np.random.default_rng(300 + n)))
+        assert all(self._agree(rho))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_symmetric_on_complement_of_a_channel(self, n):
+        rng = np.random.default_rng(400 + n)
+        rho = expand_density(random_symmetric_density(n, rng))
+        touched = apply_kraus_at(rho, 2, random_kraus_pair(rng))
+        got = self._agree(touched)
+        assert not got[0] and got[2]  # full set fails, complement of position 2 holds
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_random(self, n):
+        assert not self._agree(random_dense_density(n, np.random.default_rng(500 + n)))[0]
 
 
 class TestPartialTrace:

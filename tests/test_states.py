@@ -211,6 +211,20 @@ class TestGeneralSplit:
             rhs = expand(basis_state(k, c.mu)).amps
             assert float(np.real(lhs @ dense @ rhs)) == pytest.approx(c.value, abs=1e-13)
 
+    def test_recurrence_matches_per_mu_product(self):
+        for n in range(1, 41):
+            for nu in range(n + 1):
+                for k in range(n + 1):
+                    coeffs = general_split(n, nu, k)
+                    assert [c.mu for c in coeffs] == list(range(max(0, nu - n + k), min(k, nu) + 1))
+                    for c in coeffs:
+                        assert abs(c.value - xi_coefficient(k, n, c.mu, nu)) <= 1e-15
+
+    @pytest.mark.parametrize("n, nu, k", [(1000, 500, 500), (10**5, 3 * 10**4, 2 * 10**4), (10**6, 5 * 10**5, 2)])
+    def test_large_completeness(self, n, nu, k):
+        total = sum(c.value**2 for c in general_split(n, nu, k))
+        assert abs(total - 1.0) <= 1e-12
+
     def test_matches_split_last_qubit_on_basis_states(self):
         for n, nu in [(4, 0), (4, 2), (7, 7), (9, 3)]:
             coeffs = {c.mu: c.value for c in general_split(n, nu, 1)}
