@@ -18,12 +18,6 @@ from .errors import (
 )
 from .harness import (
     ExperimentTrace,
-    FeedbackPolicy,
-    FixedPolicy,
-    LossSchedule,
-    PhaseChannel,
-    Policy,
-    RoundRobinPolicy,
     combined_pvm,
     evaluate_sequence,
     grid_log_likelihoods,
@@ -59,6 +53,14 @@ from .oracle import (
     expand_density,
     is_symmetric_over,
     partial_trace,
+)
+from .spec import (
+    FeedbackPolicy,
+    FixedPolicy,
+    LossSchedule,
+    PhaseChannel,
+    Policy,
+    RoundRobinPolicy,
 )
 from .states import (
     SplitCoefficient,

@@ -8,7 +8,6 @@ failure, 5 resource limit.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import statistics
 import sys
@@ -19,13 +18,11 @@ import numpy as np
 from .errors import (ConfigError, DickeSimError, DomainError, EXIT_CONFIG,
                      EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY_FAILED,
                      ResourceLimitError)
-from .harness import (PhaseChannel, combined_pvm, input_from_config, run_ensemble,
-                      run_pvm_cascade)
-from .measure import (SingleQubitPVM, computational_pvm, hadamard_pvm,
-                      measure_mixed, measure_pure, pvm_from_bloch)
+from .harness import combined_pvm, run_ensemble, run_pvm_cascade
+from .measure import SingleQubitPVM, measure_mixed, measure_pure, pvm_from_bloch
 from .oracle import apply_kraus_outcomes_at, density_cap, expand_density, partial_trace
-from .serialize import (SCHEMA_VERSION, dumps_json, measurement_from_json,
-                        rows_to_csv, state_from_json, state_to_json)
+from .serialize import SCHEMA_VERSION, dumps_json, rows_to_csv, state_to_json
+from .spec import PhaseChannel, convert, load_document, measurement_from_spec, state_from_spec
 from .states import SymmetricDensity, SymmetricKet, general_split, to_density
 from .verify import random_symmetric_ket, run_suite
 
@@ -46,42 +43,6 @@ def _emit(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _parse_state(spec: str):
-    """dicke:n,nu | noon:n | uniform:n | file:path"""
-    kind, _, rest = spec.partition(":")
-    if kind == "file":
-        with open(rest, encoding="utf-8") as fh:
-            return state_from_json(json.load(fh))
-    fields = {"dicke": ("n", "nu"), "noon": ("n",), "uniform": ("n",)}.get(kind)
-    if fields is None:
-        raise ConfigError(f"unknown state spec {spec!r}")
-    try:
-        values = dict(zip(fields, (int(x) for x in rest.split(",")), strict=True))
-    except ValueError:
-        raise ConfigError(f"expected {kind}:{','.join(fields)}, got {spec!r}") from None
-    n = values.pop("n")
-    return input_from_config({"type": kind, **values}, n)
-
-
-def _parse_pvm(spec: str):
-    """computational | hadamard | bloch:theta,phi | file:path"""
-    if spec == "computational":
-        return computational_pvm()
-    if spec == "hadamard":
-        return hadamard_pvm()
-    kind, _, rest = spec.partition(":")
-    if kind == "bloch":
-        try:
-            theta, phi = (float(x) for x in rest.split(","))
-        except ValueError:
-            raise ConfigError(f"expected bloch:theta,phi, got {spec!r}") from None
-        return pvm_from_bloch(theta, phi)
-    if kind == "file":
-        with open(rest, encoding="utf-8") as fh:
-            return measurement_from_json(json.load(fh))
-    raise ConfigError(f"unknown measurement spec {spec!r}")
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -112,8 +73,8 @@ def cmd_split(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    state = _parse_state(args.state)
-    measurement = _parse_pvm(args.pvm)
+    state = state_from_spec(args.state)
+    measurement = measurement_from_spec(args.pvm)
     if isinstance(state, SymmetricKet) and isinstance(measurement, SingleQubitPVM):
         outcomes = measure_pure(state, measurement)
     else:
@@ -142,13 +103,9 @@ def cmd_measure(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        config = json.load(fh)
-    if args.seed is not None:
-        if not isinstance(config, dict):
-            raise ConfigError("configuration must be a JSON object")
-        config = dict(config)
-        config["seed"] = args.seed
+    config = load_document(args.config)
+    if args.seed is not None and isinstance(config, dict):  # run_ensemble refuses any other document
+        config = {**config, "seed": args.seed}
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as sink:
             report = run_ensemble(config, workers=args.workers, trace_sink=sink)
@@ -159,6 +116,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     report = run_suite(
         max_n=args.max_n,
         seeds=args.seeds,
@@ -235,10 +194,7 @@ def bench_dense(n: int, repetitions: int, seed: int) -> dict:
 
 
 def _sizes(spec: str, flag: str) -> list[int]:
-    try:
-        return [int(s) for s in spec.split(",") if s]
-    except ValueError:
-        raise ConfigError(f"{flag} must be comma-separated integers, got {spec!r}") from None
+    return [convert(int, s, f"{flag} entry", lo=1) for s in spec.split(",") if s]
 
 
 def cmd_bench(args) -> int:
@@ -320,7 +276,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an --out or --trace-out path
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceLimitError as exc:

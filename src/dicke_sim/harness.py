@@ -20,14 +20,14 @@ stays within BLOCK_BYTES.  A trial's outcome does not depend on its block.
 
 from __future__ import annotations
 
+import json
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from operator import add, mul
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .measure import (
     ZERO_PROB_EPS,
     SingleQubitPVM,
@@ -39,26 +39,13 @@ from .measure import (
     require_pvm_rows,
     trace_out_qubit,
 )
-from .serialize import _unpair, state_to_json
-from .states import SymmetricDensity, SymmetricKet, basis_state, make_ket
+from .serialize import state_to_json
+from .spec import LossSchedule, PhaseChannel, Policy, parse_config
+from .states import SymmetricDensity, SymmetricKet
 
 BLOCK_BYTES = 1 << 22  # memory budget of a trial block's (T, n+1, n+1) densities
 ESTIMATE_GRID = 1024
 TIE_TOL = 1e-10  # log-likelihood slack of a tie; below the 1e-9 of perfbench's grid-maximum check
-
-
-@dataclass(frozen=True)
-class PhaseChannel:
-    """Unitary single-qubit channel diag(1, e^{i phi}); phi is the unknown."""
-
-    phi: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise DomainError(f"channel phase must be finite, got {self.phi}")
-
-    def unitary(self) -> np.ndarray:
-        return np.array([[1.0, 0.0], [0.0, np.exp(1j * self.phi)]], dtype=complex)
 
 
 def combined_pvm(channel: PhaseChannel, detector: SingleQubitPVM) -> SingleQubitPVM:
@@ -78,86 +65,6 @@ class TraceEvent:
     phi: float | None = None
     label: int | None = None
     probability: float | None = None
-
-
-class Policy(ABC):
-    """Chooses each trial's next detector basis from its measurement history."""
-
-    @abstractmethod
-    def next_settings(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bloch angles (theta[T], phi[T]) of the next detector PVM of T trials.
-
-        labels[T, m] holds each trial's outcomes of its m measurements so far.
-        """
-
-
-@dataclass(frozen=True)
-class FixedPolicy(Policy):
-    theta: float = 0.0
-    phi: float = 0.0
-
-    def next_settings(self, labels):
-        return np.full(len(labels), self.theta), np.full(len(labels), self.phi)
-
-
-@dataclass(frozen=True)
-class RoundRobinPolicy(Policy):
-    settings: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if not self.settings:
-            raise ConfigError("round-robin policy needs at least one basis")
-
-    def next_settings(self, labels):
-        theta, phi = self.settings[labels.shape[1] % len(self.settings)]
-        return np.full(len(labels), theta), np.full(len(labels), phi)
-
-
-@dataclass(frozen=True)
-class FeedbackPolicy(Policy):
-    """Equatorial detector phase nudged by delta/m after the m-th outcome.
-
-    Outcome 0 steps the phase up, outcome 1 steps it down.
-    """
-
-    delta: float
-    theta: float = math.pi / 2.0
-    initial_phi: float = 0.0
-
-    def next_settings(self, labels):
-        trials, m = labels.shape
-        step = self.delta / np.arange(1, m + 1)
-        nudges = np.where(labels == 0, step, -step)
-        # summed left to right from initial_phi, one column per outcome
-        phase = np.add.accumulate(np.column_stack([np.full(trials, self.initial_phi), nudges]), axis=1)
-        return np.full(trials, self.theta), phase[:, -1]
-
-
-@dataclass(frozen=True)
-class LossSchedule:
-    """Time-ordered measure/lose events; each consumes one fresh qubit."""
-
-    events: tuple[str, ...]
-
-    def __post_init__(self):
-        bad = [e for e in self.events if e not in ("measure", "lose")]
-        if bad:
-            raise ConfigError(f"unknown schedule events: {bad}")
-
-    @classmethod
-    def lossless(cls, measurements: int) -> LossSchedule:
-        return cls(("measure",) * measurements)
-
-    @classmethod
-    def random(cls, length: int, loss_rate: float, seed: int) -> LossSchedule:
-        """Bernoulli(loss_rate) loss at each step, fixed by the seed."""
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ConfigError(f"loss rate must lie in [0, 1], got {loss_rate}")
-        rng = np.random.default_rng(seed)
-        return cls(tuple("lose" if rng.random() < loss_rate else "measure" for _ in range(length)))
-
-    def measurement_count(self) -> int:
-        return sum(1 for e in self.events if e == "measure")
 
 
 @dataclass(frozen=True)
@@ -312,139 +219,6 @@ def ml_phase_estimate(
     return 2.0 * math.pi * g / grid_size
 
 
-# --- ensemble configuration -------------------------------------------------
-
-_INPUT_KEYS = {"type", "nu", "amps"}
-_POLICY_KEYS = {"type", "theta", "phi", "bases", "delta", "initial_phi"}
-_CONFIG_KEYS = {
-    "schema_version",
-    "input",
-    "n",
-    "phi",
-    "policy",
-    "schedule",
-    "trials",
-    "seed",
-    "estimate",
-}
-
-
-def _reject_unknown(doc: dict, allowed: set, what: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
-
-
-def _as(kind, value, what: str):
-    """kind(value), or a ConfigError naming the field.
-
-    int() would truncate a non-integral number, so one is refused instead.
-    """
-    try:
-        if kind is int and isinstance(value, float) and not value.is_integer():
-            raise ValueError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be {kind.__name__}, got {value!r}") from None
-
-
-def input_from_config(doc: dict, n: int) -> SymmetricKet:
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise ConfigError("input must be an object with a 'type' field")
-    _reject_unknown(doc, _INPUT_KEYS, "input")
-    kind = doc["type"]
-    if kind == "dicke":
-        if "nu" not in doc:
-            raise ConfigError("dicke input needs 'nu'")
-        return basis_state(n, _as(int, doc["nu"], "dicke 'nu'"))
-    if kind == "noon":
-        amps = np.zeros(n + 1, dtype=complex)
-        amps[0] = amps[n] = 1.0
-        return make_ket(n, amps)
-    if kind == "uniform":
-        return make_ket(n, np.ones(n + 1, dtype=complex))
-    if kind == "custom":
-        if not isinstance(doc.get("amps"), list):
-            raise ConfigError("custom input needs 'amps', a list of [re, im] pairs")
-        return make_ket(n, np.array([_unpair(pair) for pair in doc["amps"]], dtype=complex))
-    raise ConfigError(f"unknown input type {kind!r}")
-
-
-def policy_from_config(doc: dict) -> Policy:
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise ConfigError("policy must be an object with a 'type' field")
-    _reject_unknown(doc, _POLICY_KEYS, "policy")
-    kind = doc["type"]
-
-    def angle(owner: dict, key: str, default: float) -> float:
-        return _as(float, owner.get(key, default), f"policy {key!r}")
-
-    if kind == "fixed":
-        return FixedPolicy(angle(doc, "theta", 0.0), angle(doc, "phi", 0.0))
-    if kind == "round_robin":
-        bases = doc.get("bases")
-        if not bases or not isinstance(bases, list) or not all(isinstance(b, dict) for b in bases):
-            raise ConfigError("round_robin policy needs 'bases', a list of objects")
-        return RoundRobinPolicy(tuple((angle(b, "theta", 0.0), angle(b, "phi", 0.0)) for b in bases))
-    if kind == "feedback":
-        if "delta" not in doc:
-            raise ConfigError("feedback policy needs 'delta'")
-        return FeedbackPolicy(
-            _as(float, doc["delta"], "policy 'delta'"),
-            angle(doc, "theta", math.pi / 2.0),
-            angle(doc, "initial_phi", 0.0),
-        )
-    raise ConfigError(f"unknown policy type {kind!r}")
-
-
-def schedule_from_config(doc) -> LossSchedule:
-    if isinstance(doc, list):
-        return LossSchedule(tuple(doc))
-    if isinstance(doc, dict):
-        _reject_unknown(doc, {"length", "loss_rate", "seed"}, "schedule")
-        try:
-            length, rate, seed = doc["length"], doc["loss_rate"], doc["seed"]
-        except KeyError as exc:
-            raise ConfigError(f"schedule generator needs {exc.args[0]!r}") from None
-        return LossSchedule.random(
-            _as(int, length, "schedule 'length'"),
-            _as(float, rate, "schedule 'loss_rate'"),
-            _as(int, seed, "schedule 'seed'"),
-        )
-    raise ConfigError("schedule must be a list of events or a generator object")
-
-
-def parse_config(config: dict) -> dict:
-    """Validate an experiment configuration document."""
-    if not isinstance(config, dict):
-        raise ConfigError("configuration must be a JSON object")
-    _reject_unknown(config, _CONFIG_KEYS, "config")
-    for key in ("input", "n", "phi", "policy", "schedule", "trials", "seed"):
-        if key not in config:
-            raise ConfigError(f"missing config field {key!r}")
-    n = _as(int, config["n"], "config 'n'")
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    trials = _as(int, config["trials"], "config 'trials'")
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    parsed = {
-        "input": input_from_config(config["input"], n),
-        "n": n,
-        "channel": PhaseChannel(_as(float, config["phi"], "config 'phi'")),
-        "policy": policy_from_config(config["policy"]),
-        "schedule": schedule_from_config(config["schedule"]),
-        "trials": trials,
-        "seed": _as(int, config["seed"], "config 'seed'"),
-        "estimate": config.get("estimate", config["policy"].get("type") == "feedback"),
-    }
-    if not isinstance(parsed["estimate"], bool):
-        raise ConfigError(f"config 'estimate' must be true or false, got {parsed['estimate']!r}")
-    if len(parsed["schedule"].events) > n:
-        raise ConfigError("schedule longer than the number of input qubits")
-    return parsed
-
-
 def _trace_document(trial: int, trace: ExperimentTrace) -> dict:
     return {
         "trial": trial,
@@ -457,13 +231,12 @@ def _trace_document(trial: int, trace: ExperimentTrace) -> dict:
     }
 
 
-def _run_trial_block(config: dict, start: int, count: int, keep_traces: bool = False) -> list[dict]:
-    """Trials start, ..., start + count - 1, one run_trials call per block.
+def _run_trial_block(parsed: dict, start: int, count: int, keep_traces: bool = False) -> list[dict]:
+    """Trials start, ..., start + count - 1 of a parsed config, one run_trials call per block.
 
     A block holds as many trials as fit their (n+1, n+1) densities into
     BLOCK_BYTES, and at least one.
     """
-    parsed = parse_config(config)
     size = max(1, BLOCK_BYTES // (16 * (parsed["n"] + 1) ** 2))
     results = []
     for first in range(start, start + count, size):
@@ -510,18 +283,16 @@ def run_ensemble(config: dict, workers: int = 1, trace_sink=None) -> dict:
         blocks = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_run_trial_block, config, s, c, want_traces) for s, c in blocks
+                pool.submit(_run_trial_block, parsed, s, c, want_traces) for s, c in blocks
             ]
             entries = [e for f in futures for e in f.result()]
         entries.sort(key=lambda e: e["trial"])
     else:
-        entries = _run_trial_block(config, 0, trials, want_traces)
+        entries = _run_trial_block(parsed, 0, trials, want_traces)
 
     if trace_sink is not None:
-        import json as _json
-
         for e in entries:
-            trace_sink.write(_json.dumps(e["trace"], sort_keys=True) + "\n")
+            trace_sink.write(json.dumps(e["trace"], sort_keys=True) + "\n")
     for e in entries:
         e.pop("trace", None)
 

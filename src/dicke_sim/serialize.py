@@ -1,4 +1,4 @@
-"""JSON and CSV wire formats.
+"""JSON and CSV writers; `spec` reads these formats back.
 
 Complex numbers travel as [re, im] pairs.  Floats are emitted with repr
 (shortest exact round-trip, at most 17 significant digits), so identical
@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import ConfigError
-from .measure import SingleQubitKraus, SingleQubitPVM, pvm_from_bloch
+from .measure import SingleQubitPVM
 from .states import SymmetricDensity, SymmetricKet
 
 SCHEMA_VERSION = 1
@@ -22,39 +22,12 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _unpair(doc) -> complex:
-    try:
-        re, im = doc
-        return complex(float(re), float(im))
-    except (TypeError, ValueError):
-        raise ConfigError(f"expected [re, im] pair, got {doc!r}") from None
-
-
-def ket_to_json(ket: SymmetricKet) -> dict:
-    return {"n": ket.n, "amps": [_pair(z) for z in ket.amps]}
-
-
-def density_to_json(rho: SymmetricDensity) -> dict:
-    return {"n": rho.n, "alpha": [[_pair(z) for z in row] for row in rho.alpha]}
-
-
 def state_to_json(state) -> dict:
     if isinstance(state, SymmetricKet):
-        return ket_to_json(state)
+        return {"n": state.n, "amps": [_pair(z) for z in state.amps]}
     if isinstance(state, SymmetricDensity):
-        return density_to_json(state)
+        return {"n": state.n, "alpha": [[_pair(z) for z in row] for row in state.alpha]}
     raise ConfigError(f"not a compact state: {type(state).__name__}")
-
-
-def state_from_json(doc: dict):
-    if not isinstance(doc, dict) or "n" not in doc:
-        raise ConfigError("state document needs an 'n' field")
-    n = int(doc["n"])
-    if "amps" in doc:
-        return SymmetricKet(n, np.array([_unpair(p) for p in doc["amps"]]))
-    if "alpha" in doc:
-        return SymmetricDensity(n, np.array([[_unpair(p) for p in row] for row in doc["alpha"]]))
-    raise ConfigError("state document needs 'amps' or 'alpha'")
 
 
 def measurement_to_json(measurement) -> dict:
@@ -66,26 +39,6 @@ def measurement_to_json(measurement) -> dict:
             "matrices": [[[_pair(z) for z in row] for row in k.matrix] for k in measurement],
         }
     raise ConfigError(f"not a measurement: {type(measurement).__name__}")
-
-
-def measurement_from_json(doc: dict):
-    """Parse {"type": "pvm", "theta": .., "phi": ..} or a Kraus set."""
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise ConfigError("measurement document needs a 'type' field")
-    kind = doc["type"]
-    if kind == "pvm":
-        return pvm_from_bloch(float(doc.get("theta", 0.0)), float(doc.get("phi", 0.0)))
-    if kind == "pvm_kappa":
-        return SingleQubitPVM(np.array([[_unpair(z) for z in row] for row in doc["kappa"]]))
-    if kind == "kraus":
-        matrices = doc.get("matrices")
-        if not matrices:
-            raise ConfigError("kraus measurement needs 'matrices'")
-        return [
-            SingleQubitKraus(i, np.array([[_unpair(z) for z in row] for row in m]))
-            for i, m in enumerate(matrices)
-        ]
-    raise ConfigError(f"unknown measurement type {kind!r}")
 
 
 def dumps_json(obj) -> str:

@@ -137,8 +137,10 @@ def _xi_squared(k: int, n: int, mu: int, nu: int) -> float:
     No binomial coefficient is ever materialized, so there is no overflow for
     large n; factors are interleaved to keep the running product bounded
     (roughly within [1/n^2, n^2]).  Accumulated relative error is at the
-    rounding level of ~3*nu multiplications, well below 1e-12 for n <= 1e6.
+    rounding level of ~3*min(k, nu) multiplications, well below 1e-12 for n <= 1e6.
     """
+    if nu > k:  # C(k, mu) C(n-k, nu-mu) / C(n, nu) = C(nu, mu) C(n-nu, k-mu) / C(n, k)
+        k, nu = nu, k
 
     def numerator_factors():
         for j in range(mu):
@@ -184,8 +186,9 @@ def general_split(n: int, nu: int, k: int) -> list[SplitCoefficient]:
 
         Xi^2(mu+1) / Xi^2(mu) = (k-mu)(nu-mu) / ((mu+1)(n-k-nu+mu+1)),
 
-    a quotient of exact integer products.  This is O(nu + k) instead of
-    O(k nu).  Each step adds two roundings (the quotient and the product), so
+    a quotient of exact integer products.  The mode's product and the walk
+    each take at most min(k, nu) steps, instead of the O(k nu) of one product
+    per mu.  Each step adds two roundings (the quotient and the product), so
     at distance j from the mode the relative error of Xi^2 is that of the
     mode's product plus at most 2j units of 2^-53.  The values shrink
     monotonically away from the mode, so the absolute error of every Xi stays

@@ -14,18 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DickeSimError, DomainError, NotSymmetricError, ResourceLimitError
-from .harness import (
-    FeedbackPolicy,
-    FixedPolicy,
-    LossSchedule,
-    PhaseChannel,
-    RoundRobinPolicy,
-    combined_pvm,
-    evaluate_sequence,
-    grid_log_likelihoods,
-    run_trial,
-    run_trials,
-)
+from .harness import combined_pvm, evaluate_sequence, grid_log_likelihoods, run_trial, run_trials
 from .measure import (
     SingleQubitKraus,
     SingleQubitPVM,
@@ -51,6 +40,7 @@ from .oracle import (
     partial_trace,
     partial_trace_raw,
 )
+from .spec import FeedbackPolicy, FixedPolicy, LossSchedule, PhaseChannel, RoundRobinPolicy
 from .states import (
     SymmetricDensity,
     SymmetricKet,
@@ -522,12 +512,13 @@ def check_estimator_replay(max_n: int = 10, seeds: int = 20, tol: float = 1e-10)
         channel = PhaseChannel(float(rng.uniform(0.0, 2.0 * math.pi)))
         trace = run_trial(ket, channel, policy, schedule, int(rng.integers(0, 2**31)))
         got = grid_log_likelihoods(ket, trace, grid)
+        # only the channel depends on the grid point, so each detector is built once
+        detectors = [pvm_from_bloch(ev.theta, ev.phi) if ev.kind == "measure" else None for ev in trace.events]
         for g in range(grid):
             candidate = PhaseChannel(2.0 * math.pi * g / grid)
             steps = [
-                ("lose",) if ev.kind == "lose"
-                else ("measure_pvm", combined_pvm(candidate, pvm_from_bloch(ev.theta, ev.phi)), ev.label)
-                for ev in trace.events
+                ("lose",) if ev.kind == "lose" else ("measure_pvm", combined_pvm(candidate, det), ev.label)
+                for ev, det in zip(trace.events, detectors)
             ]
             try:
                 want = math.log(compact_sequence_prob(ket, steps)[0])

@@ -118,8 +118,9 @@ def _timed_cascades(sizes=(512, 1024, 2048), repetitions=7, seed=20_260_808):
     """Interleaved rounds so scheduler noise hits every size equally."""
     import numpy as np
     import statistics
-    from dicke_sim.harness import PhaseChannel, combined_pvm, run_pvm_cascade
+    from dicke_sim.harness import combined_pvm, run_pvm_cascade
     from dicke_sim.measure import pvm_from_bloch
+    from dicke_sim.spec import PhaseChannel
     from dicke_sim.verify import random_symmetric_ket
 
     kappa = combined_pvm(PhaseChannel(0.7), pvm_from_bloch(math.pi / 2, 0.0)).kappa

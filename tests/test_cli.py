@@ -16,14 +16,8 @@ from dicke_sim.errors import (
     ConfigError,
 )
 from dicke_sim.measure import SingleQubitPVM, pvm_from_bloch
-from dicke_sim.serialize import (
-    dumps_json,
-    measurement_from_json,
-    measurement_to_json,
-    rows_to_csv,
-    state_from_json,
-    state_to_json,
-)
+from dicke_sim.serialize import dumps_json, measurement_to_json, rows_to_csv, state_to_json
+from dicke_sim.spec import measurement_from_json, state_from_json
 from dicke_sim.states import basis_state, make_ket, to_density
 from dicke_sim.verify import random_kraus_pair, random_symmetric_density
 
@@ -299,6 +293,72 @@ class TestMalformedInputs:
     def test_dense_cap_not_an_integer(self, monkeypatch, capsys):
         monkeypatch.setenv("DICKE_SIM_DENSE_CAP", "abc")
         self._assert_config_error(["verify"], capsys)
+
+
+    @pytest.mark.parametrize("flag, doc", [
+        ("--state", {"n": "abc", "amps": [[1, 0], [0, 0]]}),
+        ("--state", {"n": 1.5, "amps": [[1, 0], [0, 0]]}),
+        ("--state", {"n": 1, "amps": 5}),
+        ("--state", {"n": 1, "alpha": [[[1, 0], [0, 0]], [[0, 0]]]}),
+        ("--pvm", {"type": "pvm", "theta": "x"}),
+        ("--pvm", {"type": "pvm_kappa"}),
+        ("--pvm", {"type": "kraus", "matrices": 7}),
+    ])
+    def test_malformed_document(self, flag, doc, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        specs = {"--state": "dicke:3,1", "--pvm": "computational", flag: f"file:{path}"}
+        self._assert_config_error(["measure", "--state", specs["--state"], "--pvm", specs["--pvm"]], capsys)
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}", b"[" * 100_000], ids=["directory", "not-utf8", "deep"])
+    @pytest.mark.parametrize("flag", ["--state", "--pvm", "--config"])
+    def test_unreadable_file(self, flag, content, tmp_path, capsys):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "doc.json"
+            path.write_bytes(content)
+        argv = {
+            "--state": ["measure", "--state", f"file:{path}", "--pvm", "computational"],
+            "--pvm": ["measure", "--state", "dicke:3,1", "--pvm", f"file:{path}"],
+            "--config": ["simulate", "--config", str(path)],
+        }[flag]
+        self._assert_config_error(argv, capsys)
+
+    @pytest.mark.parametrize("overrides, extra", [
+        ({"seed": -1}, []),
+        ({"schedule": {"length": 3, "loss_rate": 0.5, "seed": -1}}, []),
+        ({}, ["--seed", "-1"]),
+        ({"schedule": {"length": -2, "loss_rate": 0.5, "seed": 5}}, []),
+        ({"trials": True}, []),
+    ])
+    def test_config_field_out_of_range(self, overrides, extra, tmp_path, capsys):
+        self._assert_config_error(self._simulate(tmp_path, **overrides) + extra, capsys)
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace-out"])
+    def test_output_path_is_a_directory(self, flag, tmp_path, capsys):
+        self._assert_config_error(self._simulate(tmp_path) + [flag, str(tmp_path)], capsys)
+
+    @pytest.mark.parametrize("flag", ["--sizes=-3", "--sizes=0", "--dense-sizes=0"])
+    def test_bench_size_below_one(self, flag, capsys):
+        self._assert_config_error(["bench", flag, "--reps", "1"], capsys)
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-10"])
+    def test_verify_tolerance_not_finite_or_negative(self, tolerance, capsys):
+        self._assert_config_error(["verify", f"--tolerance={tolerance}"], capsys)
+
+
+class TestUnphysicalInputs:
+    """Well-typed but unphysical values exit 3 when the object is built."""
+
+    def test_unnormalized_file_ket(self, tmp_path, capsys):
+        path = tmp_path / "ket.json"
+        path.write_text(json.dumps({"n": 1, "amps": [[1, 0], [1, 0]]}))
+        assert main(["measure", "--state", f"file:{path}", "--pvm", "computational"]) == EXIT_DOMAIN
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_weight_above_n(self, capsys):
+        assert main(["measure", "--state", "dicke:3,9", "--pvm", "computational"]) == EXIT_DOMAIN
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 class TestCliVerify:

@@ -8,25 +8,27 @@ import pytest
 from dicke_sim.errors import ConfigError, DomainError
 from dicke_sim.harness import (
     ExperimentTrace,
-    FeedbackPolicy,
-    FixedPolicy,
-    LossSchedule,
-    PhaseChannel,
     TIE_TOL,
-    RoundRobinPolicy,
     TraceEvent,
     combined_pvm,
     evaluate_sequence,
     grid_log_likelihoods,
-    input_from_config,
     ml_phase_estimate,
-    parse_config,
     run_ensemble,
     run_pvm_cascade,
     run_trial,
     run_trials,
 )
 from dicke_sim.measure import hadamard_pvm, lose_qubit, measure_mixed, measure_pure, pvm_from_bloch
+from dicke_sim.spec import (
+    FeedbackPolicy,
+    FixedPolicy,
+    LossSchedule,
+    PhaseChannel,
+    RoundRobinPolicy,
+    input_from_config,
+    parse_config,
+)
 from dicke_sim.states import SymmetricDensity, SymmetricKet, basis_state, make_ket, to_density
 from dicke_sim.verify import check_batched_trials, check_estimator_replay, random_symmetric_ket
 

@@ -225,6 +225,14 @@ class TestGeneralSplit:
         total = sum(c.value**2 for c in general_split(n, nu, k))
         assert abs(total - 1.0) <= 1e-12
 
+    def test_large_split_against_exact_rationals(self):
+        # counted from the block's side, C(nu, mu) C(n-nu, k-mu) / C(n, k), the
+        # same hypergeometric probability needs only small integers
+        n, nu, k = 10**6, 5 * 10**5, 2
+        for c in general_split(n, nu, k):
+            exact = Fraction(math.comb(nu, c.mu) * math.comb(n - nu, k - c.mu), math.comb(n, k))
+            assert abs(c.value**2 - exact) <= 1e-15 * exact
+
     def test_matches_split_last_qubit_on_basis_states(self):
         for n, nu in [(4, 0), (4, 2), (7, 7), (9, 3)]:
             coeffs = {c.mu: c.value for c in general_split(n, nu, 1)}
