@@ -31,15 +31,11 @@ from .measure import (
     MeasurementOutcome,
     SingleQubitKraus,
     SingleQubitPVM,
-    computational_pvm,
-    hadamard_pvm,
     lose_qubit,
-    lose_qubit_pure,
     measure_mixed,
     measure_pure,
     pvm_branches,
     pvm_from_bloch,
-    sample_outcome,
 )
 from .oracle import (
     DenseDensity,

@@ -19,11 +19,11 @@ from .errors import (ConfigError, DickeSimError, DomainError, EXIT_CONFIG,
                      EXIT_DOMAIN, EXIT_OK, EXIT_RESOURCE, EXIT_VERIFY_FAILED,
                      ResourceLimitError)
 from .harness import combined_pvm, run_ensemble, run_pvm_cascade
-from .measure import SingleQubitPVM, measure_mixed, measure_pure, pvm_from_bloch
+from .measure import measure_state, pvm_from_bloch
 from .oracle import apply_kraus_outcomes_at, density_cap, expand_density, partial_trace
 from .serialize import SCHEMA_VERSION, dumps_json, rows_to_csv, state_to_json
 from .spec import PhaseChannel, convert, load_document, measurement_from_spec, state_from_spec
-from .states import SymmetricDensity, SymmetricKet, general_split, to_density
+from .states import general_split, to_density
 from .verify import random_symmetric_ket, run_suite
 
 BENCH_COLUMNS = [
@@ -75,16 +75,7 @@ def cmd_split(args) -> int:
 def cmd_measure(args) -> int:
     state = state_from_spec(args.state)
     measurement = measurement_from_spec(args.pvm)
-    if isinstance(state, SymmetricKet) and isinstance(measurement, SingleQubitPVM):
-        outcomes = measure_pure(state, measurement)
-    else:
-        rho = state if isinstance(state, SymmetricDensity) else to_density(state)
-        kraus = (
-            measurement.kraus_pair()
-            if isinstance(measurement, SingleQubitPVM)
-            else measurement
-        )
-        outcomes = measure_mixed(rho, kraus)
+    outcomes = measure_state(state, measurement)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "state": args.state,
@@ -118,6 +109,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    for flag, value in (("--max-n", args.max_n), ("--seeds", args.seeds)):
+        convert(int, value, flag, lo=1)
     report = run_suite(
         max_n=args.max_n,
         seeds=args.seeds,

@@ -40,7 +40,7 @@ class NotSymmetricError(DickeSimError):
 
 
 class ResourceLimitError(DickeSimError):
-    """Dense-oracle request above the configured qubit cap."""
+    """Dense-oracle request above its qubit cap, or a compact state above MAX_STATE_ENTRIES."""
 
 
 class ConfigError(DickeSimError):

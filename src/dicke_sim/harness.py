@@ -9,39 +9,39 @@ reproducible from its seed.
 Losses are deferred: a loss changes no later measurement probability and a
 partial trace commutes with a measurement on another qubit, so trials, forced
 replays and the likelihood measure the pure ket at every step (through
-`measure.pvm_branches`) and trace the lost qubits out of the final ket once.
+`measure.pvm_branches`) and trace the lost qubits out of the final ket once,
+in one product through the split coefficients (`_final_states`).
 
 Trials run in blocks (`run_trials`): the T kets of a block advance as one
-(T, n+1) array, with one vectorized measurement step per `measure` event and
-one batched trace-out of the lost qubits at the end.  The block size follows
-from n, so that a block's largest array, its (T, n+1, n+1) final densities,
-stays within BLOCK_BYTES.  A trial's outcome does not depend on its block.
+(T, n+1) array, with one vectorized measurement step per `measure` event.
+The block size follows from n, so that a block's largest array, its
+(T, n+1, n+1) final densities, stays within BLOCK_BYTES.  A trial's outcome
+does not depend on its block.  Forced replays (`evaluate_sequence`) and the
+likelihood grid (`grid_log_likelihoods`) share one loop, `_forced_replay`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import add, mul
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ZeroProbabilityError
 from .measure import (
     ZERO_PROB_EPS,
     SingleQubitPVM,
     bloch_kappas,
-    measure_pure,
     measure_pure_batch,
     pvm_branches,
-    pvm_from_bloch,
     require_pvm_rows,
-    trace_out_qubit,
 )
 from .serialize import state_to_json
 from .spec import LossSchedule, PhaseChannel, Policy, parse_config
-from .states import SymmetricDensity, SymmetricKet
+from .states import SymmetricDensity, SymmetricKet, general_split
 
 BLOCK_BYTES = 1 << 22  # memory budget of a trial block's (T, n+1, n+1) densities
 ESTIMATE_GRID = 1024
@@ -76,19 +76,31 @@ class ExperimentTrace:
     def outcome_labels(self) -> tuple[int, ...]:
         return tuple(ev.label for ev in self.events if ev.kind == "measure")
 
+    def steps(self) -> list[tuple]:
+        """The replay encoding of each event: ("measure", (theta, phi), label) or ("lose",)."""
+        return [("lose",) if ev.kind == "lose" else ("measure", (ev.theta, ev.phi), ev.label)
+                for ev in self.events]
+
 
 def _final_states(kets: np.ndarray, k: int) -> list[SymmetricKet | SymmetricDensity]:
-    """The k deferred losses, traced out of every final ket kets[T] at once.
+    """The k deferred losses, traced out of every final ket kets[T] in one product.
 
-    k = 0 keeps the kets pure; otherwise the batch turns into (T, d, d)
-    densities and loses k qubits, each loss one batched trace-out.
+    Splitting the k lost qubits off |nu> of the N left leaves j ones among
+    them with amplitude Xi(k, N; j, nu), so alpha = sum_j c_j c_j^dag with
+    c_j[mu] = psi[mu + j] Xi(k, N; j, mu + j), from one general_split table
+    per call.  k = 0 keeps the kets pure.
     """
     n = kets.shape[-1] - 1
     if k == 0:
         return [SymmetricKet(n, ket) for ket in kets]
-    alpha = kets[:, :, None] * kets.conj()[:, None, :]  # to_density, row by row
-    for _ in range(k):
-        alpha = trace_out_qubit(alpha)
+    xi = np.zeros((k + 1, n + 1))
+    for nu in range(n + 1):
+        for c in general_split(n, nu, k):
+            xi[c.mu, nu] = c.value
+    nus = np.arange(k + 1)[:, None] + np.arange(n - k + 1)  # nus[j, mu] = mu + j
+    c = kets[:, nus] * np.take_along_axis(xi, nus, axis=1)  # c[T, j, mu]
+    # summed over j in order, elementwise: the same bytes in any block, exactly Hermitian
+    alpha = sum(cj[:, :, None] * cj.conj()[:, None, :] for cj in c.swapaxes(0, 1))
     return [SymmetricDensity(n - k, a) for a in alpha]
 
 
@@ -137,38 +149,48 @@ def run_trials(
     return traces
 
 
-def run_trial(
-    input_state: SymmetricKet,
-    channel: PhaseChannel,
-    policy: Policy,
-    schedule: LossSchedule,
-    seed: int,
-) -> ExperimentTrace:
+def run_trial(input_state: SymmetricKet, channel: PhaseChannel, policy: Policy,
+              schedule: LossSchedule, seed: int) -> ExperimentTrace:
     """Execute one trial: run_trials on a block of one, the same as in any block."""
     return run_trials(input_state, channel, policy, schedule, [seed])[0]
 
 
+def _forced_replay(input_state: SymmetricKet, measured: list, folds: np.ndarray):
+    """Forced labels on G copies of the input, row g through the channel diag(folds[g]).
+
+    measured: ((theta, phi), label) of each measurement, in order.  Every
+    detector is built and checked once; each step applies only its forced
+    row, with row g's channel folded in.  A row whose label falls below
+    ZERO_PROB_EPS is left unrescaled, so no NaN reaches later steps.
+    Returns the probabilities probs[G, m] and the final kets[G, n+1-m].
+    """
+    kets = np.broadcast_to(input_state.amps, (len(folds), input_state.n + 1))
+    probs = np.empty((len(folds), len(measured)))
+    detectors = bloch_kappas(*np.reshape([angles for angles, _ in measured], (-1, 2)).T)
+    require_pvm_rows(detectors)
+    for j, (detector, (_, label)) in enumerate(zip(detectors, measured)):
+        branch = pvm_branches(kets, detector[[label]] * folds[:, None, :])[:, 0]
+        p = probs[:, j] = (branch.real**2 + branch.imag**2).sum(axis=-1)
+        kets = branch / np.sqrt(np.where(p >= ZERO_PROB_EPS, p, 1.0))[:, None]
+    return probs, kets
+
+
 def evaluate_sequence(
-    input_state: SymmetricKet,
-    channel: PhaseChannel,
-    steps: list,
+    input_state: SymmetricKet, channel: PhaseChannel, steps: list
 ) -> tuple[list[float], SymmetricKet | SymmetricDensity]:
     """Replay a fixed event sequence and return each conditional probability.
 
-    steps: ("lose",) or ("measure", (theta, phi), label).  No sampling takes
-    place; the recorded labels are forced, and one below ZERO_PROB_EPS raises
-    ZeroProbabilityError.  Losses are deferred as in run_trial.
+    steps: ("lose",) or ("measure", (theta, phi), label), as in
+    ExperimentTrace.steps().  The one-row case of _forced_replay: no sampling
+    takes place, and a forced label below ZERO_PROB_EPS raises
+    ZeroProbabilityError.  Losses are deferred as in run_trials.
     """
-    ket = input_state
-    probs: list[float] = []
-    for step in steps:
-        if step[0] == "lose":
-            continue
-        _, (theta, phi), label = step
-        chosen = measure_pure(ket, combined_pvm(channel, pvm_from_bloch(theta, phi)))[label]
-        probs.append(chosen.probability)
-        ket = chosen.require_post_state()
-    return probs, _final_states(ket.amps[None], len(steps) - len(probs))[0]
+    measured = [step[1:] for step in steps if step[0] != "lose"]
+    probs, kets = _forced_replay(input_state, measured, np.diagonal(channel.unitary())[None])
+    if not (probs >= ZERO_PROB_EPS).all():
+        raise ZeroProbabilityError(
+            f"a forced label has probability {probs.min():.3e} below {ZERO_PROB_EPS}")
+    return probs[0].tolist(), _final_states(kets, len(steps) - len(measured))[0]
 
 
 def grid_log_likelihoods(
@@ -178,28 +200,17 @@ def grid_log_likelihoods(
 ) -> np.ndarray:
     """Log-likelihood of the trace's labels at each phase 2 pi g / grid_size.
 
-    One replay of the recorded settings and labels over a (grid_size, n+1)
-    batch of kets, one row per candidate phase, skipping losses.  A row whose
-    forced label falls below ZERO_PROB_EPS reads -inf; its ket is left
-    unnormalized, so no NaN reaches later steps.
+    The grid_size-row case of _forced_replay, one row per candidate phase,
+    skipping losses.  Logs are summed in step order; a row whose forced label
+    falls below ZERO_PROB_EPS reads -inf.
     """
     phis = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    # the channel diag(1, e^{i phi}) folded into the detector, as in combined_pvm
-    channels = np.stack([np.ones(grid_size), np.exp(1j * phis)], axis=-1)[:, None, :]
-    kets = np.broadcast_to(input_state.amps, (grid_size, input_state.n + 1))
-    ll = np.zeros(grid_size)
-    measured = [ev for ev in trace.events if ev.kind == "measure"]
-    detectors = bloch_kappas([ev.theta for ev in measured], [ev.phi for ev in measured])
-    require_pvm_rows(detectors)
-    for ev, detector in zip(measured, detectors):
-        kappas = detector[[ev.label]] * channels  # forced row only
-        branch = pvm_branches(kets, kappas)[:, 0]
-        p = (branch.real**2 + branch.imag**2).sum(axis=-1)
-        alive = p >= ZERO_PROB_EPS
-        p = np.where(alive, p, 1.0)
-        ll = np.where(alive, ll + np.log(p), -math.inf)
-        kets = branch / np.sqrt(p)[:, None]
-    return ll
+    folds = np.stack([np.ones(grid_size), np.exp(1j * phis)], axis=-1)  # diag(1, e^{i phi})
+    measured = [step[1:] for step in trace.steps() if step[0] == "measure"]
+    probs, _ = _forced_replay(input_state, measured, folds)
+    alive = probs >= ZERO_PROB_EPS
+    logs = np.where(alive, np.log(np.where(alive, probs, 1.0)), -math.inf)
+    return sum(logs.T, np.zeros(grid_size))
 
 
 def ml_phase_estimate(
@@ -296,9 +307,7 @@ def run_ensemble(config: dict, workers: int = 1, trace_sink=None) -> dict:
     for e in entries:
         e.pop("trace", None)
 
-    counts: dict[str, int] = {}
-    for e in entries:
-        counts[e["labels"]] = counts.get(e["labels"], 0) + 1
+    counts = Counter(e["labels"] for e in entries)
     report = {
         "schema_version": 1,
         "config": config,
@@ -313,10 +322,7 @@ def run_ensemble(config: dict, workers: int = 1, trace_sink=None) -> dict:
         phi_true = parsed["channel"].phi
         estimates = [e["phi_hat"] for e in entries]
         mean = sum(complex(math.cos(e - phi_true), math.sin(e - phi_true)) for e in estimates)
-        dist: dict[str, int] = {}
-        for e in estimates:
-            key = f"{e:.10f}"
-            dist[key] = dist.get(key, 0) + 1
+        dist = Counter(f"{e:.10f}" for e in estimates)
         report["estimation"] = {
             "grid_size": ESTIMATE_GRID,
             "sharpness": abs(mean) / trials,

@@ -76,14 +76,13 @@ class MeasurementOutcome:
     """One branch of a measurement.
 
     The measured qubit itself is not stored: for a PVM it is left in the pure
-    basis state identified by (basis, label).  post_state is None when the
-    branch probability is below ZERO_PROB_EPS.
+    basis state of its label.  post_state is None when the branch probability
+    is below ZERO_PROB_EPS.
     """
 
     label: int
     probability: float
     post_state: SymmetricKet | SymmetricDensity | None
-    basis: SingleQubitPVM | None = None
 
     def require_post_state(self) -> SymmetricKet | SymmetricDensity:
         if self.post_state is None:
@@ -125,14 +124,6 @@ def pvm_from_bloch(theta: float, phi: float) -> SingleQubitPVM:
     return SingleQubitPVM(bloch_kappas(theta, phi))
 
 
-def computational_pvm() -> SingleQubitPVM:
-    return pvm_from_bloch(0.0, 0.0)
-
-
-def hadamard_pvm() -> SingleQubitPVM:
-    return pvm_from_bloch(math.pi / 2.0, 0.0)
-
-
 def pvm_branches(amps: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     """Unnormalized branch amplitudes b[..., ell, nu] of a PVM on the last qubit.
 
@@ -152,7 +143,7 @@ def measure_pure(ket: SymmetricKet, pvm: SingleQubitPVM) -> list[MeasurementOutc
     for ell, b in enumerate(pvm_branches(ket.amps, pvm.kappa)):
         p = float(np.linalg.norm(b) ** 2)
         post = SymmetricKet(ket.n - 1, b / math.sqrt(p)) if p >= ZERO_PROB_EPS else None
-        outcomes.append(MeasurementOutcome(ell, p, post, basis=pvm))
+        outcomes.append(MeasurementOutcome(ell, p, post))
     return outcomes
 
 
@@ -163,7 +154,7 @@ def measure_pure_batch(
 
     Each row keeps the branch that pick_labels draws with uniforms[T].
     Returns (labels, their probabilities, the renormalized kept kets).  The
-    checks of SingleQubitPVM, sample_outcome, require_post_state and
+    checks of SingleQubitPVM, require_post_state and
     SymmetricKet run once over the batch, written so that NaN fails them.
     """
     require_pvm_rows(kappas)
@@ -247,30 +238,25 @@ def measure_mixed(
     return outcomes
 
 
-def trace_out_qubit(alpha: np.ndarray) -> np.ndarray:
-    """alpha[..., mu, nu] with one qubit traced out: a full trace has gram = identity.
-
-    Leading axes broadcast; every trace must stay 1 within NORM_TOL (NaN fails).
-    """
-    n = alpha.shape[-1] - 1
-    if n < 1:
-        raise DomainError("cannot lose a qubit from an empty string")
-    out = _kraus_update(alpha, n, np.eye(2))
-    out = (out + out.conj().swapaxes(-1, -2)) / 2.0
-    dev = np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0).max(initial=0.0)
-    if not dev <= NORM_TOL:
-        raise DomainError(f"alpha has trace != 1 after a loss: deviation {dev:.3e}")
-    return out
+def measure_state(state, measurement) -> list[MeasurementOutcome]:
+    """measure_pure for a ket and a PVM, else measure_mixed (a ket turns into its density)."""
+    if isinstance(state, SymmetricKet) and isinstance(measurement, SingleQubitPVM):
+        return measure_pure(state, measurement)
+    rho = state if isinstance(state, SymmetricDensity) else to_density(state)
+    kraus = measurement.kraus_pair() if isinstance(measurement, SingleQubitPVM) else measurement
+    return measure_mixed(rho, kraus)
 
 
 def lose_qubit(rho: SymmetricDensity) -> SymmetricDensity:
-    """Trace out one qubit of a mixed state (see trace_out_qubit)."""
-    return SymmetricDensity(rho.n - 1, trace_out_qubit(rho.alpha))
+    """Trace out one qubit of a mixed state: a full trace has gram = identity.
 
-
-def lose_qubit_pure(ket: SymmetricKet) -> SymmetricDensity:
-    """Loss applied to a pure state; the result is generally mixed."""
-    return lose_qubit(to_density(ket))
+    One loss at a time; trials and replays defer theirs to one product
+    (`harness._final_states`), and this stepwise update is its referee.
+    """
+    if rho.n < 1:
+        raise DomainError("cannot lose a qubit from an empty string")
+    out = _kraus_update(rho.alpha, rho.n, np.eye(2))
+    return SymmetricDensity(rho.n - 1, (out + out.conj().T) / 2.0)
 
 
 def pick_labels(probs: np.ndarray, uniforms) -> np.ndarray:
@@ -287,8 +273,3 @@ def pick_labels(probs: np.ndarray, uniforms) -> np.ndarray:
     below = np.asarray(uniforms)[..., None] < acc
     return np.where(below.any(axis=-1), below.argmax(axis=-1), np.argmax(probs, axis=-1))
 
-
-def sample_outcome(outcomes: list[MeasurementOutcome], rng: np.random.Generator) -> int:
-    """Draw an outcome label with the recorded probabilities (see pick_labels)."""
-    probs = np.array([o.probability for o in outcomes])
-    return outcomes[int(pick_labels(probs, rng.random()))].label

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .measure import SingleQubitKraus, SingleQubitPVM, pvm_from_bloch
-from .states import SymmetricDensity, SymmetricKet, basis_state, make_ket
+from .states import SymmetricDensity, SymmetricKet, basis_state, make_ket, require_state_entries
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,13 @@ def convert(kind, value, what: str, lo=None, shape: tuple = ()):
     return out
 
 
+def _qubit_count(value, what: str, lo: int) -> int:
+    """A qubit count n whose n + 1 amplitudes stay within MAX_STATE_ENTRIES."""
+    n = convert(int, value, what, lo=lo)
+    require_state_entries(n + 1, f"a state of {n} qubits")
+    return n
+
+
 def _reject_unknown(doc: dict, allowed: set, what: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
@@ -203,9 +210,9 @@ def state_from_json(doc) -> SymmetricKet | SymmetricDensity:
     if not isinstance(doc, dict):
         raise ConfigError("a state document must be an object")
     if "type" in doc:
-        n = convert(int, doc.get("n"), "state 'n'", lo=1)
+        n = _qubit_count(doc.get("n"), "state 'n'", lo=1)
         return input_from_config({k: v for k, v in doc.items() if k != "n"}, n)
-    n = convert(int, doc.get("n"), "state 'n'", lo=0)
+    n = _qubit_count(doc.get("n"), "state 'n'", lo=0)
     if "amps" in doc:
         return SymmetricKet(n, convert(complex, doc["amps"], "state 'amps'", shape=(n + 1,)))
     if "alpha" in doc:
@@ -298,7 +305,7 @@ def parse_config(config) -> dict:
     for key in ("input", "n", "phi", "policy", "schedule", "trials", "seed"):
         if key not in config:
             raise ConfigError(f"missing config field {key!r}")
-    n = convert(int, config["n"], "config 'n'", lo=1)
+    n = _qubit_count(config["n"], "config 'n'", lo=1)
     trials = convert(int, config["trials"], "config 'trials'", lo=1)
     parsed = {
         "input": input_from_config(config["input"], n),
@@ -309,6 +316,9 @@ def parse_config(config) -> dict:
         "trials": trials,
         "seed": convert(int, config["seed"], "config 'seed'", lo=0),
     }
+    events = parsed["schedule"].events
+    if "lose" in events:  # the trials end in densities of the qubits no event reached
+        require_state_entries((n - len(events) + 1) ** 2, "the final density")
     feedback = isinstance(parsed["policy"], FeedbackPolicy)
     parsed["estimate"] = convert(bool, config.get("estimate", feedback), "config 'estimate'")
     return parsed

@@ -17,9 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, DomainError
+from .errors import DegenerateStateError, DomainError, ResourceLimitError
 
 NORM_TOL = 1e-12
+MAX_STATE_ENTRIES = 2**24  # complex entries of one compact state: 256 MiB
+
+
+def require_state_entries(entries: int, what: str) -> None:
+    """Refuse, before allocating, a compact state of more than MAX_STATE_ENTRIES."""
+    if entries > MAX_STATE_ENTRIES:
+        raise ResourceLimitError(
+            f"{what} needs {entries} complex entries, above the cap {MAX_STATE_ENTRIES}")
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -119,6 +127,7 @@ def make_ket(n: int, amps) -> SymmetricKet:
 
 def to_density(ket: SymmetricKet) -> SymmetricDensity:
     """Rank-1 density alpha[mu, nu] = psi_mu * conj(psi_nu)."""
+    require_state_entries((ket.n + 1) ** 2, f"the density of {ket.n} qubits")
     return SymmetricDensity(ket.n, np.outer(ket.amps, ket.amps.conj()))
 
 
@@ -196,10 +205,7 @@ def general_split(n: int, nu: int, k: int) -> list[SplitCoefficient]:
     rationals for all n <= 40), and no value underflows before its true value
     does.
     """
-    if not 0 <= k <= n:
-        raise DomainError(f"block size k must lie in [0, {n}], got {k}")
-    if not 0 <= nu <= n:
-        raise DomainError(f"weight nu must lie in [0, {n}], got {nu}")
+    _check_split_args(k, n, 0, nu)
     lo = max(0, nu - (n - k))
     hi = min(k, nu)
     mode = min(max((k + 1) * (nu + 1) // (n + 2), lo), hi)

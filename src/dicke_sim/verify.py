@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DickeSimError, DomainError, NotSymmetricError, ResourceLimitError
+from .errors import (DickeSimError, DomainError, NotSymmetricError, ResourceLimitError,
+                     ZeroProbabilityError)
 from .harness import combined_pvm, evaluate_sequence, grid_log_likelihoods, run_trial, run_trials
 from .measure import (
     SingleQubitKraus,
@@ -21,6 +22,7 @@ from .measure import (
     lose_qubit,
     measure_mixed,
     measure_pure,
+    measure_state,
     pvm_from_bloch,
 )
 from .oracle import (
@@ -158,20 +160,21 @@ def compact_sequence_prob(state, steps) -> tuple[float, list[float], object]:
         if step[0] == "lose":
             state = lose_qubit(state if isinstance(state, SymmetricDensity) else to_density(state))
             continue
-        kind, measurement, label = step
-        if kind == "measure_pvm" and isinstance(state, SymmetricKet):
-            outcomes = measure_pure(state, measurement)
-        elif kind == "measure_pvm":
-            outcomes = measure_mixed(state, measurement.kraus_pair())
-        else:
-            if isinstance(state, SymmetricKet):
-                state = to_density(state)
-            outcomes = measure_mixed(state, measurement)
-        chosen = outcomes[label]
+        _, measurement, label = step
+        chosen = measure_state(state, measurement)[label]
         joint *= chosen.probability
         probs.append(chosen.probability)
         state = chosen.require_post_state()
     return joint, probs, state
+
+
+def _reference_steps(steps, channel: PhaseChannel) -> list:
+    """compact_sequence_prob steps for evaluate_sequence / ExperimentTrace.steps() steps."""
+    return [
+        step if step[0] == "lose"
+        else ("measure_pvm", combined_pvm(channel, pvm_from_bloch(*step[1])), step[2])
+        for step in steps
+    ]
 
 
 def _coefficient_gap(a, b) -> float:
@@ -444,14 +447,10 @@ def check_loss_independence(max_n: int = 10, seeds: int = 50, tol: float = 1e-10
                 lossy.append(("lose",))
                 budget -= 1
             lossy.append(step)
-        reference = [
-            s if s[0] == "lose" else ("measure_pvm", combined_pvm(channel, pvm_from_bloch(*s[1])), s[2])
-            for s in lossy
-        ]
         try:
             p_deferred, final_deferred = evaluate_sequence(ket, channel, lossy)
-            _, p_stepwise, final_stepwise = compact_sequence_prob(ket, reference)
-        except DomainError:
+            _, p_stepwise, final_stepwise = compact_sequence_prob(ket, _reference_steps(lossy, channel))
+        except ZeroProbabilityError:
             continue  # a forced label hit a zero-probability branch
         worst = max(worst, max(abs(a - b) for a, b in zip(p_deferred, p_stepwise)))
         state_worst = max(state_worst, _coefficient_gap(final_deferred, final_stepwise))
@@ -512,17 +511,11 @@ def check_estimator_replay(max_n: int = 10, seeds: int = 20, tol: float = 1e-10)
         channel = PhaseChannel(float(rng.uniform(0.0, 2.0 * math.pi)))
         trace = run_trial(ket, channel, policy, schedule, int(rng.integers(0, 2**31)))
         got = grid_log_likelihoods(ket, trace, grid)
-        # only the channel depends on the grid point, so each detector is built once
-        detectors = [pvm_from_bloch(ev.theta, ev.phi) if ev.kind == "measure" else None for ev in trace.events]
         for g in range(grid):
-            candidate = PhaseChannel(2.0 * math.pi * g / grid)
-            steps = [
-                ("lose",) if ev.kind == "lose" else ("measure_pvm", combined_pvm(candidate, det), ev.label)
-                for ev, det in zip(trace.events, detectors)
-            ]
+            steps = _reference_steps(trace.steps(), PhaseChannel(2.0 * math.pi * g / grid))
             try:
                 want = math.log(compact_sequence_prob(ket, steps)[0])
-            except DomainError:
+            except ZeroProbabilityError:
                 want = -math.inf  # a forced label below ZERO_PROB_EPS
             worst = max(worst, 0.0 if want == got[g] else abs(want - got[g]))
             cases += 1
@@ -558,14 +551,9 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
             alone = run_trial(ket, channel, policy, schedule, trace.seed)
             if alone.events != trace.events or _coefficient_gap(alone.final_state, trace.final_state) != 0.0:
                 mismatched += 1
-            steps = [
-                ("lose",) if ev.kind == "lose"
-                else ("measure_pvm", combined_pvm(channel, pvm_from_bloch(ev.theta, ev.phi)), ev.label)
-                for ev in trace.events
-            ]
             try:
-                _, probs, final = compact_sequence_prob(ket, steps)
-            except DomainError:  # a drawn label the reference cannot condition on
+                _, probs, final = compact_sequence_prob(ket, _reference_steps(trace.steps(), channel))
+            except ZeroProbabilityError:  # a drawn label the reference cannot condition on
                 probs, final = [math.inf], None
             recorded = [ev.probability for ev in trace.events if ev.kind == "measure"]
             worst = max([worst] + [abs(p - q) for p, q in zip(probs, recorded)])
@@ -789,9 +777,9 @@ def run_suite(
     """
     if max_n > density_cap():
         raise ResourceLimitError(f"max_n {max_n} exceeds dense density cap {density_cap()}")
-    if max_n < 1:
-        raise DomainError("max_n must be >= 1")
-    params = SuiteParams(max_n, max(1, seeds), tolerance, corrupt_xi)
+    if min(max_n, seeds) < 1:
+        raise DomainError(f"max_n and seeds must be >= 1, got {max_n} and {seeds}")
+    params = SuiteParams(max_n, seeds, tolerance, corrupt_xi)
     names = list(PROPERTY_BUILDERS)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

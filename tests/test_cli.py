@@ -294,6 +294,13 @@ class TestMalformedInputs:
         monkeypatch.setenv("DICKE_SIM_DENSE_CAP", "abc")
         self._assert_config_error(["verify"], capsys)
 
+    @pytest.mark.parametrize("flags", [["--max-n", "2", "--seeds", "0"], ["--max-n", "2", "--seeds", "-3"]])
+    def test_verify_seeds_below_one(self, flags, capsys):
+        self._assert_config_error(["verify", *flags], capsys)
+
+    def test_verify_max_n_below_one(self, capsys):
+        self._assert_config_error(["verify", "--max-n", "0"], capsys)
+
 
     @pytest.mark.parametrize("flag, doc", [
         ("--state", {"n": "abc", "amps": [[1, 0], [0, 0]]}),
@@ -416,6 +423,38 @@ class TestCliVerify:
         rc = main(["verify", "--max-n", "2", "--seeds", "1", "--workers", "2", "--out", str(out)])
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["all_passed"] is True
+
+
+class TestSizeLimit:
+    """A compact state above MAX_STATE_ENTRIES exits 5 before it is allocated."""
+
+    def _assert_resource_limit(self, argv, capsys):
+        assert main(argv) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_measure_huge_dicke_state(self, capsys):
+        self._assert_resource_limit(["measure", "--state", "dicke:1000000000,1", "--pvm", "computational"], capsys)
+
+    def test_simulate_huge_final_density(self, tmp_path, capsys):
+        config = {
+            "input": {"type": "uniform"},
+            "n": 20000,
+            "phi": 0.3,
+            "policy": {"type": "fixed"},
+            "schedule": ["measure", "lose"],
+            "trials": 1,
+            "seed": 1,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        self._assert_resource_limit(["simulate", "--config", str(path)], capsys)
+
+    def test_large_ket_below_the_cap(self, tmp_path):
+        out = tmp_path / "measure.json"
+        assert main(["measure", "--state", "uniform:200000", "--pvm", "computational", "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["outcomes"][0]["post_state"]["n"] == 199_999
 
 
 class TestCliBench:

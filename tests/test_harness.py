@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dicke_sim.errors import ConfigError, DomainError
+from dicke_sim.errors import ConfigError, DomainError, ZeroProbabilityError
 from dicke_sim.harness import (
     ExperimentTrace,
     TIE_TOL,
@@ -19,7 +19,7 @@ from dicke_sim.harness import (
     run_trial,
     run_trials,
 )
-from dicke_sim.measure import hadamard_pvm, lose_qubit, measure_mixed, measure_pure, pvm_from_bloch
+from dicke_sim.measure import lose_qubit, measure_mixed, measure_pure, pvm_from_bloch
 from dicke_sim.spec import (
     FeedbackPolicy,
     FixedPolicy,
@@ -30,17 +30,23 @@ from dicke_sim.spec import (
     parse_config,
 )
 from dicke_sim.states import SymmetricDensity, SymmetricKet, basis_state, make_ket, to_density
-from dicke_sim.verify import check_batched_trials, check_estimator_replay, random_symmetric_ket
+from dicke_sim.verify import (
+    SuiteParams,
+    _run_one_property,
+    check_batched_trials,
+    check_estimator_replay,
+    random_symmetric_ket,
+)
 
 
 class TestCombinedPvm:
     def test_identity_channel(self):
-        detector = hadamard_pvm()
+        detector = pvm_from_bloch(math.pi / 2, 0)
         out = combined_pvm(PhaseChannel(0.0), detector)
         assert np.array_equal(out.kappa, detector.kappa)
 
     def test_pi_phase_on_hadamard(self):
-        out = combined_pvm(PhaseChannel(math.pi), hadamard_pvm())
+        out = combined_pvm(PhaseChannel(math.pi), pvm_from_bloch(math.pi / 2, 0))
         s = 1 / math.sqrt(2)
         assert np.allclose(out.kappa[0], [s, -s], atol=1e-15)
         assert np.allclose(out.kappa @ out.kappa.conj().T, np.eye(2), atol=1e-14)
@@ -300,6 +306,21 @@ class TestLossTransparency:
         assert isinstance(final_lossy, SymmetricDensity)
 
 
+class TestDeferredTraceOutReferee:
+    """A deferred trace-out 1 % off fails loss_independence instead of being skipped."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda a: 1.01 * a,  # trace 1.01: the density constructor refuses it
+        lambda a: 0.99 * a + 0.01 * np.eye(len(a)) / len(a),  # a valid density 1 % off
+    ], ids=["scaled", "depolarized"])
+    def test_loss_independence_fails(self, corrupt, monkeypatch):
+        import dicke_sim.harness as harness
+
+        monkeypatch.setattr(harness, "SymmetricDensity", lambda n, a: SymmetricDensity(n, corrupt(a)))
+        result = _run_one_property("loss_independence", SuiteParams())
+        assert not result.passed, result
+
+
 class TestRunEnsemble:
     def _config(self, **overrides):
         config = {
@@ -444,6 +465,21 @@ class TestMlEstimate:
         never = ExperimentTrace(0, (TraceEvent(0, "measure", 0.0, 0.0, 1, 0.0),), vacuum)
         assert np.all(grid_log_likelihoods(vacuum, never) == -math.inf)
         assert ml_phase_estimate(vacuum, never) == 0.0
+
+    def test_impossible_label_in_one_row_and_in_the_grid(self):
+        # evaluate_sequence is the one-row case of the grid's forced replay: at
+        # phi = pi (g = 512) the recorded label 0 is impossible for both
+        ket = make_ket(2, [0.5, math.sqrt(0.5), 0.5])
+        schedule = LossSchedule(("measure", "lose"))
+        trace = run_trial(ket, PhaseChannel(0.3), FixedPolicy(math.pi / 2, 0.0), schedule, seed=0)
+        assert trace.outcome_labels() == (0,)
+        with pytest.raises(ZeroProbabilityError):
+            evaluate_sequence(ket, PhaseChannel(math.pi), trace.steps())
+        ll = grid_log_likelihoods(ket, trace)
+        assert ll[512] == -math.inf
+        probs, final = evaluate_sequence(ket, PhaseChannel(2 * math.pi * 511 / 1024), trace.steps())
+        assert ll[511] == math.log(probs[0])
+        assert isinstance(final, SymmetricDensity) and final.n == 0
 
     def test_grid_matches_stepwise_lossy_replay(self):
         result = check_estimator_replay(max_n=10, seeds=30, tol=1e-10)

@@ -11,10 +11,7 @@ from dicke_sim.errors import DomainError, InvalidMeasurementError, ZeroProbabili
 from dicke_sim.measure import (
     SingleQubitKraus,
     SingleQubitPVM,
-    computational_pvm,
-    hadamard_pvm,
     lose_qubit,
-    lose_qubit_pure,
     measure_mixed,
     MeasurementOutcome,
     bloch_kappas,
@@ -22,9 +19,8 @@ from dicke_sim.measure import (
     measure_pure_batch,
     pick_labels,
     pvm_from_bloch,
-    sample_outcome,
-    trace_out_qubit,
 )
+from dicke_sim.harness import _final_states
 from dicke_sim.states import SymmetricDensity, basis_state, make_ket, to_density
 from dicke_sim.verify import (
     DenseRunner,
@@ -68,12 +64,12 @@ class TestPvmFromBloch:
 class TestMeasurePure:
     @pytest.mark.parametrize("n,nu", [(2, 1), (5, 2), (9, 9), (7, 0)])
     def test_basis_state_computational_probabilities(self, n, nu):
-        out = measure_pure(basis_state(n, nu), computational_pvm())
+        out = measure_pure(basis_state(n, nu), pvm_from_bloch(0, 0))
         assert out[1].probability == pytest.approx(nu / n, abs=1e-13)
         assert out[0].probability == pytest.approx((n - nu) / n, abs=1e-13)
 
     def test_all_zeros_state(self):
-        out = measure_pure(basis_state(6, 0), computational_pvm())
+        out = measure_pure(basis_state(6, 0), pvm_from_bloch(0, 0))
         assert out[0].probability == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(out[0].post_state.amps, basis_state(5, 0).amps)
         assert out[1].post_state is None
@@ -83,7 +79,7 @@ class TestMeasurePure:
         from dicke_sim.oracle import expand
 
         ket = make_ket(2, [1, 0, 1])
-        pvm = hadamard_pvm()
+        pvm = pvm_from_bloch(math.pi / 2, 0)
         outcomes = measure_pure(ket, pvm)
         for position in (1, 2):
             for out in outcomes:
@@ -98,19 +94,14 @@ class TestMeasurePure:
             out = measure_pure(random_symmetric_ket(n, rng), random_pvm(rng))
             assert out[0].probability + out[1].probability == pytest.approx(1.0, abs=1e-12)
 
-    def test_post_state_basis_descriptor(self):
-        pvm = hadamard_pvm()
-        out = measure_pure(basis_state(3, 1), pvm)
-        assert out[0].basis is pvm
-
     def test_measuring_down_to_empty_string(self):
         state = basis_state(1, 1)
-        out = measure_pure(state, computational_pvm())
+        out = measure_pure(state, pvm_from_bloch(0, 0))
         assert out[1].probability == pytest.approx(1.0)
         assert out[1].post_state.n == 0
 
     def test_zero_probability_conditioning_raises(self):
-        out = measure_pure(basis_state(4, 0), computational_pvm())
+        out = measure_pure(basis_state(4, 0), pvm_from_bloch(0, 0))
         with pytest.raises(ZeroProbabilityError):
             out[1].require_post_state()
 
@@ -132,7 +123,7 @@ class TestMeasureMixed:
     def test_maximally_mixed_half(self):
         n = 6
         rho = SymmetricDensity(n, np.eye(n + 1, dtype=complex) / (n + 1))
-        out = measure_mixed(rho, computational_pvm().kraus_pair())
+        out = measure_mixed(rho, pvm_from_bloch(0, 0).kraus_pair())
         assert out[1].probability == pytest.approx(0.5, abs=1e-13)
 
     def test_random_kraus_vs_oracle_any_position(self):
@@ -193,16 +184,18 @@ class TestLoseQubit:
 
 
 class TestLoseQubitPure:
+    """A loss from a pure state; harness._final_states defers it to one product."""
+
     def test_matches_composition(self):
         rng = np.random.default_rng(13)
         ket = random_symmetric_ket(8, rng)
-        a = lose_qubit_pure(ket)
+        a = _final_states(ket.amps[None], 1)[0]
         b = lose_qubit(to_density(ket))
         assert np.max(np.abs(a.alpha - b.alpha)) < 1e-14
 
     def test_basis_state_diagonal(self):
         for n, nu in [(4, 2), (6, 6)]:
-            reduced = lose_qubit_pure(basis_state(n, nu))
+            reduced = lose_qubit(to_density(basis_state(n, nu)))
             diag = np.diag(reduced.alpha).real
             want = np.zeros(n)
             if nu <= n - 1:
@@ -217,40 +210,46 @@ class TestLoseQubitPure:
         rng = np.random.default_rng(17)
         ket = random_symmetric_ket(8, rng)
         oracle = compress(partial_trace(expand_density(to_density(ket)), {5}))
-        assert np.max(np.abs(lose_qubit_pure(ket).alpha - oracle.alpha)) < 1e-12
+        assert np.max(np.abs(lose_qubit(to_density(ket)).alpha - oracle.alpha)) < 1e-12
+
+
+def _probabilities(outcomes) -> np.ndarray:
+    return np.array([o.probability for o in outcomes])
 
 
 class TestSampleOutcome:
+    """Drawing a measured outcome with pick_labels."""
+
     def test_certain_outcome(self):
-        out = measure_pure(basis_state(4, 0), computational_pvm())
+        probs = _probabilities(measure_pure(basis_state(4, 0), pvm_from_bloch(0, 0)))
         rng = np.random.default_rng(0)
-        assert all(sample_outcome(out, rng) == 0 for _ in range(100))
+        assert all(pick_labels(probs, rng.random()) == 0 for _ in range(100))
 
     def test_empirical_frequency(self):
-        out = measure_pure(make_ket(1, [1, 1]), computational_pvm())
+        probs = _probabilities(measure_pure(make_ket(1, [1, 1]), pvm_from_bloch(0, 0)))
         rng = np.random.default_rng(42)
-        draws = sum(sample_outcome(out, rng) for _ in range(100_000))
+        draws = pick_labels(probs, rng.random(100_000)).sum()
         assert abs(draws / 100_000 - 0.5) < 0.01
 
     def test_seed_determinism(self):
-        out = measure_pure(make_ket(1, [1, 1]), computational_pvm())
+        probs = _probabilities(measure_pure(make_ket(1, [1, 1]), pvm_from_bloch(0, 0)))
         rng1, rng2 = np.random.default_rng(77), np.random.default_rng(77)
-        s1 = [sample_outcome(out, rng1) for _ in range(50)]
-        s2 = [sample_outcome(out, rng2) for _ in range(50)]
+        s1 = [int(pick_labels(probs, rng1.random())) for _ in range(50)]
+        s2 = [int(pick_labels(probs, rng2.random())) for _ in range(50)]
         assert s1 == s2
 
     def test_bad_probabilities_rejected(self):
-        out = measure_pure(basis_state(3, 1), computational_pvm())
+        out = measure_pure(basis_state(3, 1), pvm_from_bloch(0, 0))
         with pytest.raises(DomainError):
-            sample_outcome([out[0], out[0]], np.random.default_rng(1))  # sums to 4/3
+            pick_labels(_probabilities([out[0], out[0]]), np.random.default_rng(1).random())  # sums to 4/3
 
 
 class TestSharedLabelRule:
-    """pick_labels, the one label rule behind sample_outcome and batched trials."""
+    """pick_labels, the one label rule of batched trials, for one row or many."""
 
     @staticmethod
     def scalar_rule(probs, u):
-        # sample_outcome's running-sum loop with its most-probable fallback
+        # a running-sum loop with its most-probable fallback
         acc = 0.0
         for label, p in enumerate(probs):
             acc += p
@@ -271,17 +270,9 @@ class TestSharedLabelRule:
         want = [self.scalar_rule(p.tolist(), x) for p, x in zip(probs, u)]
         assert pick_labels(probs, u).tolist() == want
         assert any(x >= a + b for a, b, x in zip(p0, p1, u))  # the fallback was exercised
-
-        class Fixed:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self):
-                return self.u
-
         for (a, b), x, label in zip(probs[::20], u[::20], want[::20]):
             outcomes = [MeasurementOutcome(0, float(a), None), MeasurementOutcome(1, float(b), None)]
-            assert sample_outcome(outcomes, Fixed(float(x))) == label
+            assert pick_labels(_probabilities(outcomes), float(x)) == label
 
     def test_bad_sums_rejected(self):
         for row in ([0.7, 0.7], [math.nan, 0.5], [0.5, math.inf]):
@@ -318,10 +309,8 @@ class TestBatchedMeasurement:
         bad_kets[2, 3] = math.nan
         with pytest.raises(DomainError):
             measure_pure_batch(bad_kets, kappas, u)
-        alpha = np.array([np.outer(k, k.conj()) for k in kets])
-        alpha[0, 1, 1] = math.nan
         with pytest.raises(DomainError):
-            trace_out_qubit(alpha)
+            _final_states(bad_kets, 1)  # the deferred losses of a batch
         with pytest.raises(DomainError):
             bloch_kappas(np.array([0.4, math.nan]), np.zeros(2))
 

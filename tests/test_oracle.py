@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dicke_sim.errors import DomainError, InvalidMeasurementError, NotSymmetricError, ResourceLimitError
-from dicke_sim.measure import SingleQubitKraus, computational_pvm
+from dicke_sim.measure import SingleQubitKraus, pvm_from_bloch
 from dicke_sim.oracle import (
     DenseDensity,
     DenseKet,
@@ -154,7 +154,7 @@ class TestApplyKrausAt:
     def test_computational_pvm_weight_fraction(self, position):
         n, nu = 5, 3
         rho = expand_density(to_density(basis_state(n, nu)))
-        results = apply_kraus_outcomes_at(rho, position, computational_pvm().kraus_pair())
+        results = apply_kraus_outcomes_at(rho, position, pvm_from_bloch(0, 0).kraus_pair())
         assert results[1][0] == pytest.approx(nu / n, abs=1e-12)
 
     def test_channel_is_trace_preserving(self):
@@ -177,7 +177,7 @@ class TestApplyKrausAt:
     def test_position_out_of_range(self):
         rho = expand_density(to_density(basis_state(2, 1)))
         with pytest.raises(DomainError):
-            apply_kraus_at(rho, 3, computational_pvm().kraus_pair())
+            apply_kraus_at(rho, 3, pvm_from_bloch(0, 0).kraus_pair())
 
 
 def _at(n: int, position: int, k: np.ndarray) -> np.ndarray:
