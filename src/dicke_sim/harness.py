@@ -7,17 +7,18 @@ transparency can be asserted deterministically, and every trial is
 reproducible from its seed.
 
 Losses are deferred: a loss changes no later measurement probability and a
-partial trace commutes with a measurement on another qubit, so trials, forced
-replays and the likelihood measure the pure ket at every step (through
-`measure.pvm_branches`) and trace the lost qubits out of the final ket once,
-in one product through the split coefficients (`_final_states`).
+partial trace commutes with a measurement on another qubit, so trials (through
+`measure.pvm_branches`), forced replays and the likelihood measure the pure
+ket at every step and trace the lost qubits out of the final ket once, in one
+product through the split coefficients (`_final_states`).
 
 Trials run in blocks (`run_trials`): the T kets of a block advance as one
 (T, n+1) array, with one vectorized measurement step per `measure` event.
 The block size follows from n, so that a block's largest array, its
 (T, n+1, n+1) final densities, stays within BLOCK_BYTES.  A trial's outcome
 does not depend on its block.  Forced replays (`evaluate_sequence`) and the
-likelihood grid (`grid_log_likelihoods`) share one loop, `_forced_replay`.
+likelihood grid (`grid_log_likelihoods`) share one loop, `_forced_replay`,
+which holds its kets phase-major, kets[nu, g].
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .measure import (
     SingleQubitPVM,
     bloch_kappas,
     measure_pure_batch,
-    pvm_branches,
     require_pvm_rows,
 )
 from .serialize import state_to_json
@@ -156,23 +156,43 @@ def run_trial(input_state: SymmetricKet, channel: PhaseChannel, policy: Policy,
 
 
 def _forced_replay(input_state: SymmetricKet, measured: list, folds: np.ndarray):
-    """Forced labels on G copies of the input, row g through the channel diag(folds[g]).
+    """Forced labels on G copies of the input, copy g through the channel diag(folds[g]).
 
     measured: ((theta, phi), label) of each measurement, in order.  Every
     detector is built and checked once; each step applies only its forced
-    row, with row g's channel folded in.  A row whose label falls below
-    ZERO_PROB_EPS is left unrescaled, so no NaN reaches later steps.
-    Returns the probabilities probs[G, m] and the final kets[G, n+1-m].
+    row, with copy g's channel folded in.  The kets are held phase-major, as
+    kets[nu, g], so every elementwise loop runs over the G phases.  A
+    branch's probability sums its float view down each column, one weight
+    after another, and then adds the real and imaginary halves: the same
+    order for any G, so copy g gets the same bits alone as in a batch.  A
+    copy whose label falls below ZERO_PROB_EPS is left unrescaled, so no NaN
+    reaches later steps.  Returns probs[G, m] and the final kets[G, n+1-m].
     """
-    kets = np.broadcast_to(input_state.amps, (len(folds), input_state.n + 1))
-    probs = np.empty((len(folds), len(measured)))
+    n, grid = input_state.n, len(folds)
+    probs = np.empty((len(measured), grid))
     detectors = bloch_kappas(*np.reshape([angles for angles, _ in measured], (-1, 2)).T)
     require_pvm_rows(detectors)
-    for j, (detector, (_, label)) in enumerate(zip(detectors, measured)):
-        branch = pvm_branches(kets, detector[[label]] * folds[:, None, :])[:, 0]
-        p = probs[:, j] = (branch.real**2 + branch.imag**2).sum(axis=-1)
-        kets = branch / np.sqrt(np.where(p >= ZERO_PROB_EPS, p, 1.0))[:, None]
-    return probs, kets
+    forced = detectors[np.arange(len(measured)), [label for _, label in measured]]
+    rows = forced[:, :, None] * folds.T  # rows[j, b, g]: step j's row, copy g's channel folded in
+    nus = np.arange(n)[:, None]
+    # every step writes into these three buffers: a fresh (m, G) array per
+    # operation made the allocator map and fault in new pages on most steps
+    kets, branch, scratch = np.empty((3, n + 1, grid), dtype=complex)
+    kets[:] = input_state.amps[:, None]
+    for j, (row0, row1) in enumerate(rows):
+        m = n - j  # kets[:m + 1] is live; split_last_qubit's weights scale its rows
+        b, t = branch[:m], scratch[:m]
+        np.multiply(kets[:m], np.sqrt((m - nus[:m]) / m), out=b)
+        b *= row0
+        np.multiply(kets[1:m + 1], np.sqrt((nus[:m] + 1) / m), out=t)
+        t *= row1
+        b += t
+        x = b.view(float)  # (m, 2G): at least two columns, so summed row after row
+        s = np.multiply(x, x, out=t.view(float)).sum(axis=0)
+        p = probs[j] = s[0::2] + s[1::2]
+        b *= 1.0 / np.sqrt(np.where(p >= ZERO_PROB_EPS, p, 1.0))
+        kets, branch = branch, kets
+    return probs.T, kets[:n + 1 - len(measured)].T
 
 
 def evaluate_sequence(

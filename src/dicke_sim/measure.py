@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidMeasurementError, ZeroProbabilityError
 from .states import (NORM_TOL, SymmetricDensity, SymmetricKet, _require_finite,
-                     split_last_qubit, to_density)
+                     split_last_qubit, squared_norm, to_density)
 
 ZERO_PROB_EPS = 1e-14
 COMPLETENESS_TOL = 1e-10
@@ -141,7 +141,7 @@ def measure_pure(ket: SymmetricKet, pvm: SingleQubitPVM) -> list[MeasurementOutc
         raise DomainError("cannot measure an empty string")
     outcomes = []
     for ell, b in enumerate(pvm_branches(ket.amps, pvm.kappa)):
-        p = float(np.linalg.norm(b) ** 2)
+        p = squared_norm(b)
         post = SymmetricKet(ket.n - 1, b / math.sqrt(p)) if p >= ZERO_PROB_EPS else None
         outcomes.append(MeasurementOutcome(ell, p, post))
     return outcomes

@@ -18,26 +18,24 @@ from .states import SymmetricDensity, SymmetricKet
 SCHEMA_VERSION = 1
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _pairs(arr: np.ndarray) -> list:
+    """arr as nested lists with each complex entry an [re, im] pair of Python floats."""
+    return np.stack((arr.real, arr.imag), -1).tolist()
 
 
 def state_to_json(state) -> dict:
     if isinstance(state, SymmetricKet):
-        return {"n": state.n, "amps": [_pair(z) for z in state.amps]}
+        return {"n": state.n, "amps": _pairs(state.amps)}
     if isinstance(state, SymmetricDensity):
-        return {"n": state.n, "alpha": [[_pair(z) for z in row] for row in state.alpha]}
+        return {"n": state.n, "alpha": _pairs(state.alpha)}
     raise ConfigError(f"not a compact state: {type(state).__name__}")
 
 
 def measurement_to_json(measurement) -> dict:
     if isinstance(measurement, SingleQubitPVM):
-        return {"type": "pvm_kappa", "kappa": [[_pair(z) for z in row] for row in measurement.kappa]}
+        return {"type": "pvm_kappa", "kappa": _pairs(measurement.kappa)}
     if isinstance(measurement, list):
-        return {
-            "type": "kraus",
-            "matrices": [[[_pair(z) for z in row] for row in k.matrix] for k in measurement],
-        }
+        return {"type": "kraus", "matrices": [_pairs(k.matrix) for k in measurement]}
     raise ConfigError(f"not a measurement: {type(measurement).__name__}")
 
 

@@ -36,6 +36,11 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} must be finite")
 
 
+def squared_norm(arr: np.ndarray) -> float:
+    """sum |a|^2 by numpy's pairwise sum, whose rounding grows as log n, not as n."""
+    return float(np.sum(arr.real**2 + arr.imag**2))
+
+
 def _as_complex_vector(values, length: int, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=complex)
     if arr.shape != (length,):
@@ -59,7 +64,7 @@ class SymmetricKet:
         if self.n < 0:
             raise DomainError(f"qubit count must be >= 0, got {self.n}")
         arr = _as_complex_vector(self.amps, self.n + 1, "amps")
-        norm = np.linalg.norm(arr)
+        norm = math.sqrt(squared_norm(arr))
         if abs(norm - 1.0) > NORM_TOL:
             raise DomainError(f"ket is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         arr.setflags(write=False)
@@ -119,7 +124,7 @@ def make_ket(n: int, amps) -> SymmetricKet:
     if n < 1:
         raise DomainError(f"make_ket needs n >= 1, got {n}")
     arr = _as_complex_vector(amps, n + 1, "amps")
-    norm = np.linalg.norm(arr)
+    norm = math.sqrt(squared_norm(arr))
     if norm == 0.0:
         raise DegenerateStateError("cannot normalize an all-zero amplitude vector")
     return SymmetricKet(n, arr / norm)

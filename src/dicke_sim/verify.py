@@ -526,7 +526,8 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
     """A block of trials equals each trial run alone and the stepwise lossy replay.
 
     On random inputs, policies (fixed, round-robin, feedback) and lossy
-    schedules, run_trials runs one block of four seeds.  Each trial's labels,
+    schedules that leave one qubit (so a final density is at least 2x2),
+    run_trials runs one block of four seeds.  Each trial's labels,
     probabilities and final state must equal run_trial on its seed alone,
     exactly; compact_sequence_prob, replaying the trial with each loss applied
     where it occurs, must give the same probabilities at `tol` and the same
@@ -544,7 +545,7 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
         a = [float(x) for x in rng.uniform(0.0, math.pi, 4)]
         policy = (FixedPolicy(a[0], a[1]), RoundRobinPolicy(((a[0], a[1]), (a[2], a[3]))),
                   FeedbackPolicy(a[0], a[1], a[2]))[seed % 3]
-        schedule = LossSchedule.random(n, 0.3, int(rng.integers(0, 2**31)))
+        schedule = LossSchedule.random(n - 1, 0.3, int(rng.integers(0, 2**31)))
         channel = PhaseChannel(float(rng.uniform(0.0, 2.0 * math.pi)))
         block = [int(s) for s in rng.integers(0, 2**31, 4)]
         for trace in run_trials(ket, channel, policy, schedule, block):

@@ -18,7 +18,7 @@ from dicke_sim.errors import (
 from dicke_sim.measure import SingleQubitPVM, pvm_from_bloch
 from dicke_sim.serialize import dumps_json, measurement_to_json, rows_to_csv, state_to_json
 from dicke_sim.spec import measurement_from_json, state_from_json
-from dicke_sim.states import basis_state, make_ket, to_density
+from dicke_sim.states import SymmetricKet, basis_state, make_ket, to_density
 from dicke_sim.verify import random_kraus_pair, random_symmetric_density
 
 
@@ -38,6 +38,17 @@ class TestStateJson:
         ket = make_ket(2, [math.sqrt(1 / 3), math.sqrt(2 / 3), 1e-7])
         back = state_from_json(json.loads(json.dumps(state_to_json(ket))))
         assert np.array_equal(back.amps, ket.amps)  # repr round-trip is exact
+
+    def test_pairs_match_per_element_form(self):
+        from dicke_sim.serialize import _pairs
+
+        def per_element(a):
+            return [per_element(x) for x in a] if a.ndim > 1 else [[float(z.real), float(z.imag)] for z in a]
+
+        edges = np.array([[-0.0 + 5e-324j, 1e308 - 0.0j], [-5e-324 + 1e308j, complex(0.1, -0.0)]])
+        assert json.dumps(_pairs(edges)) == json.dumps(per_element(edges))
+        ket = SymmetricKet(2, np.array([1.0 - 0.0j, -0.0 + 5e-324j, complex(-0.0, -5e-324)]))
+        assert json.dumps(state_to_json(ket)) == json.dumps({"n": 2, "amps": per_element(ket.amps)})
 
     def test_bad_documents(self):
         with pytest.raises(ConfigError):

@@ -306,18 +306,31 @@ class TestLossTransparency:
         assert isinstance(final_lossy, SymmetricDensity)
 
 
-class TestDeferredTraceOutReferee:
-    """A deferred trace-out 1 % off fails loss_independence instead of being skipped."""
+_CORRUPTIONS = pytest.mark.parametrize("corrupt", [
+    lambda a: 1.01 * a,  # trace 1.01: the density constructor refuses it
+    lambda a: 0.99 * a + 0.01 * np.eye(len(a)) / len(a),  # a valid density 1 % off
+], ids=["scaled", "depolarized"])
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda a: 1.01 * a,  # trace 1.01: the density constructor refuses it
-        lambda a: 0.99 * a + 0.01 * np.eye(len(a)) / len(a),  # a valid density 1 % off
-    ], ids=["scaled", "depolarized"])
-    def test_loss_independence_fails(self, corrupt, monkeypatch):
+
+class TestDeferredTraceOutReferee:
+    """A deferred trace-out 1 % off fails its referees instead of being skipped."""
+
+    @staticmethod
+    def _corrupted(name, corrupt, monkeypatch):
         import dicke_sim.harness as harness
 
         monkeypatch.setattr(harness, "SymmetricDensity", lambda n, a: SymmetricDensity(n, corrupt(a)))
-        result = _run_one_property("loss_independence", SuiteParams())
+        return _run_one_property(name, SuiteParams())
+
+    @_CORRUPTIONS
+    def test_loss_independence_fails(self, corrupt, monkeypatch):
+        result = self._corrupted("loss_independence", corrupt, monkeypatch)
+        assert not result.passed, result
+
+    @_CORRUPTIONS
+    def test_batched_trial_equivalence_fails(self, corrupt, monkeypatch):
+        # its final densities are at least 2x2, so a depolarized one differs
+        result = self._corrupted("batched_trial_equivalence", corrupt, monkeypatch)
         assert not result.passed, result
 
 
@@ -482,13 +495,58 @@ class TestMlEstimate:
         assert isinstance(final, SymmetricDensity) and final.n == 0
 
     def test_grid_matches_stepwise_lossy_replay(self):
-        result = check_estimator_replay(max_n=10, seeds=30, tol=1e-10)
+        result = check_estimator_replay(max_n=12, seeds=40, tol=1e-10)
         assert result.passed, result
 
     def test_deterministic(self):
         ket = basis_state(4, 2)
         trace = run_trial(ket, PhaseChannel(1.0), FeedbackPolicy(0.4), LossSchedule.lossless(4), seed=5)
         assert ml_phase_estimate(ket, trace, 64) == ml_phase_estimate(ket, trace, 64)
+
+
+class TestPhaseMajorReplay:
+    """The grid's forced replay holds kets[nu, g]; each row keeps the bits it has alone."""
+
+    def test_grid_row_equals_replay_alone_bit_for_bit(self):
+        from dicke_sim.harness import _final_states, _forced_replay
+
+        n, grid = 16, 64
+        ket = random_symmetric_ket(n, np.random.default_rng(41))
+        schedule = LossSchedule(("measure", "lose") * 3 + ("measure",) * 7 + ("lose",) * 3)
+        trace = run_trial(ket, PhaseChannel(1.1), FeedbackPolicy(0.6, 0.2, 0.9), schedule, seed=8)
+        assert len(trace.outcome_labels()) == 10
+        measured = [step[1:] for step in trace.steps() if step[0] == "measure"]
+        phis = 2.0 * math.pi * np.arange(grid) / grid
+        folds = np.stack([np.ones(grid), np.exp(1j * phis)], axis=-1)
+        probs, kets = _forced_replay(ket, measured, folds)
+        finals = _final_states(kets, len(schedule.events) - len(measured))
+        for g in range(grid):
+            alone, final = evaluate_sequence(ket, PhaseChannel(2.0 * math.pi * g / grid), trace.steps())
+            assert alone == probs[g].tolist()
+            assert np.array_equal(final.alpha, finals[g].alpha)
+            assert np.array_equal(_forced_replay(ket, measured, folds[[g]])[1], kets[[g]])
+
+    def test_product_state_closed_form_at_n64(self):
+        # |+>^64 through diag(1, e^{i phi}) and 36 equatorial detectors, all
+        # labels 0: each step has probability cos^2(phi / 2), zero at g = 512.
+        # An input off by delta moves sqrt(P) by up to |delta|, so a rounded
+        # input pins the joint probability P only to 2 m eps / sqrt(P)
+        # relative; the closed form is checked where that is below 1e-9, and
+        # elsewhere (P below e^-22) the replay must still read unlikely.
+        n, m = 64, 36
+        ket = make_ket(n, np.sqrt([float(math.comb(n, nu)) for nu in range(n + 1)]))
+        events = tuple(TraceEvent(j, "measure", math.pi / 2, 0.0, 0, 0.5) for j in range(m))
+        trace = ExperimentTrace(0, events, ket)
+        ll = grid_log_likelihoods(ket, trace)
+        assert ll[512] == -math.inf
+        phis = 2 * math.pi * np.arange(1024) / 1024
+        want = m * np.log(np.cos(phis / 2) ** 2)
+        floor = 2 * math.log(2 * m * np.finfo(float).eps / 1e-9)
+        pinned = want >= floor
+        assert pinned.sum() > 400
+        assert np.allclose(ll[pinned], want[pinned], rtol=0, atol=1e-9)
+        assert np.all(np.isfinite(np.delete(ll, 512))) and np.all(ll[~pinned] < floor)
+        assert ml_phase_estimate(ket, trace) == 0.0
 
 
 class TestCascadeKernel:

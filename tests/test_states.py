@@ -79,6 +79,15 @@ class TestMakeKet:
         ket = make_ket(n, np.array(values, dtype=complex))
         assert abs(np.linalg.norm(ket.amps) - 1.0) < 1e-12
 
+    def test_large_uniform_builds_and_measures(self):
+        # a BLAS norm over 2M + 1 terms is off by 2.6e-12, beyond NORM_TOL; pairwise sums are not
+        from dicke_sim.measure import measure_pure, pvm_from_bloch
+
+        ket = make_ket(2_000_000, np.ones(2_000_001))
+        outcomes = measure_pure(ket, pvm_from_bloch(0.0, 0.0))
+        assert [o.post_state.n for o in outcomes] == [1_999_999, 1_999_999]
+        assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestConstructors:
     def test_ket_requires_normalization(self):
