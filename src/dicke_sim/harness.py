@@ -19,6 +19,13 @@ The block size follows from n, so that a block's largest array, its
 does not depend on its block.  Forced replays (`evaluate_sequence`) and the
 likelihood grid (`grid_log_likelihoods`) share one loop, `_forced_replay`,
 which holds its kets phase-major, kets[nu, g].
+
+The ML estimate (`ml_phase_estimate`) needs no phase in its replay: the
+channel diag(1, e^{i phi}) on every qubit multiplies |nu> by e^{i nu phi}, so
+every amplitude of a forced branch is a polynomial in e^{i phi} with
+phase-free coefficients.  `_joint_log_likelihoods` replays the trace once on
+those coefficients and evaluates them at every grid phase with one FFT;
+`grid_log_likelihoods` is its referee and its fallback.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .states import SymmetricDensity, SymmetricKet, general_split
 BLOCK_BYTES = 1 << 22  # memory budget of a trial block's (T, n+1, n+1) densities
 ESTIMATE_GRID = 1024
 TIE_TOL = 1e-10  # log-likelihood slack of a tie; below the 1e-9 of perfbench's grid-maximum check
+RESCALE_EVERY = 16  # phase-free replay steps between rescales of its coefficients
 
 
 def combined_pvm(channel: PhaseChannel, detector: SingleQubitPVM) -> SingleQubitPVM:
@@ -155,25 +163,33 @@ def run_trial(input_state: SymmetricKet, channel: PhaseChannel, policy: Policy,
     return run_trials(input_state, channel, policy, schedule, [seed])[0]
 
 
+def _forced_rows(measured: list) -> np.ndarray:
+    """forced[j, b]: the recorded label's row of measurement j's detector.
+
+    measured: ((theta, phi), label) of each measurement, in order.  Every
+    detector is built and checked once.
+    """
+    detectors = bloch_kappas(*np.reshape([angles for angles, _ in measured], (-1, 2)).T)
+    require_pvm_rows(detectors)
+    return detectors[np.arange(len(measured)), [label for _, label in measured]]
+
+
 def _forced_replay(input_state: SymmetricKet, measured: list, folds: np.ndarray):
     """Forced labels on G copies of the input, copy g through the channel diag(folds[g]).
 
-    measured: ((theta, phi), label) of each measurement, in order.  Every
-    detector is built and checked once; each step applies only its forced
-    row, with copy g's channel folded in.  The kets are held phase-major, as
-    kets[nu, g], so every elementwise loop runs over the G phases.  A
-    branch's probability sums its float view down each column, one weight
-    after another, and then adds the real and imaginary halves: the same
-    order for any G, so copy g gets the same bits alone as in a batch.  A
-    copy whose label falls below ZERO_PROB_EPS is left unrescaled, so no NaN
-    reaches later steps.  Returns probs[G, m] and the final kets[G, n+1-m].
+    measured: ((theta, phi), label) of each measurement, in order.  Each step
+    applies only its forced row (`_forced_rows`), with copy g's channel
+    folded in.  The kets are held phase-major, as kets[nu, g], so every
+    elementwise loop runs over the G phases.  A branch's probability sums its
+    float view down each column, one weight after another, and then adds the
+    real and imaginary halves: the same order for any G, so copy g gets the
+    same bits alone as in a batch.  A copy whose label falls below
+    ZERO_PROB_EPS is left unrescaled, so no NaN reaches later steps.
+    Returns probs[G, m] and the final kets[G, n+1-m].
     """
     n, grid = input_state.n, len(folds)
     probs = np.empty((len(measured), grid))
-    detectors = bloch_kappas(*np.reshape([angles for angles, _ in measured], (-1, 2)).T)
-    require_pvm_rows(detectors)
-    forced = detectors[np.arange(len(measured)), [label for _, label in measured]]
-    rows = forced[:, :, None] * folds.T  # rows[j, b, g]: step j's row, copy g's channel folded in
+    rows = _forced_rows(measured)[:, :, None] * folds.T  # rows[j, b, g]: copy g's channel folded in
     nus = np.arange(n)[:, None]
     # every step writes into these three buffers: a fresh (m, G) array per
     # operation made the allocator map and fault in new pages on most steps
@@ -213,6 +229,11 @@ def evaluate_sequence(
     return probs[0].tolist(), _final_states(kets, len(steps) - len(measured))[0]
 
 
+def _require_grid_size(grid_size) -> None:
+    if isinstance(grid_size, bool) or not isinstance(grid_size, (int, np.integer)) or grid_size < 1:
+        raise DomainError(f"grid_size must be an int >= 1, got {grid_size!r}")
+
+
 def grid_log_likelihoods(
     input_state: SymmetricKet,
     trace: ExperimentTrace,
@@ -222,8 +243,10 @@ def grid_log_likelihoods(
 
     The grid_size-row case of _forced_replay, one row per candidate phase,
     skipping losses.  Logs are summed in step order; a row whose forced label
-    falls below ZERO_PROB_EPS reads -inf.
+    falls below ZERO_PROB_EPS reads -inf.  This is the referee of
+    _joint_log_likelihoods and ml_phase_estimate's fallback.
     """
+    _require_grid_size(grid_size)
     phis = 2.0 * math.pi * np.arange(grid_size) / grid_size
     folds = np.stack([np.ones(grid_size), np.exp(1j * phis)], axis=-1)  # diag(1, e^{i phi})
     measured = [step[1:] for step in trace.steps() if step[0] == "measure"]
@@ -233,6 +256,52 @@ def grid_log_likelihoods(
     return sum(logs.T, np.zeros(grid_size))
 
 
+def _joint_log_likelihoods(input_state: SymmetricKet, measured: list, grid_size: int):
+    """log P(g) of the forced labels at each phase 2 pi g / grid_size, or None.
+
+    diag(1, z) on every qubit, z = e^{i phi}, multiplies psi_nu by z^nu, so
+    each amplitude of the forced branch is a polynomial in z.  The replay runs
+    once, with no phase, on its coefficients C[nu', k] (amplitude of |nu'>,
+    power z^k).  The columns fold mod grid_size, since z^grid_size = 1 at
+    every grid phase.  Each step applies the forced row without renormalizing,
+    so sum_nu' |sum_k C[nu', k] z_g^k|^2 is the joint probability P(g), and
+    one inverse FFT over k evaluates it at every grid phase.  C is rescaled
+    every RESCALE_EVERY steps by a bound on max_g P(g), tracked in log_scale.
+
+    The joint P(g) stands for the stepwise sum of logs only when no
+    conditional p_j is below ZERO_PROB_EPS.  Since p_j >= P(g), that holds on
+    every row near the maximum once max_g P(g) >= e ZERO_PROB_EPS; below that
+    (about 45 or more measurements), or once the bound shows that the maximum
+    can no longer reach it, the result is None.
+    """
+    n, steps = input_state.n, len(measured)
+    floor = math.log(ZERO_PROB_EPS) + 1.0
+    nus = np.arange(n + 1)
+    coeffs = np.zeros((n + 1, min(n + 1, grid_size)), dtype=complex)
+    coeffs[nus, nus % coeffs.shape[1]] = input_state.amps
+    roots, ms = np.sqrt(nus), n - np.arange(steps)[:, None]  # m qubits left before step j
+    down = roots[np.maximum(ms - nus[:n], 0)] / roots[ms]  # sqrt((m - nu) / m)
+    up = roots[1:] / roots[ms]  # sqrt((nu + 1) / m)
+    forced = _forced_rows(measured)
+    weights = np.stack([forced[:, :1] * down, forced[:, 1:] * up], axis=1)[..., None]  # [j, b, nu, 1]
+    log_scale = 0.0
+    for j, (w0, w1) in enumerate(weights):
+        m = n - j
+        coeffs = w0[:m] * coeffs[:m] + w1[:m] * coeffs[1:m + 1]
+        if j % RESCALE_EVERY == RESCALE_EVERY - 1:
+            bound = np.square(np.abs(coeffs).sum(axis=1)).sum()  # >= P(g) now and later
+            if not bound > 0.0 or math.log(bound) + log_scale < floor:
+                return None
+            coeffs *= 1.0 / math.sqrt(bound)
+            log_scale += math.log(bound)
+    amps = np.fft.ifft(coeffs, grid_size, axis=1, norm="forward")  # amps[nu', g] = sum_k C z_g^k
+    probs = (amps.real**2 + amps.imag**2).sum(axis=0)
+    logs = np.full(grid_size, -math.inf)
+    np.log(probs, out=logs, where=probs > 0.0)
+    logs += log_scale
+    return logs if logs.max() >= floor else None
+
+
 def ml_phase_estimate(
     input_state: SymmetricKet,
     trace: ExperimentTrace,
@@ -240,12 +309,18 @@ def ml_phase_estimate(
 ) -> float:
     """Maximum-likelihood phase over a uniform grid of candidate phases.
 
-    Ties resolve to the smallest grid point within TIE_TOL of the maximum
-    log-likelihood, so a flat likelihood (Dicke inputs, NOON with fewer than n
-    measurements) gives 0.0 and exact ties (NOON with n measurements) give the
-    smallest maximum, whatever the rounding.  All points impossible: 0.0.
+    The log-likelihoods come from _joint_log_likelihoods, or from
+    grid_log_likelihoods where it returns None.  Ties resolve to the smallest
+    grid point within TIE_TOL of the maximum log-likelihood, so a flat
+    likelihood (Dicke inputs, NOON with fewer than n measurements) gives 0.0
+    and exact ties (NOON with n measurements) give the smallest maximum,
+    whatever the rounding.  All points impossible: 0.0.
     """
-    ll = grid_log_likelihoods(input_state, trace, grid_size)
+    _require_grid_size(grid_size)
+    measured = [step[1:] for step in trace.steps() if step[0] == "measure"]
+    ll = _joint_log_likelihoods(input_state, measured, grid_size)
+    if ll is None:
+        ll = grid_log_likelihoods(input_state, trace, grid_size)
     g = int(np.argmax(ll >= ll.max() - TIE_TOL))  # all -inf: every point ties, g = 0
     return 2.0 * math.pi * g / grid_size
 

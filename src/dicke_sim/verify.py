@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import (DickeSimError, DomainError, NotSymmetricError, ResourceLimitError,
                      ZeroProbabilityError)
-from .harness import combined_pvm, evaluate_sequence, grid_log_likelihoods, run_trial, run_trials
+from .harness import (TIE_TOL, combined_pvm, evaluate_sequence, grid_log_likelihoods,
+                      ml_phase_estimate, run_trial, run_trials)
 from .measure import (
     SingleQubitKraus,
     SingleQubitPVM,
@@ -42,7 +43,8 @@ from .oracle import (
     partial_trace,
     partial_trace_raw,
 )
-from .spec import FeedbackPolicy, FixedPolicy, LossSchedule, PhaseChannel, RoundRobinPolicy
+from .spec import (FeedbackPolicy, FixedPolicy, LossSchedule, PhaseChannel, RoundRobinPolicy,
+                   input_from_config)
 from .states import (
     SymmetricDensity,
     SymmetricKet,
@@ -493,19 +495,29 @@ def check_loss_independence(max_n: int = 10, seeds: int = 50, tol: float = 1e-10
 
 
 def check_estimator_replay(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -> PropertyResult:
-    """Batched grid log-likelihoods match the step-by-step lossy replay.
+    """Grid log-likelihoods match the step-by-step lossy replay; the estimate reads them.
 
-    On random lossy feedback traces, grid_log_likelihoods must equal, at every
-    candidate phase of a small grid, the log of compact_sequence_prob's joint
-    probability, which applies each loss where it occurs.
+    On lossy feedback traces from random, NOON and Dicke inputs (in turn),
+    grid_log_likelihoods must equal, at every candidate phase of a small grid,
+    the log of compact_sequence_prob's joint probability, which applies each
+    loss where it occurs.  ml_phase_estimate, which evaluates a phase-free
+    replay by FFT, must give exactly the tie-rule argmax of
+    grid_log_likelihoods, on that grid and on a grid of 2 to n points, where
+    the powers of e^{i phi} fold.
     """
     grid = 16  # small, so that the suite stays cheap
     worst = 0.0
     cases = 0
+    moved = 0
     for seed in range(seeds):
         rng = np.random.default_rng(13_000 + seed)
         n = int(rng.integers(2, max_n + 1))
-        ket = random_symmetric_ket(n, rng)
+        if seed % 3 == 0:
+            ket = random_symmetric_ket(n, rng)
+        elif seed % 3 == 1:
+            ket = input_from_config({"type": "noon"}, n)
+        else:
+            ket = basis_state(n, int(rng.integers(0, n + 1)))  # a Dicke state
         schedule = LossSchedule.random(n, 0.3, int(rng.integers(0, 2**31)))
         policy = FeedbackPolicy(*(float(x) for x in rng.uniform(0.0, math.pi, 3)))
         channel = PhaseChannel(float(rng.uniform(0.0, 2.0 * math.pi)))
@@ -519,7 +531,13 @@ def check_estimator_replay(max_n: int = 10, seeds: int = 20, tol: float = 1e-10)
                 want = -math.inf  # a forced label below ZERO_PROB_EPS
             worst = max(worst, 0.0 if want == got[g] else abs(want - got[g]))
             cases += 1
-    return PropertyResult("estimator_replay_equivalence", cases, worst, tol, worst <= tol)
+        folded = int(rng.integers(2, n + 1))
+        for size, ll in ((grid, got), (folded, grid_log_likelihoods(ket, trace, folded))):
+            tie_rule = 2.0 * math.pi * int(np.argmax(ll >= ll.max() - TIE_TOL)) / size
+            moved += ml_phase_estimate(ket, trace, size) != tie_rule
+    note = f"{moved} estimates differ from the grid's tie-rule argmax" if moved else ""
+    passed = worst <= tol and not moved
+    return PropertyResult("estimator_replay_equivalence", cases, worst, tol, passed, note)
 
 
 def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -> PropertyResult:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dicke_sim.cli import main
 from dicke_sim.errors import (
@@ -16,7 +18,7 @@ from dicke_sim.errors import (
     ConfigError,
 )
 from dicke_sim.measure import SingleQubitPVM, pvm_from_bloch
-from dicke_sim.serialize import dumps_json, measurement_to_json, rows_to_csv, state_to_json
+from dicke_sim.serialize import _jsonable, dumps_json, measurement_to_json, rows_to_csv, state_to_json
 from dicke_sim.spec import measurement_from_json, state_from_json
 from dicke_sim.states import SymmetricKet, basis_state, make_ket, to_density
 from dicke_sim.verify import random_kraus_pair, random_symmetric_density
@@ -506,6 +508,30 @@ class TestCliBench:
         assert compact["state_complex_entries"] == 11
 
 
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, math.nan, math.inf, -math.inf])
+SCALARS = (st.none() | st.booleans() | st.integers() | st.text() | EDGE_FLOATS | st.floats()
+           | st.builds(np.float64, st.floats()) | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
+           | st.builds(np.bool_, st.booleans()))
+
+
+def float_arrays(depth: int):
+    """Float lists nested depth deep, none empty: what states serialize to."""
+    arrays = st.lists(st.floats() | EDGE_FLOATS, min_size=1, max_size=4)
+    for _ in range(depth - 1):
+        arrays = st.lists(arrays, min_size=1, max_size=3)
+    return arrays
+
+
+DOCUMENTS = st.recursive(
+    SCALARS | st.integers(1, 3).flatmap(float_arrays),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=3)
+                   | st.builds(np.array, st.lists(st.floats(), max_size=3))),
+    max_leaves=20,
+)
+
+
 class TestDumpsJson:
     def test_sorted_and_newline_terminated(self):
         text = dumps_json({"b": 1, "a": [1.5, True]})
@@ -515,3 +541,13 @@ class TestDumpsJson:
     def test_numpy_scalars(self):
         text = dumps_json({"x": np.float64(0.25), "y": np.int64(3), "z": np.bool_(True)})
         assert json.loads(text) == {"x": 0.25, "y": 3, "z": True}
+
+    @settings(max_examples=300, deadline=None)
+    @given(DOCUMENTS)
+    def test_same_bytes_as_indented_json_dumps(self, obj):
+        assert dumps_json(obj) == json.dumps(obj, sort_keys=True, indent=2, default=_jsonable) + "\n"
+
+    def test_edge_values_and_unicode(self):
+        doc = {"z\u00e9\u2603\U0001f600\n\"": [[-0.0, 5e-324], [1e308, math.nan], [math.inf, -math.inf]],
+               "empty": [[], {}, (), ""], "ragged": [[1.0], [[2.0]], [3.0, 4]], "np": np.eye(2)}
+        assert dumps_json(doc) == json.dumps(doc, sort_keys=True, indent=2, default=_jsonable) + "\n"

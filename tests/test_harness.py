@@ -504,6 +504,77 @@ class TestMlEstimate:
         assert ml_phase_estimate(ket, trace, 64) == ml_phase_estimate(ket, trace, 64)
 
 
+class TestJointLikelihood:
+    """ml_phase_estimate's phase-free replay, evaluated at every grid phase by one FFT."""
+
+    @staticmethod
+    def joint_and_grid(ket, trace, grid_size):
+        from dicke_sim.harness import _joint_log_likelihoods
+
+        measured = [step[1:] for step in trace.steps() if step[0] == "measure"]
+        return _joint_log_likelihoods(ket, measured, grid_size), grid_log_likelihoods(ket, trace, grid_size)
+
+    @staticmethod
+    def tie_rule(ll, grid_size):
+        return 2 * math.pi * int(np.argmax(ll >= ll.max() - TIE_TOL)) / grid_size
+
+    @pytest.mark.parametrize("n, m, grid_size", [(12, 8, 1024), (64, 36, 1024), (40, 20, 16)])
+    def test_joint_matches_stepwise_near_the_maximum(self, n, m, grid_size):
+        # (40, 20, 16) aliases: 41 powers of e^{i phi} fold onto 16 columns
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            ket = random_symmetric_ket(n, rng)
+            schedule = LossSchedule(tuple(rng.permutation(["measure"] * m + ["lose"] * 3)))
+            trace = run_trial(ket, PhaseChannel(1.1), FeedbackPolicy(0.7, 0.3, 0.9), schedule, seed)
+            joint, grid = self.joint_and_grid(ket, trace, grid_size)
+            near = grid >= grid.max() - 20.0
+            assert np.abs(joint[near] - grid[near]).max() <= 1e-12
+            assert np.all(joint[~near] < grid.max() - 19.0)
+            assert ml_phase_estimate(ket, trace, grid_size) == self.tie_rule(grid, grid_size)
+
+    def test_unlikely_trace_falls_back_to_the_grid(self):
+        # 84 measurements at n = 128: the best joint probability is far below
+        # e * ZERO_PROB_EPS, so the estimate reads the stepwise grid
+        n = 128
+        ket = random_symmetric_ket(n, np.random.default_rng(5))
+        trace = run_trial(ket, PhaseChannel(1.1), FeedbackPolicy(0.7, 0.3, 0.9), LossSchedule.lossless(84), 5)
+        joint, grid = self.joint_and_grid(ket, trace, 1024)
+        assert joint is None and grid.max() < math.log(1e-14)
+        assert ml_phase_estimate(ket, trace) == self.tie_rule(grid, 1024)
+
+    def test_losses_only_give_zero(self):
+        ket = random_symmetric_ket(6, np.random.default_rng(2))
+        trace = run_trial(ket, PhaseChannel(1.1), FeedbackPolicy(0.5), LossSchedule(("lose",) * 3), 0)
+        joint, grid = self.joint_and_grid(ket, trace, 1024)
+        assert np.allclose(joint, 0.0, rtol=0, atol=1e-15) and np.all(grid == 0.0)
+        assert ml_phase_estimate(ket, trace) == 0.0
+
+    @pytest.mark.filterwarnings("error")  # no log(0) on the way to the fallback
+    def test_impossible_everywhere_gives_zero(self):
+        vacuum = basis_state(2, 0)
+        never = ExperimentTrace(0, (TraceEvent(0, "measure", 0.0, 0.0, 1, 0.0),), vacuum)
+        joint, grid = self.joint_and_grid(vacuum, never, 1024)
+        assert joint is None and np.all(grid == -math.inf)
+        assert ml_phase_estimate(vacuum, never) == 0.0
+
+    @pytest.mark.parametrize("grid_size", [0, -3, 2.5, True, "8", None])
+    def test_bad_grid_size_rejected(self, grid_size):
+        ket = basis_state(2, 1)
+        trace = run_trial(ket, PhaseChannel(1.0), FixedPolicy(0.5, 0.0), LossSchedule.lossless(1), 0)
+        with pytest.raises(DomainError):
+            ml_phase_estimate(ket, trace, grid_size)
+        with pytest.raises(DomainError):
+            grid_log_likelihoods(ket, trace, grid_size)
+
+    def test_one_point_grid(self):
+        ket = random_symmetric_ket(3, np.random.default_rng(1))
+        trace = run_trial(ket, PhaseChannel(1.0), FeedbackPolicy(0.5), LossSchedule.lossless(2), 0)
+        joint, grid = self.joint_and_grid(ket, trace, 1)
+        assert abs(joint[0] - grid[0]) <= 1e-12
+        assert ml_phase_estimate(ket, trace, 1) == 0.0
+        assert ml_phase_estimate(ket, trace, np.int64(4)) == ml_phase_estimate(ket, trace, 4)
+
+
 class TestPhaseMajorReplay:
     """The grid's forced replay holds kets[nu, g]; each row keeps the bits it has alone."""
 
