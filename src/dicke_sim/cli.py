@@ -23,7 +23,7 @@ from .measure import measure_state, pvm_from_bloch
 from .oracle import apply_kraus_outcomes_at, density_cap, expand_density, partial_trace
 from .serialize import SCHEMA_VERSION, dumps_json, rows_to_csv, state_to_json
 from .spec import PhaseChannel, convert, load_document, measurement_from_spec, state_from_spec
-from .states import general_split, to_density
+from .states import general_split, require_state_entries, to_density
 from .verify import random_symmetric_ket, run_suite
 
 BENCH_COLUMNS = [
@@ -94,6 +94,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    convert(int, args.workers, "--workers", lo=1)
     config = load_document(args.config)
     if args.seed is not None and isinstance(config, dict):  # run_ensemble refuses any other document
         config = {**config, "seed": args.seed}
@@ -109,7 +110,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
-    for flag, value in (("--max-n", args.max_n), ("--seeds", args.seeds)):
+    for flag, value in (("--max-n", args.max_n), ("--seeds", args.seeds), ("--workers", args.workers)):
         convert(int, value, flag, lo=1)
     report = run_suite(
         max_n=args.max_n,
@@ -193,9 +194,12 @@ def _sizes(spec: str, flag: str) -> list[int]:
 def cmd_bench(args) -> int:
     if args.reps < 1:
         raise ConfigError(f"--reps must be >= 1, got {args.reps}")
+    seed = convert(int, args.seed, "--seed", lo=0)
     sizes, dense_sizes = _sizes(args.sizes, "--sizes"), _sizes(args.dense_sizes, "--dense-sizes")
-    rows = [bench_compact(n, args.reps, args.seed) for n in sizes]
-    rows += [bench_dense(n, args.reps, args.seed) for n in dense_sizes]
+    for n in sizes:
+        require_state_entries(n + 1, f"a state of {n} qubits")
+    rows = [bench_compact(n, args.reps, seed) for n in sizes]
+    rows += [bench_dense(n, args.reps, seed) for n in dense_sizes]
     if args.format == "json":
         _emit(args, dumps_json({"schema_version": SCHEMA_VERSION, "rows": rows}))
     else:
@@ -226,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="dicke:n,nu | noon:n | uniform:n | file:path")
     p.add_argument("--pvm", required=True, help="computational | hadamard | bloch:t,p | file:path")
     p.add_argument("--out")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("simulate", help="run an experiment ensemble from a config")

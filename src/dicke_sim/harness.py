@@ -18,7 +18,8 @@ The block size follows from n, so that a block's largest array, its
 (T, n+1, n+1) final densities, stays within BLOCK_BYTES.  A trial's outcome
 does not depend on its block.  Forced replays (`evaluate_sequence`) and the
 likelihood grid (`grid_log_likelihoods`) share one loop, `_forced_replay`,
-which holds its kets phase-major, kets[nu, g].
+which holds its kets phase-major, kets[nu, g].  It and the ML estimate's
+replay take each step's weights from one helper, `_forced_weights`.
 
 The ML estimate (`ml_phase_estimate`) needs no phase in its replay: the
 channel diag(1, e^{i phi}) on every qubit multiplies |nu> by e^{i nu phi}, so
@@ -53,7 +54,7 @@ from .states import SymmetricDensity, SymmetricKet, general_split
 BLOCK_BYTES = 1 << 22  # memory budget of a trial block's (T, n+1, n+1) densities
 ESTIMATE_GRID = 1024
 TIE_TOL = 1e-10  # log-likelihood slack of a tie; below the 1e-9 of perfbench's grid-maximum check
-RESCALE_EVERY = 16  # phase-free replay steps between rescales of its coefficients
+BOUND_CHECK_EVERY = 16  # phase-free replay steps between checks that the maximum can still be used
 
 
 def combined_pvm(channel: PhaseChannel, detector: SingleQubitPVM) -> SingleQubitPVM:
@@ -163,52 +164,62 @@ def run_trial(input_state: SymmetricKet, channel: PhaseChannel, policy: Policy,
     return run_trials(input_state, channel, policy, schedule, [seed])[0]
 
 
-def _forced_rows(measured: list) -> np.ndarray:
-    """forced[j, b]: the recorded label's row of measurement j's detector.
+def _forced_weights(n: int, steps: list):
+    """The phase-free weights (w0, w1) of each forced measurement, one step at a time.
 
-    measured: ((theta, phi), label) of each measurement, in order.  Every
-    detector is built and checked once.
+    steps: ("lose",) or ("measure", (theta, phi), label), as in
+    ExperimentTrace.steps(); losses are skipped, since they are deferred.
+    Every detector is built and checked once.  The j-th measurement, with
+    m = n - j qubits left, maps a ket psi to w0 psi[:m] + w1 psi[1:m + 1]:
+    the forced row kappa[label] times split_last_qubit's weights,
+    w0 = kappa[label, 0] sqrt((m - nu) / m) and w1 = kappa[label, 1] sqrt((nu + 1) / m),
+    as (m, 1) columns.
     """
+    measured = [step[1:] for step in steps if step[0] != "lose"]
+    if len(measured) > n:
+        raise DomainError(f"{len(measured)} measurements but only {n} qubits")
     detectors = bloch_kappas(*np.reshape([angles for angles, _ in measured], (-1, 2)).T)
     require_pvm_rows(detectors)
-    return detectors[np.arange(len(measured)), [label for _, label in measured]]
+    roots = np.sqrt(np.arange(n + 1))[:, None]
+    rows = detectors[np.arange(len(measured)), [label for _, label in measured]]
+    rows /= roots[n:n - len(measured):-1]  # kappa[label] / sqrt(m)
+    for m, (c0, c1) in zip(range(n, 0, -1), rows):
+        yield c0 * roots[m:0:-1], c1 * roots[1:m + 1]
 
 
-def _forced_replay(input_state: SymmetricKet, measured: list, folds: np.ndarray):
-    """Forced labels on G copies of the input, copy g through the channel diag(folds[g]).
+def _forced_replay(input_state: SymmetricKet, steps: list, phases: np.ndarray):
+    """Forced labels on G copies of the input, copy g through the channel diag(1, phases[g]).
 
-    measured: ((theta, phi), label) of each measurement, in order.  Each step
-    applies only its forced row (`_forced_rows`), with copy g's channel
-    folded in.  The kets are held phase-major, as kets[nu, g], so every
-    elementwise loop runs over the G phases.  A branch's probability sums its
-    float view down each column, one weight after another, and then adds the
-    real and imaginary halves: the same order for any G, so copy g gets the
-    same bits alone as in a batch.  A copy whose label falls below
-    ZERO_PROB_EPS is left unrescaled, so no NaN reaches later steps.
+    steps as in _forced_weights, which gives each step's weights; copy g's
+    channel phase multiplies the |1> half, w1 psi[1:m + 1], only.  The kets
+    are held phase-major, as kets[nu, g], so every elementwise loop runs over
+    the G phases.  A branch's probability sums its float view down each
+    column, one weight after another, and then adds the real and imaginary
+    halves: the same order for any G, so copy g gets the same bits alone as in
+    a batch.  A copy whose label falls below ZERO_PROB_EPS is left
+    unrescaled, so no NaN reaches later steps.
     Returns probs[G, m] and the final kets[G, n+1-m].
     """
-    n, grid = input_state.n, len(folds)
-    probs = np.empty((len(measured), grid))
-    rows = _forced_rows(measured)[:, :, None] * folds.T  # rows[j, b, g]: copy g's channel folded in
-    nus = np.arange(n)[:, None]
+    n, grid = input_state.n, len(phases)
+    probs = []
     # every step writes into these three buffers: a fresh (m, G) array per
     # operation made the allocator map and fault in new pages on most steps
     kets, branch, scratch = np.empty((3, n + 1, grid), dtype=complex)
     kets[:] = input_state.amps[:, None]
-    for j, (row0, row1) in enumerate(rows):
-        m = n - j  # kets[:m + 1] is live; split_last_qubit's weights scale its rows
+    for w0, w1 in _forced_weights(n, steps):
+        m = len(w0)  # kets[:m + 1] is live
         b, t = branch[:m], scratch[:m]
-        np.multiply(kets[:m], np.sqrt((m - nus[:m]) / m), out=b)
-        b *= row0
-        np.multiply(kets[1:m + 1], np.sqrt((nus[:m] + 1) / m), out=t)
-        t *= row1
+        np.multiply(kets[:m], w0, out=b)
+        np.multiply(kets[1:m + 1], w1, out=t)
+        t *= phases
         b += t
         x = b.view(float)  # (m, 2G): at least two columns, so summed row after row
         s = np.multiply(x, x, out=t.view(float)).sum(axis=0)
-        p = probs[j] = s[0::2] + s[1::2]
+        p = s[0::2] + s[1::2]
+        probs.append(p)
         b *= 1.0 / np.sqrt(np.where(p >= ZERO_PROB_EPS, p, 1.0))
         kets, branch = branch, kets
-    return probs.T, kets[:n + 1 - len(measured)].T
+    return np.reshape(probs, (-1, grid)).T, kets[:n + 1 - len(probs)].T
 
 
 def evaluate_sequence(
@@ -221,12 +232,11 @@ def evaluate_sequence(
     takes place, and a forced label below ZERO_PROB_EPS raises
     ZeroProbabilityError.  Losses are deferred as in run_trials.
     """
-    measured = [step[1:] for step in steps if step[0] != "lose"]
-    probs, kets = _forced_replay(input_state, measured, np.diagonal(channel.unitary())[None])
+    probs, kets = _forced_replay(input_state, steps, np.diagonal(channel.unitary())[1:])
     if not (probs >= ZERO_PROB_EPS).all():
         raise ZeroProbabilityError(
             f"a forced label has probability {probs.min():.3e} below {ZERO_PROB_EPS}")
-    return probs[0].tolist(), _final_states(kets, len(steps) - len(measured))[0]
+    return probs[0].tolist(), _final_states(kets, len(steps) - probs.shape[1])[0]
 
 
 def _require_grid_size(grid_size) -> None:
@@ -248,57 +258,48 @@ def grid_log_likelihoods(
     """
     _require_grid_size(grid_size)
     phis = 2.0 * math.pi * np.arange(grid_size) / grid_size
-    folds = np.stack([np.ones(grid_size), np.exp(1j * phis)], axis=-1)  # diag(1, e^{i phi})
-    measured = [step[1:] for step in trace.steps() if step[0] == "measure"]
-    probs, _ = _forced_replay(input_state, measured, folds)
+    probs, _ = _forced_replay(input_state, trace.steps(), np.exp(1j * phis))
     alive = probs >= ZERO_PROB_EPS
     logs = np.where(alive, np.log(np.where(alive, probs, 1.0)), -math.inf)
     return sum(logs.T, np.zeros(grid_size))
 
 
-def _joint_log_likelihoods(input_state: SymmetricKet, measured: list, grid_size: int):
+def _joint_log_likelihoods(input_state: SymmetricKet, steps: list, grid_size: int):
     """log P(g) of the forced labels at each phase 2 pi g / grid_size, or None.
 
     diag(1, z) on every qubit, z = e^{i phi}, multiplies psi_nu by z^nu, so
     each amplitude of the forced branch is a polynomial in z.  The replay runs
     once, with no phase, on its coefficients C[nu', k] (amplitude of |nu'>,
-    power z^k).  The columns fold mod grid_size, since z^grid_size = 1 at
-    every grid phase.  Each step applies the forced row without renormalizing,
-    so sum_nu' |sum_k C[nu', k] z_g^k|^2 is the joint probability P(g), and
-    one inverse FFT over k evaluates it at every grid phase.  C is rescaled
-    every RESCALE_EVERY steps by a bound on max_g P(g), tracked in log_scale.
+    power z^k), stepping with _forced_weights.  The columns fold mod
+    grid_size, since z^grid_size = 1 at every grid phase.  Each step applies
+    the forced row without renormalizing, so sum_nu' |sum_k C[nu', k] z_g^k|^2
+    is the joint probability P(g), and one inverse FFT over k evaluates it at
+    every grid phase.  C needs no rescaling: by Parseval over the grid,
+    sum |C|^2 = mean_g P(g) <= 1, and it stays at or above
+    e ZERO_PROB_EPS / grid_size wherever the result is used.
 
     The joint P(g) stands for the stepwise sum of logs only when no
     conditional p_j is below ZERO_PROB_EPS.  Since p_j >= P(g), that holds on
     every row near the maximum once max_g P(g) >= e ZERO_PROB_EPS; below that
-    (about 45 or more measurements), or once the bound shows that the maximum
-    can no longer reach it, the result is None.
+    (about 45 or more measurements), or once the bound checked every
+    BOUND_CHECK_EVERY steps shows that the maximum can no longer reach it,
+    the result is None.
     """
-    n, steps = input_state.n, len(measured)
+    n = input_state.n
     floor = math.log(ZERO_PROB_EPS) + 1.0
     nus = np.arange(n + 1)
     coeffs = np.zeros((n + 1, min(n + 1, grid_size)), dtype=complex)
     coeffs[nus, nus % coeffs.shape[1]] = input_state.amps
-    roots, ms = np.sqrt(nus), n - np.arange(steps)[:, None]  # m qubits left before step j
-    down = roots[np.maximum(ms - nus[:n], 0)] / roots[ms]  # sqrt((m - nu) / m)
-    up = roots[1:] / roots[ms]  # sqrt((nu + 1) / m)
-    forced = _forced_rows(measured)
-    weights = np.stack([forced[:, :1] * down, forced[:, 1:] * up], axis=1)[..., None]  # [j, b, nu, 1]
-    log_scale = 0.0
-    for j, (w0, w1) in enumerate(weights):
-        m = n - j
-        coeffs = w0[:m] * coeffs[:m] + w1[:m] * coeffs[1:m + 1]
-        if j % RESCALE_EVERY == RESCALE_EVERY - 1:
+    for j, (w0, w1) in enumerate(_forced_weights(n, steps)):
+        coeffs = w0 * coeffs[:len(w0)] + w1 * coeffs[1:len(w0) + 1]
+        if j % BOUND_CHECK_EVERY == BOUND_CHECK_EVERY - 1:
             bound = np.square(np.abs(coeffs).sum(axis=1)).sum()  # >= P(g) now and later
-            if not bound > 0.0 or math.log(bound) + log_scale < floor:
+            if not bound > 0.0 or math.log(bound) < floor:
                 return None
-            coeffs *= 1.0 / math.sqrt(bound)
-            log_scale += math.log(bound)
     amps = np.fft.ifft(coeffs, grid_size, axis=1, norm="forward")  # amps[nu', g] = sum_k C z_g^k
     probs = (amps.real**2 + amps.imag**2).sum(axis=0)
     logs = np.full(grid_size, -math.inf)
     np.log(probs, out=logs, where=probs > 0.0)
-    logs += log_scale
     return logs if logs.max() >= floor else None
 
 
@@ -317,8 +318,7 @@ def ml_phase_estimate(
     whatever the rounding.  All points impossible: 0.0.
     """
     _require_grid_size(grid_size)
-    measured = [step[1:] for step in trace.steps() if step[0] == "measure"]
-    ll = _joint_log_likelihoods(input_state, measured, grid_size)
+    ll = _joint_log_likelihoods(input_state, trace.steps(), grid_size)
     if ll is None:
         ll = grid_log_likelihoods(input_state, trace, grid_size)
     g = int(np.argmax(ll >= ll.max() - TIE_TOL))  # all -inf: every point ties, g = 0

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,25 +293,18 @@ def apply_matrix_at_ket(amps: np.ndarray, n: int, position: int, mat: np.ndarray
 
 
 def partial_trace_raw(matrix: np.ndarray, n: int, positions) -> np.ndarray:
-    """Partial trace on a raw (possibly unnormalized) 2^n x 2^n matrix."""
-    traced = sorted(set(positions))
-    letters = string.ascii_letters
-    row = [letters[i] for i in range(n)]
-    col = []
-    next_free = n
-    for axis in range(n):
-        pos = n - axis
-        if pos in traced:
-            col.append(row[axis])
-        else:
-            col.append(letters[next_free])
-            next_free += 1
-    keep_axes = [axis for axis in range(n) if (n - axis) not in traced]
-    out_sub = "".join(row[a] for a in keep_axes) + "".join(col[a] for a in keep_axes)
-    t = matrix.reshape([2] * (2 * n))
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out_sub, t)
-    d = 2 ** (n - len(traced))
-    return reduced.reshape(d, d)
+    """Partial trace on a raw (possibly unnormalized) 2^n x 2^n matrix.
+
+    One np.trace per traced position, over the (row bit, column bit) pair of
+    the (L, 2, R, L, 2, R) reshape that _channel_at uses; the highest position
+    goes first, so the lower ones keep their numbers.
+    """
+    for position in sorted(set(positions), reverse=True):
+        left, right = 2 ** (n - position), 2 ** (position - 1)
+        matrix = np.trace(matrix.reshape(left, 2, right, left, 2, right), axis1=1, axis2=4)
+        n -= 1
+        matrix = matrix.reshape(2**n, 2**n)
+    return matrix
 
 
 def partial_trace(rho: DenseDensity, positions) -> DenseDensity:

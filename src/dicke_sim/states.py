@@ -213,6 +213,7 @@ def general_split(n: int, nu: int, k: int) -> list[SplitCoefficient]:
     _check_split_args(k, n, 0, nu)
     lo = max(0, nu - (n - k))
     hi = min(k, nu)
+    require_state_entries(hi - lo + 1, f"the split table of {k} of {n} qubits")
     mode = min(max((k + 1) * (nu + 1) // (n + 2), lo), hi)
     sq = [0.0] * (hi - lo + 1)
     sq[mode - lo] = x = _xi_squared(k, n, mode, nu)

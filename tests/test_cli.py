@@ -133,6 +133,9 @@ class TestCliMeasure:
     def test_unknown_state_spec(self, capsys):
         assert main(["measure", "--state", "ghz:3", "--pvm", "computational"]) == EXIT_CONFIG
 
+    def test_no_format_flag(self):
+        assert main(["measure", "--state", "dicke:3,1", "--pvm", "computational", "--format", "json"]) == EXIT_CONFIG
+
 
 class TestCliSimulate:
     def _write_config(self, tmp_path, **overrides):
@@ -314,6 +317,14 @@ class TestMalformedInputs:
     def test_verify_max_n_below_one(self, capsys):
         self._assert_config_error(["verify", "--max-n", "0"], capsys)
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one(self, workers, tmp_path, capsys):
+        self._assert_config_error(self._simulate(tmp_path) + ["--workers", workers], capsys)
+        self._assert_config_error(["verify", "--max-n", "2", "--seeds", "1", "--workers", workers], capsys)
+
+    def test_bench_seed_below_zero(self, capsys):
+        self._assert_config_error(["bench", "--seed", "-1", "--sizes", "8", "--reps", "1"], capsys)
+
 
     @pytest.mark.parametrize("flag, doc", [
         ("--state", {"n": "abc", "amps": [[1, 0], [0, 0]]}),
@@ -449,6 +460,12 @@ class TestSizeLimit:
 
     def test_measure_huge_dicke_state(self, capsys):
         self._assert_resource_limit(["measure", "--state", "dicke:1000000000,1", "--pvm", "computational"], capsys)
+
+    def test_split_huge_table(self, capsys):
+        self._assert_resource_limit(["split", "--n", "100000000", "--nu", "50000000", "--k", "50000000"], capsys)
+
+    def test_bench_huge_size(self, capsys):
+        self._assert_resource_limit(["bench", "--sizes", "8,16777216", "--reps", "1"], capsys)
 
     def test_simulate_huge_final_density(self, tmp_path, capsys):
         config = {

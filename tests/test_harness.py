@@ -494,6 +494,16 @@ class TestMlEstimate:
         assert ll[511] == math.log(probs[0])
         assert isinstance(final, SymmetricDensity) and final.n == 0
 
+    @pytest.mark.parametrize("count", [3, 4])
+    def test_more_measurements_than_qubits_rejected(self, count):
+        ket = basis_state(2, 1)
+        events = tuple(TraceEvent(j, "measure", 0.5, 0.1, 0, 0.5) for j in range(count))
+        trace = ExperimentTrace(0, events, ket)
+        for replay in (lambda: evaluate_sequence(ket, PhaseChannel(0.3), trace.steps()),
+                       lambda: grid_log_likelihoods(ket, trace), lambda: ml_phase_estimate(ket, trace)):
+            with pytest.raises(DomainError, match="only 2 qubits"):
+                replay()
+
     def test_grid_matches_stepwise_lossy_replay(self):
         result = check_estimator_replay(max_n=12, seeds=40, tol=1e-10)
         assert result.passed, result
@@ -511,16 +521,17 @@ class TestJointLikelihood:
     def joint_and_grid(ket, trace, grid_size):
         from dicke_sim.harness import _joint_log_likelihoods
 
-        measured = [step[1:] for step in trace.steps() if step[0] == "measure"]
-        return _joint_log_likelihoods(ket, measured, grid_size), grid_log_likelihoods(ket, trace, grid_size)
+        return _joint_log_likelihoods(ket, trace.steps(), grid_size), grid_log_likelihoods(ket, trace, grid_size)
 
     @staticmethod
     def tie_rule(ll, grid_size):
         return 2 * math.pi * int(np.argmax(ll >= ll.max() - TIE_TOL)) / grid_size
 
-    @pytest.mark.parametrize("n, m, grid_size", [(12, 8, 1024), (64, 36, 1024), (40, 20, 16)])
+    @pytest.mark.parametrize("n, m, grid_size", [(12, 8, 1024), (64, 36, 1024), (40, 20, 16), (96, 42, 1024)])
     def test_joint_matches_stepwise_near_the_maximum(self, n, m, grid_size):
-        # (40, 20, 16) aliases: 41 powers of e^{i phi} fold onto 16 columns
+        # (40, 20, 16) aliases: 41 powers of e^{i phi} fold onto 16 columns;
+        # (96, 42, 1024) at seed 1 peaks 1.1 above log(e ZERO_PROB_EPS), the
+        # edge of the joint replay's regime, after 42 unrescaled steps
         for seed in range(3):
             rng = np.random.default_rng(seed)
             ket = random_symmetric_ket(n, rng)
@@ -586,16 +597,15 @@ class TestPhaseMajorReplay:
         schedule = LossSchedule(("measure", "lose") * 3 + ("measure",) * 7 + ("lose",) * 3)
         trace = run_trial(ket, PhaseChannel(1.1), FeedbackPolicy(0.6, 0.2, 0.9), schedule, seed=8)
         assert len(trace.outcome_labels()) == 10
-        measured = [step[1:] for step in trace.steps() if step[0] == "measure"]
         phis = 2.0 * math.pi * np.arange(grid) / grid
-        folds = np.stack([np.ones(grid), np.exp(1j * phis)], axis=-1)
-        probs, kets = _forced_replay(ket, measured, folds)
-        finals = _final_states(kets, len(schedule.events) - len(measured))
+        phases = np.exp(1j * phis)
+        probs, kets = _forced_replay(ket, trace.steps(), phases)
+        finals = _final_states(kets, len(schedule.events) - len(trace.outcome_labels()))
         for g in range(grid):
             alone, final = evaluate_sequence(ket, PhaseChannel(2.0 * math.pi * g / grid), trace.steps())
             assert alone == probs[g].tolist()
             assert np.array_equal(final.alpha, finals[g].alpha)
-            assert np.array_equal(_forced_replay(ket, measured, folds[[g]])[1], kets[[g]])
+            assert np.array_equal(_forced_replay(ket, trace.steps(), phases[[g]])[1], kets[[g]])
 
     def test_product_state_closed_form_at_n64(self):
         # |+>^64 through diag(1, e^{i phi}) and 36 equatorial detectors, all

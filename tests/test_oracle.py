@@ -1,5 +1,6 @@
 """Unit tests for the dense brute-force oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from dicke_sim.oracle import (
     is_symmetric_over,
     ket_cap,
     partial_trace,
+    partial_trace_raw,
     transposition,
 )
 from dicke_sim.states import SymmetricKet, basis_state, make_ket, to_density
@@ -264,7 +266,25 @@ class TestIsSymmetricOverDefinition:
         assert not self._agree(random_dense_density(n, np.random.default_rng(500 + n)))[0]
 
 
+def _traced_by_kronecker(rho: np.ndarray, n: int, positions) -> np.ndarray:
+    """sum_b E_b rho E_b^dag, E_b the Kronecker product of <b_p| at each traced position p and I elsewhere."""
+    total = 0.0
+    for bits in itertools.product(range(2), repeat=len(positions)):
+        rows = dict(zip(sorted(positions), bits))
+        e = np.ones((1, 1))
+        for p in range(n, 0, -1):
+            e = np.kron(e, np.eye(2)[[rows[p]]] if p in rows else np.eye(2))
+        total = total + e @ rho @ e.T
+    return total
+
+
 class TestPartialTrace:
+    @pytest.mark.parametrize("positions", [{1}, {2}, {3}, {4}, {5}, {2, 5}, {1, 3, 4}, {1, 2, 4, 5}])
+    def test_against_kronecker(self, positions):
+        rho = random_dense_density(5, np.random.default_rng(sum(2**p for p in positions))).matrix
+        want = _traced_by_kronecker(rho, 5, positions)
+        assert np.max(np.abs(partial_trace_raw(rho, 5, positions) - want)) < 1e-14
+
     def test_product_state(self):
         # |psi3> (x) |psi2> (x) |psi1| with position 1 the LSB
         rng = np.random.default_rng(61)
