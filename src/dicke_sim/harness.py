@@ -31,7 +31,6 @@ those coefficients and evaluates them at every grid phase with one FFT;
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -47,7 +46,7 @@ from .measure import (
     measure_pure_batch,
     require_pvm_rows,
 )
-from .serialize import state_to_json
+from .serialize import trace_lines
 from .spec import LossSchedule, PhaseChannel, Policy, parse_config
 from .states import SymmetricDensity, SymmetricKet, general_split
 
@@ -98,6 +97,13 @@ def _final_states(kets: np.ndarray, k: int) -> list[SymmetricKet | SymmetricDens
     them with amplitude Xi(k, N; j, nu), so alpha = sum_j c_j c_j^dag with
     c_j[mu] = psi[mu + j] Xi(k, N; j, mu + j), from one general_split table
     per call.  k = 0 keeps the kets pure.
+
+    With c_j = x + iy, the real part x_a x_b + y_a y_b and the imaginary part
+    y_a x_b - x_a y_b are summed separately, elementwise over j in order.  So
+    alpha has the same bytes in any block and is exactly Hermitian: its real
+    part is bitwise symmetric, its imaginary part antisymmetric, and its
+    imaginary diagonal 0.0.  (numpy's complex product c_a conj(c_b) is not:
+    it leaves imaginary diagonals of about 1e-19.)
     """
     n = kets.shape[-1] - 1
     if k == 0:
@@ -108,8 +114,11 @@ def _final_states(kets: np.ndarray, k: int) -> list[SymmetricKet | SymmetricDens
             xi[c.mu, nu] = c.value
     nus = np.arange(k + 1)[:, None] + np.arange(n - k + 1)  # nus[j, mu] = mu + j
     c = kets[:, nus] * np.take_along_axis(xi, nus, axis=1)  # c[T, j, mu]
-    # summed over j in order, elementwise: the same bytes in any block, exactly Hermitian
-    alpha = sum(cj[:, :, None] * cj.conj()[:, None, :] for cj in c.swapaxes(0, 1))
+    alpha = np.zeros((len(kets), n - k + 1, n - k + 1), dtype=complex)
+    for cj in c.swapaxes(0, 1):
+        a, b = cj[:, :, None], cj[:, None, :]
+        alpha.real += a.real * b.real + a.imag * b.imag
+        alpha.imag += a.imag * b.real - a.real * b.imag
     return [SymmetricDensity(n - k, a) for a in alpha]
 
 
@@ -325,18 +334,6 @@ def ml_phase_estimate(
     return 2.0 * math.pi * g / grid_size
 
 
-def _trace_document(trial: int, trace: ExperimentTrace) -> dict:
-    return {
-        "trial": trial,
-        "seed": trace.seed,
-        "events": [dict(vars(ev)) for ev in trace.events],  # TraceEvent fields are the keys
-        "final_state": {
-            "kind": "ket" if isinstance(trace.final_state, SymmetricKet) else "density",
-            **state_to_json(trace.final_state),
-        },
-    }
-
-
 def _run_trial_block(parsed: dict, start: int, count: int, keep_traces: bool = False) -> list[dict]:
     """Trials start, ..., start + count - 1 of a parsed config, one run_trials call per block.
 
@@ -354,15 +351,16 @@ def _run_trial_block(parsed: dict, start: int, count: int, keep_traces: bool = F
             parsed["schedule"],
             [parsed["seed"] + t for t in trial_ids],
         )
-        for t, trace in zip(trial_ids, traces):
+        lines = trace_lines(trial_ids, traces) if keep_traces else [None] * len(traces)
+        for t, trace, line in zip(trial_ids, traces, lines):
             entry: dict = {
                 "trial": t,
                 "labels": "".join(str(b) for b in trace.outcome_labels()),
             }
             if parsed["estimate"]:
                 entry["phi_hat"] = ml_phase_estimate(parsed["input"], trace)
-            if keep_traces:
-                entry["trace"] = _trace_document(t, trace)
+            if line is not None:
+                entry["trace"] = line
             results.append(entry)
     return results
 
@@ -377,7 +375,8 @@ def run_ensemble(config: dict, workers: int = 1, trace_sink=None) -> dict:
     phase-estimate distribution and the sharpness |<e^{i(phi_hat - phi)}>|
     over trials.  Identical (config, seed) give a
     byte-identical report.  trace_sink, if given, receives one JSON line per
-    trial (in trial order).
+    trial (in trial order), written in each block by serialize.trace_lines;
+    workers return the lines.
     """
     parsed = parse_config(config)
     trials = parsed["trials"]
@@ -397,10 +396,7 @@ def run_ensemble(config: dict, workers: int = 1, trace_sink=None) -> dict:
         entries = _run_trial_block(parsed, 0, trials, want_traces)
 
     if trace_sink is not None:
-        for e in entries:
-            trace_sink.write(json.dumps(e["trace"], sort_keys=True) + "\n")
-    for e in entries:
-        e.pop("trace", None)
+        trace_sink.writelines(e.pop("trace") for e in entries)
 
     counts = Counter(e["labels"] for e in entries)
     report = {

@@ -2,7 +2,9 @@
 
 Complex numbers travel as [re, im] pairs.  Floats are emitted with repr
 (shortest exact round-trip, at most 17 significant digits), so identical
-in-memory values always produce identical bytes.
+in-memory values always produce identical bytes.  The trace lines of
+`harness.run_ensemble` (trace_lines) fill one % template per block of trials
+from float_texts, which formats each distinct magnitude once.
 """
 
 from __future__ import annotations
@@ -41,6 +43,66 @@ def measurement_to_json(measurement) -> dict:
     raise ConfigError(f"not a measurement: {type(measurement).__name__}")
 
 
+def float_texts(values) -> np.ndarray:
+    """json's text of every float in values, as an object array of str of the same shape.
+
+    Each distinct magnitude is written once, by repr, and its sign put back
+    from np.signbit, so -0.0 reads "-0.0".  NaN and inf raise ValueError:
+    json.dumps would write NaN or Infinity, which JSON does not have.
+    """
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("cannot write a non-finite float as JSON")
+    magnitudes, which = np.unique(np.abs(values), return_inverse=True)
+    texts = [repr(x) for x in magnitudes.tolist()]
+    signed = np.array(texts + ["-" + text for text in texts], dtype=object)
+    return signed[which.reshape(values.shape) + len(texts) * np.signbit(values)]
+
+
+def _pairs_template(shape: tuple) -> str:
+    """The text json.dumps writes for _pairs of a complex array of this shape, with %s for each float."""
+    text = "[%s, %s]"
+    for size in reversed(shape):
+        text = "[" + ", ".join([text] * size) + "]"
+    return text
+
+
+_LOST = '{"kind": "lose", "label": null, "phi": null, "probability": null, "step": %d, "theta": null}'
+_MEASURED = '{"kind": "measure", "label": %%s, "phi": %%s, "probability": %%s, "step": %d, "theta": %%s}'
+
+
+def trace_lines(trial_ids, traces: list) -> list[str]:
+    """The newline-terminated JSON line of each trace, trial_ids its trial numbers.
+
+    Each line has the bytes of json.dumps(doc, sort_keys=True) of
+    {"trial": t, "seed": seed, "events": [the TraceEvent fields of each event],
+    "final_state": {"kind": "ket" or "density", "n": n, "amps" or "alpha": [re, im] pairs}}.
+    traces are harness.ExperimentTrace objects from one run_trials call, so
+    their events differ only in labels and floats and their final states
+    share one shape: one % template, built from the first trace, writes every
+    line, and float_texts formats all their floats at once.
+    """
+    first, count = traces[0], len(traces)
+    key, kind = ("amps", "ket") if isinstance(first.final_state, SymmetricKet) else ("alpha", "density")
+    finals = np.array([getattr(trace.final_state, key) for trace in traces])
+    events = ", ".join((_LOST if ev.kind == "lose" else _MEASURED) % ev.step for ev in first.events)
+    state = '{"%s": %s, "kind": "%s", "n": %d}' % (key, _pairs_template(finals.shape[1:]), kind,
+                                                     first.final_state.n)
+    template = '{"events": [' + events + '], "final_state": ' + state + ', "seed": %s, "trial": %s}\n'
+    m = sum(ev.kind == "measure" for ev in first.events)
+    measured = np.reshape([[(ev.label, ev.phi, ev.probability, ev.theta)
+                            for ev in trace.events if ev.kind == "measure"] for trace in traces], (count, m, 4))
+    texts = float_texts(np.concatenate(
+        (measured[:, :, 1:].reshape(count, 3 * m), finals.view(float).reshape(count, -1)), axis=1))
+    args = np.empty((count, m + texts.shape[1] + 2), dtype=object)  # the template's fields
+    columns = np.arange(4 * m).reshape(m, 4)  # of each measurement: label, phi, probability, theta
+    args[:, columns[:, 0]] = measured[:, :, 0].astype(int)
+    args[:, columns[:, 1:].ravel()] = texts[:, :3 * m]
+    args[:, 4 * m:-2] = texts[:, 3 * m:]
+    args[:, -2:] = [(trace.seed, t) for t, trace in zip(trial_ids, traces)]
+    return [template % tuple(row) for row in args.tolist()]
+
+
 def dumps_json(obj) -> str:
     """Deterministic JSON: sorted keys, repr floats, two-space indent, trailing newline.
 
@@ -49,37 +111,47 @@ def dumps_json(obj) -> str:
     pure-Python encoder that yields every token through a chain of
     generators.
     """
-    return _indented(obj, "\n") + "\n"
+    parts: list[str] = []
+    _indented(obj, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _indented(obj, newline: str) -> str:
-    """obj as indented JSON; newline is a line break plus obj's own indent.
+def _indented(obj, newline: str, parts: list) -> None:
+    """Append obj as indented JSON to parts; newline is a line break plus obj's own indent.
 
-    Dicts with str keys and lists are written here, nested float lists in
-    bulk (_float_array), scalars of exact types by _SCALARS.  A subclass of a
+    Every level writes into the one list, which dumps_json joins once.  Dicts
+    with str keys and lists are written here, nested float lists in bulk
+    (_float_array), scalars of exact types by _SCALARS.  A subclass of a
     JSON type, or a dict with other keys, goes to json.dumps whole, its lines
     indented to obj's depth; any other object is first made JSON-ready by
     _jsonable, as json.dumps would.
     """
     kind = type(obj)
-    if kind in _SCALARS:
-        return _SCALARS[kind](obj)
     inner = newline + "  "
-    if kind is dict and all(type(key) is str for key in obj):
-        if not obj:
-            return "{}"
-        items = [f"{_encode_str(key)}: {_indented(value, inner)}" for key, value in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        depth = _float_array_depth(obj)
-        if depth:
-            return _float_array(obj, depth, newline)
-        return "[" + inner + ("," + inner).join([_indented(item, inner) for item in obj]) + newline + "]"
-    if isinstance(obj, (dict, list, tuple, str, int, float)):  # a subclass, or non-str keys
-        return json.dumps(obj, sort_keys=True, indent=2, default=_jsonable).replace("\n", newline)
-    return _indented(_jsonable(obj), newline)
+    if kind in _SCALARS:
+        parts.append(_SCALARS[kind](obj))
+    elif kind is dict and all(type(key) is str for key in obj):
+        opening = "{" + inner
+        for key, value in sorted(obj.items()):
+            parts += (opening, _encode_str(key), ": ")
+            _indented(value, inner, parts)
+            opening = "," + inner
+        parts.append(newline + "}" if obj else "{}")
+    elif kind is list or kind is tuple:
+        if obj and (depth := _float_array_depth(obj)):
+            _float_array(obj, depth, newline, parts)
+        else:
+            opening = "[" + inner
+            for item in obj:
+                parts.append(opening)
+                _indented(item, inner, parts)
+                opening = "," + inner
+            parts.append(newline + "]" if obj else "[]")
+    elif isinstance(obj, (dict, list, tuple, str, int, float)):  # a subclass, or non-str keys
+        parts.append(json.dumps(obj, sort_keys=True, indent=2, default=_jsonable).replace("\n", newline))
+    else:
+        _indented(_jsonable(obj), newline, parts)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -104,8 +176,8 @@ def _float_array_depth(obj) -> int:
         level, depth = list(chain.from_iterable(level)), depth + 1
 
 
-def _float_array(obj, depth: int, newline: str) -> str:
-    """A _float_array_depth array, from json.dumps's compact text.
+def _float_array(obj, depth: int, newline: str, parts: list) -> None:
+    """Append a _float_array_depth array to parts, from json.dumps's compact text.
 
     Between two floats, k lists close and k reopen, so "]" * k + "," + "[" * k
     is a separator of its own, replaced by its indented form: first every
@@ -125,7 +197,7 @@ def _float_array(obj, depth: int, newline: str) -> str:
     body = body.replace(",", "," + lines[depth])
     for k in range(1, depth):
         body = body.replace(chr(k), close(k) + "," + reopen(k))
-    return "[" + reopen(depth - 1) + body + close(depth)
+    parts += ("[" + reopen(depth - 1), body, close(depth))
 
 
 def _jsonable(obj):

@@ -540,6 +540,13 @@ def check_estimator_replay(max_n: int = 10, seeds: int = 20, tol: float = 1e-10)
     return PropertyResult("estimator_replay_equivalence", cases, worst, tol, passed, note)
 
 
+def _exactly_hermitian(alpha: np.ndarray) -> bool:
+    """The real part bitwise symmetric, the imaginary part antisymmetric, its diagonal +0.0."""
+    return (alpha.real.tobytes() == alpha.real.T.tobytes()
+            and np.array_equal(alpha.imag, -alpha.imag.T)
+            and not np.signbit(np.diagonal(alpha.imag)).any())
+
+
 def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -> PropertyResult:
     """A block of trials equals each trial run alone and the stepwise lossy replay.
 
@@ -547,14 +554,16 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
     schedules that leave one qubit (so a final density is at least 2x2),
     run_trials runs one block of four seeds.  Each trial's labels,
     probabilities and final state must equal run_trial on its seed alone,
-    exactly; compact_sequence_prob, replaying the trial with each loss applied
-    where it occurs, must give the same probabilities at `tol` and the same
-    final state at 1e-12.
+    exactly, and a final density must be exactly Hermitian (_exactly_hermitian);
+    compact_sequence_prob, replaying the trial with each loss applied where it
+    occurs, must give the same probabilities at `tol` and the same final state
+    at 1e-12.
     """
     state_tol = 1e-12
     worst = 0.0
     state_worst = 0.0
     mismatched = 0
+    not_hermitian = 0
     cases = 0
     for seed in range(seeds):
         rng = np.random.default_rng(14_000 + seed)
@@ -570,6 +579,8 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
             alone = run_trial(ket, channel, policy, schedule, trace.seed)
             if alone.events != trace.events or _coefficient_gap(alone.final_state, trace.final_state) != 0.0:
                 mismatched += 1
+            if isinstance(trace.final_state, SymmetricDensity) and not _exactly_hermitian(trace.final_state.alpha):
+                not_hermitian += 1
             try:
                 _, probs, final = compact_sequence_prob(ket, _reference_steps(trace.steps(), channel))
             except ZeroProbabilityError:  # a drawn label the reference cannot condition on
@@ -578,10 +589,12 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
             worst = max([worst] + [abs(p - q) for p, q in zip(probs, recorded)])
             state_worst = max(state_worst, _coefficient_gap(trace.final_state, final))
             cases += 1
-    passed = mismatched == 0 and worst <= tol and state_worst <= state_tol
+    passed = mismatched == 0 and not_hermitian == 0 and worst <= tol and state_worst <= state_tol
     notes = []
     if mismatched:
         notes.append(f"{mismatched} trials differ from run_trial alone")
+    if not_hermitian:
+        notes.append(f"{not_hermitian} final densities not exactly Hermitian")
     if state_worst > state_tol:
         notes.append(f"final states differ by {state_worst:.3e}")
     return PropertyResult("batched_trial_equivalence", cases, max(worst, state_worst), tol, passed,

@@ -18,7 +18,8 @@ from dicke_sim.errors import (
     ConfigError,
 )
 from dicke_sim.measure import SingleQubitPVM, pvm_from_bloch
-from dicke_sim.serialize import _jsonable, dumps_json, measurement_to_json, rows_to_csv, state_to_json
+from dicke_sim.serialize import (_jsonable, _pairs, _pairs_template, dumps_json, float_texts, measurement_to_json,
+                                 rows_to_csv, state_to_json)
 from dicke_sim.spec import measurement_from_json, state_from_json
 from dicke_sim.states import SymmetricKet, basis_state, make_ket, to_density
 from dicke_sim.verify import random_kraus_pair, random_symmetric_density
@@ -42,8 +43,6 @@ class TestStateJson:
         assert np.array_equal(back.amps, ket.amps)  # repr round-trip is exact
 
     def test_pairs_match_per_element_form(self):
-        from dicke_sim.serialize import _pairs
-
         def per_element(a):
             return [per_element(x) for x in a] if a.ndim > 1 else [[float(z.real), float(z.imag)] for z in a]
 
@@ -568,3 +567,21 @@ class TestDumpsJson:
         doc = {"z\u00e9\u2603\U0001f600\n\"": [[-0.0, 5e-324], [1e308, math.nan], [math.inf, -math.inf]],
                "empty": [[], {}, (), ""], "ragged": [[1.0], [[2.0]], [3.0, 4]], "np": np.eye(2)}
         assert dumps_json(doc) == json.dumps(doc, sort_keys=True, indent=2, default=_jsonable) + "\n"
+
+
+class TestFloatTexts:
+    def test_signs_shapes_and_repeats(self):
+        values = np.array([[-0.0, 0.0, 5e-324], [-5e-324, 0.1, -0.1], [1e16, -1e16, 0.1]])
+        assert float_texts(values).tolist() == [[json.dumps(x) for x in row] for row in values.tolist()]
+        assert float_texts(np.zeros((2, 0))).shape == (2, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            float_texts([0.5, bad])
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (3,), (2, 2), (3, 1, 2)])
+    def test_pairs_template_fills_to_json_text(self, shape):
+        arr = np.arange(1, 1 + math.prod(shape)).reshape(shape) * (0.5 - 0.25j)
+        texts = float_texts(arr.view(float))
+        assert _pairs_template(shape) % tuple(texts.ravel().tolist()) == json.dumps(_pairs(arr))

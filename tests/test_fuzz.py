@@ -1,5 +1,6 @@
 """Fuzzed command-line input: whatever the config document or spec string,
 `main` returns 0, 2, 3 or 5, raises nothing, and prints at most one stderr line.
+Fuzzed floats: the trace writer's formatter gives json.dumps's text of each.
 
 Sizes stay small (n <= 16, trials <= 4, schedules <= n) so that each run is
 cheap; the readers must refuse everything else before any work starts.
@@ -9,11 +10,13 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dicke_sim.cli import main
+from dicke_sim.serialize import float_texts
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 20) | st.integers(-(2**70), 2**70) | st.floats()
@@ -153,3 +156,14 @@ def test_state_and_measurement_files(state, measurement, doc_path):
     _assert_clean_exit(["measure", f"--state=file:{doc_path}", "--pvm=hadamard"])
     doc_path.write_text(json.dumps(measurement))
     _assert_clean_exit(["measure", "--state=uniform:3", f"--pvm=file:{doc_path}"])
+
+
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, -1e-5, 1e300, -1e300, 0.1])
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | EDGE_FLOATS
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(FINITE, max_size=12), repeats=st.lists(st.integers(0, 11), max_size=6))
+def test_float_texts_are_json_texts(values, repeats):
+    values = values + [-values[i % len(values)] for i in repeats if values]  # repeated magnitudes
+    assert float_texts(np.array(values, dtype=float)).tolist() == [json.dumps(x) for x in values]

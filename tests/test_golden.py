@@ -1,9 +1,14 @@
-"""Pinned `simulate` reports of two lossy configs with estimation.
+"""Pinned `simulate` reports and trace files of two lossy configs with estimation.
 
-The expected values were recorded from the batched trial loop before the
-deferred losses moved into one split-coefficient product and the forced
-replays into one loop; a refactor of either must leave them unchanged.
+The expected report values were recorded from the batched trial loop before
+the deferred losses moved into one split-coefficient product and the forced
+replays into one loop; a refactor of either must leave them unchanged.  The
+trace digests were recorded once the final densities became exactly
+Hermitian and the trace lines were written from one template per block.
 """
+
+import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -73,3 +78,17 @@ def test_pinned_report(config, sequences, estimates, sharpness):
     }
     assert report["estimation"]["estimate_distribution"] == estimates
     assert report["estimation"]["sharpness"] == pytest.approx(sharpness, abs=1e-12)
+
+
+TRACE_SHA256 = [  # of the whole --trace-out text
+    (ADAPTIVE, "38438b561935458f817eeadfe0d697e1dfa8a66ddf51a9367e8b9c652b7f1552"),
+    (FIXED_64, "b7d5a7aefac00cd42065624c110bc3fd99d41003d8d4ef9d00a43456e6fe954c"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("config, digest", TRACE_SHA256, ids=["adaptive-12", "fixed-64"])
+def test_pinned_trace_digest(config, digest, workers):
+    sink = io.StringIO()
+    run_ensemble(config, workers=workers, trace_sink=sink)
+    assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == digest
