@@ -110,7 +110,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
-    for flag, value in (("--max-n", args.max_n), ("--seeds", args.seeds), ("--workers", args.workers)):
+    convert(int, args.max_n, "--max-n", lo=2)
+    for flag, value in (("--seeds", args.seeds), ("--workers", args.workers)):
         convert(int, value, flag, lo=1)
     report = run_suite(
         max_n=args.max_n,

@@ -16,10 +16,15 @@ Trials run in blocks (`run_trials`): the T kets of a block advance as one
 (T, n+1) array, with one vectorized measurement step per `measure` event.
 The block size follows from n, so that a block's largest array, its
 (T, n+1, n+1) final densities, stays within BLOCK_BYTES.  A trial's outcome
-does not depend on its block.  Forced replays (`evaluate_sequence`) and the
-likelihood grid (`grid_log_likelihoods`) share one loop, `_forced_replay`,
-which holds its kets phase-major, kets[nu, g].  It and the ML estimate's
-replay take each step's weights from one helper, `_forced_weights`.
+does not depend on its block.  An ensemble (`run_ensemble`) is one ordered
+list of blocks for any worker count.  Its trace lines are written per block,
+in trial order, as soon as the block and every block before it are done, so
+on an error the trace holds the lines of the blocks finished before it.
+
+Forced replays (`evaluate_sequence`) and the likelihood grid
+(`grid_log_likelihoods`) share one loop, `_forced_replay`, which holds its
+kets phase-major, kets[nu, g].  It and the ML estimate's replay take each
+step's weights from one helper, `_forced_weights`.
 
 The ML estimate (`ml_phase_estimate`) needs no phase in its replay: the
 channel diag(1, e^{i phi}) on every qubit multiplies |nu> by e^{i nu phi}, so
@@ -34,6 +39,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import add, mul
 
 import numpy as np
@@ -334,71 +340,66 @@ def ml_phase_estimate(
     return 2.0 * math.pi * g / grid_size
 
 
-def _run_trial_block(parsed: dict, start: int, count: int, keep_traces: bool = False) -> list[dict]:
-    """Trials start, ..., start + count - 1 of a parsed config, one run_trials call per block.
+def _ordered_map(fn, workers: int, *iterables):
+    """fn over the zipped iterables, lazily and in order, in `workers` processes.
 
-    A block holds as many trials as fit their (n+1, n+1) densities into
-    BLOCK_BYTES, and at least one.
+    builtin map at one worker, ProcessPoolExecutor.map otherwise; either way a
+    result is yielded as soon as it and every result before it are done.
     """
-    size = max(1, BLOCK_BYTES // (16 * (parsed["n"] + 1) ** 2))
-    results = []
-    for first in range(start, start + count, size):
-        trial_ids = range(first, min(first + size, start + count))
-        traces = run_trials(
-            parsed["input"],
-            parsed["channel"],
-            parsed["policy"],
-            parsed["schedule"],
-            [parsed["seed"] + t for t in trial_ids],
-        )
-        lines = trace_lines(trial_ids, traces) if keep_traces else [None] * len(traces)
-        for t, trace, line in zip(trial_ids, traces, lines):
-            entry: dict = {
-                "trial": t,
-                "labels": "".join(str(b) for b in trace.outcome_labels()),
-            }
-            if parsed["estimate"]:
-                entry["phi_hat"] = ml_phase_estimate(parsed["input"], trace)
-            if line is not None:
-                entry["trace"] = line
-            results.append(entry)
-    return results
+    if workers == 1:
+        yield from map(fn, *iterables)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # here, so that no CLI start pays for it
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, *iterables)
+
+
+def _run_trial_block(parsed: dict, trial_ids: range, keep_traces: bool):
+    """Trials trial_ids of a parsed config in one run_trials call.
+
+    Returns their outcome labels, their phase estimates (none when estimation
+    is off) and their trace lines (none unless keep_traces), in trial order.
+    """
+    traces = run_trials(parsed["input"], parsed["channel"], parsed["policy"], parsed["schedule"],
+                        [parsed["seed"] + t for t in trial_ids])
+    labels = ["".join(map(str, trace.outcome_labels())) for trace in traces]
+    estimates = [ml_phase_estimate(parsed["input"], tr) for tr in traces] if parsed["estimate"] else []
+    return labels, estimates, trace_lines(trial_ids, traces) if keep_traces else []
 
 
 def run_ensemble(config: dict, workers: int = 1, trace_sink=None) -> dict:
     """Run `trials` independent trials with seeds base, base+1, ...
 
-    Each worker takes a contiguous range of trials and runs it in blocks
-    through run_trials; a trial's outcome depends on neither, so the report is
-    the same for any worker count.  The report is a JSON-ready dict:
+    The trials run as one ordered list of blocks (_run_trial_block) over
+    `workers` processes.  A block holds as many trials as fit their (n+1, n+1)
+    densities into BLOCK_BYTES, at most ceil(trials / workers) and at least
+    one.  A trial's outcome does not depend on its block, so the report is the
+    same for any worker count.  The report is a JSON-ready dict:
     per-outcome-sequence frequencies, and (when estimation is on) the
     phase-estimate distribution and the sharpness |<e^{i(phi_hat - phi)}>|
-    over trials.  Identical (config, seed) give a
-    byte-identical report.  trace_sink, if given, receives one JSON line per
-    trial (in trial order), written in each block by serialize.trace_lines;
-    workers return the lines.
+    over trials.  Identical (config, seed) give a byte-identical report.
+    trace_sink, if given, receives one JSON line per trial
+    (serialize.trace_lines), in trial order, written as soon as the block and
+    every block before it are done: on an error it holds the lines of those
+    blocks.
     """
     parsed = parse_config(config)
     trials = parsed["trials"]
-    want_traces = trace_sink is not None
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+    size = max(1, min(BLOCK_BYTES // (16 * (parsed["n"] + 1) ** 2), -(-trials // workers)))
+    blocks = [range(s, min(s + size, trials)) for s in range(0, trials, size)]
+    counts: Counter = Counter()
+    estimates: list[float] = []
+    for labels, phi_hats, lines in _ordered_map(
+        _run_trial_block, workers, repeat(parsed), blocks, repeat(trace_sink is not None)
+    ):
+        counts.update(labels)
+        estimates += phi_hats
+        if trace_sink is not None:
+            trace_sink.writelines(lines)
 
-        chunk = -(-trials // workers)
-        blocks = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_trial_block, parsed, s, c, want_traces) for s, c in blocks
-            ]
-            entries = [e for f in futures for e in f.result()]
-        entries.sort(key=lambda e: e["trial"])
-    else:
-        entries = _run_trial_block(parsed, 0, trials, want_traces)
-
-    if trace_sink is not None:
-        trace_sink.writelines(e.pop("trace") for e in entries)
-
-    counts = Counter(e["labels"] for e in entries)
     report = {
         "schema_version": 1,
         "config": config,
@@ -411,7 +412,6 @@ def run_ensemble(config: dict, workers: int = 1, trace_sink=None) -> dict:
     }
     if parsed["estimate"]:
         phi_true = parsed["channel"].phi
-        estimates = [e["phi_hat"] for e in entries]
         mean = sum(complex(math.cos(e - phi_true), math.sin(e - phi_true)) for e in estimates)
         dist = Counter(f"{e:.10f}" for e in estimates)
         report["estimation"] = {

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import (DickeSimError, DomainError, NotSymmetricError, ResourceLimitError,
                      ZeroProbabilityError)
-from .harness import (TIE_TOL, combined_pvm, evaluate_sequence, grid_log_likelihoods,
-                      ml_phase_estimate, run_trial, run_trials)
+from .harness import (TIE_TOL, _ordered_map, combined_pvm, evaluate_sequence,
+                      grid_log_likelihoods, ml_phase_estimate, run_trial, run_trials)
 from .measure import (
     SingleQubitKraus,
     SingleQubitPVM,
@@ -809,18 +810,11 @@ def run_suite(
     """
     if max_n > density_cap():
         raise ResourceLimitError(f"max_n {max_n} exceeds dense density cap {density_cap()}")
-    if min(max_n, seeds) < 1:
-        raise DomainError(f"max_n and seeds must be >= 1, got {max_n} and {seeds}")
+    if max_n < 2 or min(seeds, workers) < 1:
+        raise DomainError(
+            f"max_n must be >= 2 and seeds and workers >= 1, got {max_n}, {seeds} and {workers}")
     params = SuiteParams(max_n, seeds, tolerance, corrupt_xi)
-    names = list(PROPERTY_BUILDERS)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(_run_one_property, name, params) for name in names}
-            results = [futures[name].result() for name in names]
-    else:
-        results = [_run_one_property(name, params) for name in names]
+    results = list(_ordered_map(_run_one_property, workers, PROPERTY_BUILDERS, repeat(params)))
     return {
         "schema_version": 1,
         "parameters": {

@@ -313,8 +313,9 @@ class TestMalformedInputs:
     def test_verify_seeds_below_one(self, flags, capsys):
         self._assert_config_error(["verify", *flags], capsys)
 
-    def test_verify_max_n_below_one(self, capsys):
-        self._assert_config_error(["verify", "--max-n", "0"], capsys)
+    @pytest.mark.parametrize("max_n", ["0", "1"])
+    def test_verify_max_n_below_two(self, max_n, capsys):
+        self._assert_config_error(["verify", "--max-n", max_n], capsys)
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one(self, workers, tmp_path, capsys):

@@ -269,12 +269,14 @@ class TestBatchedTrials:
     def test_workers_match_on_lossy_feedback(self):
         import io
 
-        config = self._lossy_feedback_config(9)
-        sinks = io.StringIO(), io.StringIO()
-        one = run_ensemble(config, workers=1, trace_sink=sinks[0])
-        two = run_ensemble(config, workers=2, trace_sink=sinks[1])
-        assert one == two
-        assert sinks[0].getvalue() == sinks[1].getvalue()
+        # an even split, a split that the worker count does not divide, more workers than trials
+        for trials, workers in [(9, 2), (7, 3), (2, 3)]:
+            config = self._lossy_feedback_config(trials)
+            sinks = io.StringIO(), io.StringIO()
+            one = run_ensemble(config, workers=1, trace_sink=sinks[0])
+            many = run_ensemble(config, workers=workers, trace_sink=sinks[1])
+            assert one == many
+            assert sinks[0].getvalue() == sinks[1].getvalue()
 
     def test_nan_setting_rejected(self):
         class NanForSecondTrial(FixedPolicy):
@@ -509,6 +511,49 @@ class TestTraceLines:
         monkeypatch.setattr(harness, "BLOCK_BYTES", 3 * 16 * 10**2)  # blocks of 3, 3 and 1
         run_ensemble(config, trace_sink=split)
         assert split.getvalue() == whole.getvalue()
+
+    def test_lines_are_written_as_each_block_finishes(self, monkeypatch):
+        import io
+
+        import dicke_sim.harness as harness
+
+        config = self.CONFIGS["round-robin-density"]
+        whole = io.StringIO()
+        run_ensemble(config, trace_sink=whole)
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 3 * 16 * 10**2)  # blocks of 3, 3 and 1
+        blocks_run = []
+        batched = harness.run_trials
+
+        def counting(*args):
+            blocks_run.append(len(args[-1]))
+            return batched(*args)
+
+        class RecordingSink:  # notes how many blocks had run at each write
+            def __init__(self):
+                self.parts, self.blocks_run_at_write = [], []
+
+            def write(self, text):
+                self.writelines([text])
+
+            def writelines(self, lines):
+                self.blocks_run_at_write.append(len(blocks_run))
+                self.parts.extend(lines)
+
+        monkeypatch.setattr(harness, "run_trials", counting)
+        sink = RecordingSink()
+        run_ensemble(config, trace_sink=sink)
+        assert blocks_run == [3, 3, 1]
+        assert sink.blocks_run_at_write == [1, 2, 3]
+        assert "".join(sink.parts) == whole.getvalue()
+
+        # an error in the third block leaves the lines of the first two
+        blocks_run.clear()
+        monkeypatch.setattr(harness, "run_trials",
+                            lambda *args: counting(*args) if len(blocks_run) < 2 else 1 / 0)
+        sink = RecordingSink()
+        with pytest.raises(ZeroDivisionError):
+            run_ensemble(config, trace_sink=sink)
+        assert "".join(sink.parts) == "".join(whole.getvalue().splitlines(keepends=True)[:6])
 
 
 class TestMlEstimate:
