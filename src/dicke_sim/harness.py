@@ -12,14 +12,18 @@ partial trace commutes with a measurement on another qubit, so trials (through
 ket at every step and trace the lost qubits out of the final ket once, in one
 product through the split coefficients (`_final_states`).
 
-Trials run in blocks (`run_trials`): the T kets of a block advance as one
-(T, n+1) array, with one vectorized measurement step per `measure` event.
-The block size follows from n, so that a block's largest array, its
-(T, n+1, n+1) final densities, stays within BLOCK_BYTES.  A trial's outcome
-does not depend on its block.  An ensemble (`run_ensemble`) is one ordered
-list of blocks for any worker count.  Its trace lines are written per block,
-in trial order, as soon as the block and every block before it are done, so
-on an error the trace holds the lines of the blocks finished before it.
+Trials run in blocks (`_trial_block`): the T kets of a block advance as one
+(T, n+1) array, with one vectorized measurement step per `measure` event,
+and the block returns arrays: settings, labels and probabilities (T, m) and
+the final kets or densities.  `run_trials` wraps them as one ExperimentTrace
+per trial; an ensemble does so only for the estimator and writes its labels
+and trace lines from the arrays.  The block size follows from n, so that a
+block's largest array, its (T, n+1, n+1) final densities, stays within
+BLOCK_BYTES.  A trial's outcome does not depend on its block.  An ensemble
+(`run_ensemble`) is one ordered list of blocks for any worker count.  Its
+trace lines are written per block, in trial order, as soon as the block and
+every block before it are done, so on an error the trace holds the lines of
+the blocks finished before it.
 
 Forced replays (`evaluate_sequence`) and the likelihood grid
 (`grid_log_likelihoods`) share one loop, `_forced_replay`, which holds its
@@ -37,9 +41,10 @@ those coefficients and evaluates them at every grid phase with one FFT;
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import lru_cache, partial
 from operator import add, mul
 
 import numpy as np
@@ -54,7 +59,7 @@ from .measure import (
 )
 from .serialize import trace_lines
 from .spec import LossSchedule, PhaseChannel, Policy, parse_config
-from .states import SymmetricDensity, SymmetricKet, general_split
+from .states import SymmetricDensity, SymmetricKet, general_split, require_densities
 
 BLOCK_BYTES = 1 << 22  # memory budget of a trial block's (T, n+1, n+1) densities
 ESTIMATE_GRID = 1024
@@ -96,36 +101,107 @@ class ExperimentTrace:
                 for ev in self.events]
 
 
-def _final_states(kets: np.ndarray, k: int) -> list[SymmetricKet | SymmetricDensity]:
+@lru_cache(maxsize=1)
+def _loss_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """_final_states' gather table for k of n qubits lost, as read-only arrays.
+
+    nus[j, mu] = mu + j and xi[j, mu] = Xi(k, n; j, mu + j), from one
+    general_split call per nu.  It depends only on (n, k), so the blocks of
+    an ensemble share the one kept.
+    """
+    table = np.zeros((k + 1, n + 1))
+    for nu in range(n + 1):
+        for c in general_split(n, nu, k):
+            table[c.mu, nu] = c.value
+    nus = np.arange(k + 1)[:, None] + np.arange(n - k + 1)
+    xi = np.take_along_axis(table, nus, axis=1)
+    nus.setflags(write=False)
+    xi.setflags(write=False)
+    return nus, xi
+
+
+def _final_states(kets: np.ndarray, k: int) -> np.ndarray:
     """The k deferred losses, traced out of every final ket kets[T] in one product.
 
     Splitting the k lost qubits off |nu> of the N left leaves j ones among
     them with amplitude Xi(k, N; j, nu), so alpha = sum_j c_j c_j^dag with
-    c_j[mu] = psi[mu + j] Xi(k, N; j, mu + j), from one general_split table
-    per call.  k = 0 keeps the kets pure.
+    c_j[mu] = psi[mu + j] Xi(k, N; j, mu + j), gathered through _loss_table.
+    Returns the densities alpha[T, N-k+1, N-k+1], checked once over the
+    block as SymmetricDensity checks each (states.require_densities).
+    k = 0 returns the kets as they are: in a trial block they are the input
+    or come from measure_pure_batch, whose norm check is SymmetricKet's, and
+    evaluate_sequence builds its one as a SymmetricKet.
 
     With c_j = x + iy, the real part x_a x_b + y_a y_b and the imaginary part
-    y_a x_b - x_a y_b are summed separately, elementwise over j in order.  So
-    alpha has the same bytes in any block and is exactly Hermitian: its real
-    part is bitwise symmetric, its imaginary part antisymmetric, and its
-    imaginary diagonal 0.0.  (numpy's complex product c_a conj(c_b) is not:
-    it leaves imaginary diagonals of about 1e-19.)
+    y_a x_b - x_a y_b are summed separately, elementwise over j in order, in
+    buffers reused for every j.  So alpha has the same bytes in any block and
+    is exactly Hermitian: its real part is bitwise symmetric, its imaginary
+    part antisymmetric, and its imaginary diagonal 0.0.  (numpy's complex
+    product c_a conj(c_b) is not: it leaves imaginary diagonals of about
+    1e-19.)
     """
     n = kets.shape[-1] - 1
     if k == 0:
-        return [SymmetricKet(n, ket) for ket in kets]
-    xi = np.zeros((k + 1, n + 1))
-    for nu in range(n + 1):
-        for c in general_split(n, nu, k):
-            xi[c.mu, nu] = c.value
-    nus = np.arange(k + 1)[:, None] + np.arange(n - k + 1)  # nus[j, mu] = mu + j
-    c = kets[:, nus] * np.take_along_axis(xi, nus, axis=1)  # c[T, j, mu]
+        return kets
+    nus, xi = _loss_table(n, k)
+    c = kets[:, nus] * xi  # c[T, j, mu]
     alpha = np.zeros((len(kets), n - k + 1, n - k + 1), dtype=complex)
+    term, product = np.empty(alpha.shape), np.empty(alpha.shape)
     for cj in c.swapaxes(0, 1):
         a, b = cj[:, :, None], cj[:, None, :]
-        alpha.real += a.real * b.real + a.imag * b.imag
-        alpha.imag += a.imag * b.real - a.real * b.imag
-    return [SymmetricDensity(n - k, a) for a in alpha]
+        np.multiply(a.real, b.real, out=term)
+        term += np.multiply(a.imag, b.imag, out=product)
+        alpha.real += term
+        np.multiply(a.imag, b.real, out=term)
+        term -= np.multiply(a.real, b.imag, out=product)
+        alpha.imag += term
+    require_densities(alpha)
+    return alpha
+
+
+def _as_state(final: np.ndarray) -> SymmetricKet | SymmetricDensity:
+    """One row of _final_states as a SymmetricKet or SymmetricDensity."""
+    n = final.shape[-1] - 1
+    return SymmetricKet(n, final) if final.ndim == 1 else SymmetricDensity(n, final)
+
+
+def _trial_block(input_state: SymmetricKet, channel: PhaseChannel, policy: Policy,
+                 schedule: LossSchedule, seeds) -> tuple[np.ndarray, ...]:
+    """run_trials' arithmetic, returning arrays instead of traces.
+
+    Returns thetas, phis, labels and probs of shape (T, m), one column per
+    measurement in schedule order, and the final states: kets (T, n+1) when
+    the schedule loses nothing, else densities (T, d, d) (_final_states).
+    """
+    if len(schedule.events) > input_state.n:
+        raise DomainError(
+            f"schedule has {len(schedule.events)} events but only {input_state.n} qubits"
+        )
+    trials, m = len(seeds), schedule.measurement_count()
+    uniforms = np.array([np.random.default_rng(s).random(m) for s in seeds]).reshape(trials, m)
+    fold = np.diagonal(channel.unitary())  # kappa @ U for the diagonal channel U
+    kets = np.tile(input_state.amps, (trials, 1))
+    labels = np.zeros((trials, m), dtype=int)
+    thetas, phis, probs = np.zeros((3, trials, m))
+    for j in range(m):  # the j-th measurement; losses wait for the end
+        thetas[:, j], phis[:, j] = policy.next_settings(labels[:, :j])
+        kappas = bloch_kappas(thetas[:, j], phis[:, j]) * fold
+        labels[:, j], probs[:, j], kets = measure_pure_batch(kets, kappas, uniforms[:, j])
+    return thetas, phis, labels, probs, _final_states(kets, len(schedule.events) - m)
+
+
+def _traces(schedule: LossSchedule, seeds, thetas, phis, labels, probs, finals) -> list[ExperimentTrace]:
+    """A _trial_block's arrays as one ExperimentTrace per trial."""
+    per_trial = zip(thetas.tolist(), phis.tolist(), labels.tolist(), probs.tolist())
+    traces = []
+    for seed, final, rows in zip(seeds, finals, per_trial):
+        measured = zip(*rows)  # (theta, phi, label, probability) of each measurement
+        events = tuple(
+            TraceEvent(step, "lose") if kind == "lose" else TraceEvent(step, "measure", *next(measured))
+            for step, kind in enumerate(schedule.events)
+        )
+        traces.append(ExperimentTrace(seed, events, _as_state(final)))
+    return traces
 
 
 def run_trials(
@@ -143,34 +219,11 @@ def run_trials(
     advance as one (T, n+1) array: each `measure` event builds every trial's
     detector from policy.next_settings with the channel folded in, and takes
     one measure_pure_batch step.  `lose` events are only recorded; the lost
-    qubits are traced out of the final kets once.  Only the final states are
-    built as validated SymmetricKet / SymmetricDensity objects.
+    qubits are traced out of the final kets once.  The block runs as arrays
+    (_trial_block); only then is each trial wrapped as an ExperimentTrace
+    with a SymmetricKet / SymmetricDensity final state.
     """
-    if len(schedule.events) > input_state.n:
-        raise DomainError(
-            f"schedule has {len(schedule.events)} events but only {input_state.n} qubits"
-        )
-    trials, m = len(seeds), schedule.measurement_count()
-    uniforms = np.array([np.random.default_rng(s).random(m) for s in seeds]).reshape(trials, m)
-    fold = np.diagonal(channel.unitary())  # kappa @ U for the diagonal channel U
-    kets = np.tile(input_state.amps, (trials, 1))
-    labels = np.zeros((trials, m), dtype=int)
-    thetas, phis, probs = np.zeros((3, trials, m))
-    for j in range(m):  # the j-th measurement; losses wait for the end
-        thetas[:, j], phis[:, j] = policy.next_settings(labels[:, :j])
-        kappas = bloch_kappas(thetas[:, j], phis[:, j]) * fold
-        labels[:, j], probs[:, j], kets = measure_pure_batch(kets, kappas, uniforms[:, j])
-    finals = _final_states(kets, len(schedule.events) - m)
-    per_trial = zip(thetas.tolist(), phis.tolist(), labels.tolist(), probs.tolist())
-    traces = []
-    for seed, final, rows in zip(seeds, finals, per_trial):
-        measured = zip(*rows)  # (theta, phi, label, probability) of each measurement
-        events = tuple(
-            TraceEvent(step, "lose") if kind == "lose" else TraceEvent(step, "measure", *next(measured))
-            for step, kind in enumerate(schedule.events)
-        )
-        traces.append(ExperimentTrace(seed, events, final))
-    return traces
+    return _traces(schedule, seeds, *_trial_block(input_state, channel, policy, schedule, seeds))
 
 
 def run_trial(input_state: SymmetricKet, channel: PhaseChannel, policy: Policy,
@@ -251,7 +304,7 @@ def evaluate_sequence(
     if not (probs >= ZERO_PROB_EPS).all():
         raise ZeroProbabilityError(
             f"a forced label has probability {probs.min():.3e} below {ZERO_PROB_EPS}")
-    return probs[0].tolist(), _final_states(kets, len(steps) - probs.shape[1])[0]
+    return probs[0].tolist(), _as_state(_final_states(kets, len(steps) - probs.shape[1])[0])
 
 
 def _require_grid_size(grid_size) -> None:
@@ -340,32 +393,41 @@ def ml_phase_estimate(
     return 2.0 * math.pi * g / grid_size
 
 
-def _ordered_map(fn, workers: int, *iterables):
-    """fn over the zipped iterables, lazily and in order, in `workers` processes.
+def _ordered_map(fn, workers: int, tasks: list):
+    """fn over tasks, lazily and in order, in at most `workers` processes.
 
     builtin map at one worker, ProcessPoolExecutor.map otherwise; either way a
-    result is yielded as soon as it and every result before it are done.
+    result is yielded as soon as it and every result before it are done.  The
+    pool has min(workers, len(tasks), os.cpu_count() or 1) processes: under
+    the fork start method it launches all of them at the first submit, and
+    processes beyond the tasks or the CPUs would only wait.
     """
     if workers == 1:
-        yield from map(fn, *iterables)
+        yield from map(fn, tasks)
         return
     from concurrent.futures import ProcessPoolExecutor  # here, so that no CLI start pays for it
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, *iterables)
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        yield from pool.map(fn, tasks)
 
 
 def _run_trial_block(parsed: dict, trial_ids: range, keep_traces: bool):
-    """Trials trial_ids of a parsed config in one run_trials call.
+    """Trials trial_ids of a parsed config in one _trial_block call.
 
     Returns their outcome labels, their phase estimates (none when estimation
     is off) and their trace lines (none unless keep_traces), in trial order.
+    The block stays arrays: only the estimator gets ExperimentTrace objects.
     """
-    traces = run_trials(parsed["input"], parsed["channel"], parsed["policy"], parsed["schedule"],
-                        [parsed["seed"] + t for t in trial_ids])
-    labels = ["".join(map(str, trace.outcome_labels())) for trace in traces]
-    estimates = [ml_phase_estimate(parsed["input"], tr) for tr in traces] if parsed["estimate"] else []
-    return labels, estimates, trace_lines(trial_ids, traces) if keep_traces else []
+    seeds = [parsed["seed"] + t for t in trial_ids]
+    block = _trial_block(parsed["input"], parsed["channel"], parsed["policy"], parsed["schedule"], seeds)
+    labels = ["".join(map(str, row)) for row in block[2].tolist()]
+    estimates = []
+    if parsed["estimate"]:
+        estimates = [ml_phase_estimate(parsed["input"], trace)
+                     for trace in _traces(parsed["schedule"], seeds, *block)]
+    lines = trace_lines(trial_ids, seeds, parsed["schedule"].events, *block) if keep_traces else []
+    return labels, estimates, lines
 
 
 def run_ensemble(config: dict, workers: int = 1, trace_sink=None) -> dict:
@@ -392,9 +454,8 @@ def run_ensemble(config: dict, workers: int = 1, trace_sink=None) -> dict:
     blocks = [range(s, min(s + size, trials)) for s in range(0, trials, size)]
     counts: Counter = Counter()
     estimates: list[float] = []
-    for labels, phi_hats, lines in _ordered_map(
-        _run_trial_block, workers, repeat(parsed), blocks, repeat(trace_sink is not None)
-    ):
+    block_results = partial(_run_trial_block, parsed, keep_traces=trace_sink is not None)
+    for labels, phi_hats, lines in _ordered_map(block_results, workers, blocks):
         counts.update(labels)
         estimates += phi_hats
         if trace_sink is not None:

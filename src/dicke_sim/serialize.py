@@ -71,35 +71,34 @@ _LOST = '{"kind": "lose", "label": null, "phi": null, "probability": null, "step
 _MEASURED = '{"kind": "measure", "label": %%s, "phi": %%s, "probability": %%s, "step": %d, "theta": %%s}'
 
 
-def trace_lines(trial_ids, traces: list) -> list[str]:
-    """The newline-terminated JSON line of each trace, trial_ids its trial numbers.
+def trace_lines(trial_ids, seeds, events, thetas, phis, labels, probs, finals) -> list[str]:
+    """The newline-terminated JSON line of each trial of a block, trial_ids their trial numbers.
 
-    Each line has the bytes of json.dumps(doc, sort_keys=True) of
+    The arguments are harness._trial_block's arrays: events the schedule's
+    kinds ("measure" or "lose"), thetas, phis, labels and probs of shape
+    (T, m) with one column per measurement, and finals the final kets
+    (T, n+1) or densities (T, d, d).  Each line has the bytes of
+    json.dumps(doc, sort_keys=True) of
     {"trial": t, "seed": seed, "events": [the TraceEvent fields of each event],
     "final_state": {"kind": "ket" or "density", "n": n, "amps" or "alpha": [re, im] pairs}}.
-    traces are harness.ExperimentTrace objects from one run_trials call, so
-    their events differ only in labels and floats and their final states
-    share one shape: one % template, built from the first trace, writes every
-    line, and float_texts formats all their floats at once.
+    The trials of a block differ only in labels and floats: one % template
+    writes every line, and float_texts formats all their floats at once.
     """
-    first, count = traces[0], len(traces)
-    key, kind = ("amps", "ket") if isinstance(first.final_state, SymmetricKet) else ("alpha", "density")
-    finals = np.array([getattr(trace.final_state, key) for trace in traces])
-    events = ", ".join((_LOST if ev.kind == "lose" else _MEASURED) % ev.step for ev in first.events)
+    count, m = labels.shape
+    key, kind = ("amps", "ket") if finals.ndim == 2 else ("alpha", "density")
+    steps = ", ".join((_LOST if ev == "lose" else _MEASURED) % step for step, ev in enumerate(events))
     state = '{"%s": %s, "kind": "%s", "n": %d}' % (key, _pairs_template(finals.shape[1:]), kind,
-                                                     first.final_state.n)
-    template = '{"events": [' + events + '], "final_state": ' + state + ', "seed": %s, "trial": %s}\n'
-    m = sum(ev.kind == "measure" for ev in first.events)
-    measured = np.reshape([[(ev.label, ev.phi, ev.probability, ev.theta)
-                            for ev in trace.events if ev.kind == "measure"] for trace in traces], (count, m, 4))
+                                                     finals.shape[-1] - 1)
+    template = '{"events": [' + steps + '], "final_state": ' + state + ', "seed": %s, "trial": %s}\n'
     texts = float_texts(np.concatenate(
-        (measured[:, :, 1:].reshape(count, 3 * m), finals.view(float).reshape(count, -1)), axis=1))
+        (np.stack((phis, probs, thetas), axis=-1).reshape(count, 3 * m),
+         np.ascontiguousarray(finals).view(float).reshape(count, -1)), axis=1))
     args = np.empty((count, m + texts.shape[1] + 2), dtype=object)  # the template's fields
     columns = np.arange(4 * m).reshape(m, 4)  # of each measurement: label, phi, probability, theta
-    args[:, columns[:, 0]] = measured[:, :, 0].astype(int)
+    args[:, columns[:, 0]] = labels
     args[:, columns[:, 1:].ravel()] = texts[:, :3 * m]
     args[:, 4 * m:-2] = texts[:, 3 * m:]
-    args[:, -2:] = [(trace.seed, t) for t, trace in zip(trial_ids, traces)]
+    args[:, -2:] = list(zip(seeds, trial_ids))
     return [template % tuple(row) for row in args.tolist()]
 
 

@@ -71,6 +71,24 @@ class SymmetricKet:
         object.__setattr__(self, "amps", arr)
 
 
+def require_densities(alpha: np.ndarray) -> None:
+    """SymmetricDensity's value checks on alpha[..., d, d], one matrix or a stack of them.
+
+    Every matrix must be finite, Hermitian and of unit trace, each within
+    NORM_TOL.  A stack reports its worst deviation, which is that of its one
+    bad matrix when it has only one.
+    """
+    _require_finite(alpha, "alpha")
+    herm_dev = np.abs(alpha - alpha.conj().swapaxes(-1, -2)).max(initial=0.0)
+    if herm_dev > NORM_TOL:
+        raise DomainError(f"alpha is not Hermitian: max deviation {herm_dev:.3e}")
+    tr_dev = abs(alpha.trace(axis1=-2, axis2=-1) - 1.0)  # a scalar for one matrix
+    if alpha.ndim > 2:
+        tr_dev = tr_dev.max(initial=0.0)
+    if tr_dev > NORM_TOL:
+        raise DomainError(f"alpha has trace != 1: deviation {tr_dev:.3e}")
+
+
 @dataclass(frozen=True)
 class SymmetricDensity:
     """Mixed symmetric state: alpha[mu, nu] multiplies |mu><nu|.
@@ -89,13 +107,7 @@ class SymmetricDensity:
         d = self.n + 1
         if arr.shape != (d, d):
             raise DomainError(f"alpha must be {d}x{d}, got shape {arr.shape}")
-        _require_finite(arr, "alpha")
-        herm_dev = np.max(np.abs(arr - arr.conj().T))
-        if herm_dev > NORM_TOL:
-            raise DomainError(f"alpha is not Hermitian: max deviation {herm_dev:.3e}")
-        tr_dev = abs(arr.trace() - 1.0)
-        if tr_dev > NORM_TOL:
-            raise DomainError(f"alpha has trace != 1: deviation {tr_dev:.3e}")
+        require_densities(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "alpha", arr)
 

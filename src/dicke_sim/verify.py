@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from functools import partial
 
 import numpy as np
 
@@ -814,7 +814,8 @@ def run_suite(
         raise DomainError(
             f"max_n must be >= 2 and seeds and workers >= 1, got {max_n}, {seeds} and {workers}")
     params = SuiteParams(max_n, seeds, tolerance, corrupt_xi)
-    results = list(_ordered_map(_run_one_property, workers, PROPERTY_BUILDERS, repeat(params)))
+    results = list(_ordered_map(partial(_run_one_property, params=params), workers,
+                                list(PROPERTY_BUILDERS)))
     return {
         "schema_version": 1,
         "parameters": {

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -447,6 +448,61 @@ class TestCliVerify:
         rc = main(["verify", "--max-n", "2", "--seeds", "1", "--workers", "2", "--out", str(out)])
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["all_passed"] is True
+
+
+class TestPoolSize:
+    """A pool gets no more processes than tasks or CPUs, whatever --workers asks for.
+
+    The pool is replaced by one that records its size and maps in this
+    process: a fork start method would launch every process asked for.
+    """
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize("cpus, processes", [(64, 3), (2, 2), (None, 1)])
+    def test_simulate(self, tmp_path, monkeypatch, pool_sizes, cpus, processes):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        path = TestCliSimulate()._write_config(tmp_path, trials=3)
+        outputs = {}
+        for workers in ("1", "4096"):
+            report, traces = tmp_path / f"{workers}.json", tmp_path / f"{workers}.jsonl"
+            assert main(["simulate", "--config", str(path), "--workers", workers, "--out", str(report),
+                         "--trace-out", str(traces)]) == EXIT_OK
+            outputs[workers] = report.read_bytes(), traces.read_bytes()
+        assert pool_sizes == [processes]
+        assert outputs["4096"] == outputs["1"]
+
+    @pytest.mark.parametrize("cpus, processes", [(64, 15), (2, 2)])
+    def test_verify(self, tmp_path, monkeypatch, pool_sizes, cpus, processes):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        reports = []
+        for workers in ("1", "4096"):
+            out = tmp_path / f"{workers}.json"
+            assert main(["verify", "--max-n", "2", "--seeds", "1", "--workers", workers,
+                         "--out", str(out)]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert pool_sizes == [processes]
+        assert reports[1] == reports[0]
 
 
 class TestSizeLimit:

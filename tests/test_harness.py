@@ -236,13 +236,13 @@ class TestBatchedTrials:
         config = self._lossy_feedback_config(10)
         monkeypatch.setattr(harness, "BLOCK_BYTES", 4 * 16 * 9**2)  # blocks of 4, 4 and 2
         sizes = []
-        batched = harness.run_trials
+        batched = harness._trial_block
 
         def recording(*args):
             sizes.append(len(args[-1]))
             return batched(*args)
 
-        monkeypatch.setattr(harness, "run_trials", recording)
+        monkeypatch.setattr(harness, "_trial_block", recording)
         report = run_ensemble(config)
         assert sizes == [4, 4, 2]
         parsed = parse_config(config)
@@ -256,6 +256,18 @@ class TestBatchedTrials:
             estimates[key] = estimates.get(key, 0) + 1
         assert {k: v["count"] for k, v in report["outcome_sequences"].items()} == counts
         assert report["estimation"]["estimate_distribution"] == estimates
+
+    def test_loss_table_is_kept_read_only(self):
+        from dicke_sim.harness import _loss_table
+        from dicke_sim.states import general_split
+
+        nus, xi = _loss_table(9, 3)
+        assert _loss_table(9, 3)[1] is xi  # the blocks of an ensemble share it
+        assert not nus.flags.writeable and not xi.flags.writeable
+        for j in range(4):
+            for mu in range(7):
+                want = {c.mu: c.value for c in general_split(9, mu + j, 3)}.get(j, 0.0)
+                assert nus[j, mu] == mu + j and xi[j, mu] == want
 
     def test_trial_does_not_depend_on_its_block(self):
         parsed = parse_config(self._lossy_feedback_config(1))
@@ -522,7 +534,7 @@ class TestTraceLines:
         run_ensemble(config, trace_sink=whole)
         monkeypatch.setattr(harness, "BLOCK_BYTES", 3 * 16 * 10**2)  # blocks of 3, 3 and 1
         blocks_run = []
-        batched = harness.run_trials
+        batched = harness._trial_block
 
         def counting(*args):
             blocks_run.append(len(args[-1]))
@@ -539,7 +551,7 @@ class TestTraceLines:
                 self.blocks_run_at_write.append(len(blocks_run))
                 self.parts.extend(lines)
 
-        monkeypatch.setattr(harness, "run_trials", counting)
+        monkeypatch.setattr(harness, "_trial_block", counting)
         sink = RecordingSink()
         run_ensemble(config, trace_sink=sink)
         assert blocks_run == [3, 3, 1]
@@ -548,7 +560,7 @@ class TestTraceLines:
 
         # an error in the third block leaves the lines of the first two
         blocks_run.clear()
-        monkeypatch.setattr(harness, "run_trials",
+        monkeypatch.setattr(harness, "_trial_block",
                             lambda *args: counting(*args) if len(blocks_run) < 2 else 1 / 0)
         sink = RecordingSink()
         with pytest.raises(ZeroDivisionError):
@@ -737,7 +749,7 @@ class TestPhaseMajorReplay:
         for g in range(grid):
             alone, final = evaluate_sequence(ket, PhaseChannel(2.0 * math.pi * g / grid), trace.steps())
             assert alone == probs[g].tolist()
-            assert np.array_equal(final.alpha, finals[g].alpha)
+            assert np.array_equal(final.alpha, finals[g])
             assert np.array_equal(_forced_replay(ket, trace.steps(), phases[[g]])[1], kets[[g]])
 
     def test_product_state_closed_form_at_n64(self):

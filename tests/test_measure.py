@@ -21,7 +21,7 @@ from dicke_sim.measure import (
     pvm_from_bloch,
 )
 from dicke_sim.harness import _final_states
-from dicke_sim.states import SymmetricDensity, basis_state, make_ket, to_density
+from dicke_sim.states import SymmetricDensity, basis_state, make_ket, require_densities, to_density
 from dicke_sim.verify import (
     DenseRunner,
     random_kraus_pair,
@@ -191,7 +191,7 @@ class TestLoseQubitPure:
         ket = random_symmetric_ket(8, rng)
         a = _final_states(ket.amps[None], 1)[0]
         b = lose_qubit(to_density(ket))
-        assert np.max(np.abs(a.alpha - b.alpha)) < 1e-14
+        assert np.max(np.abs(a - b.alpha)) < 1e-14
 
     def test_basis_state_diagonal(self):
         for n, nu in [(4, 2), (6, 6)]:
@@ -309,10 +309,35 @@ class TestBatchedMeasurement:
         bad_kets[2, 3] = math.nan
         with pytest.raises(DomainError):
             measure_pure_batch(bad_kets, kappas, u)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="alpha must be finite"):
             _final_states(bad_kets, 1)  # the deferred losses of a batch
         with pytest.raises(DomainError):
             bloch_kappas(np.array([0.4, math.nan]), np.zeros(2))
+
+        # _final_states checks its block once, with require_densities; one bad
+        # trial must fail it with the message SymmetricDensity gives for that
+        # matrix alone.  At k = 0 it returns the kets unchecked: measure_pure_batch's
+        # norm check is SymmetricKet's, and it has run on every final ket.
+        good = _final_states(kets, 1)
+        hermitian_off, trace_off, nan = good.copy(), good.copy(), good.copy()
+        hermitian_off[1, 0, 2] += 1e-11
+        trace_off[1, 3, 3] += 1e-11
+        nan[1, 2, 0] = math.nan
+        messages = ["alpha is not Hermitian: max deviation 1.000e-11",
+                    "alpha has trace != 1: deviation 1.000e-11", "alpha must be finite"]
+        for block, message in zip((hermitian_off, trace_off, nan), messages):
+            with pytest.raises(DomainError) as alone:
+                SymmetricDensity(3, block[1])
+            with pytest.raises(DomainError) as whole:
+                require_densities(block)
+            assert str(whole.value) == str(alone.value) == message
+        long_kets = kets.copy()
+        long_kets[1] *= 1.0 + 5e-12  # its density's trace is off by 1e-11
+        with pytest.raises(DomainError) as alone:
+            SymmetricDensity(3, good[1] * (1.0 + 5e-12) ** 2)
+        with pytest.raises(DomainError) as whole:
+            _final_states(long_kets, 1)
+        assert str(whole.value) == str(alone.value) == "alpha has trace != 1: deviation 1.000e-11"
 
     def test_drawn_branch_below_eps_rejected(self):
         # p0 = 1e-15 is drawn by u = 0: no conditional state, as in require_post_state
