@@ -396,18 +396,18 @@ def ml_phase_estimate(
 def _ordered_map(fn, workers: int, tasks: list):
     """fn over tasks, lazily and in order, in at most `workers` processes.
 
-    builtin map at one worker, ProcessPoolExecutor.map otherwise; either way a
-    result is yielded as soon as it and every result before it are done.  The
-    pool has min(workers, len(tasks), os.cpu_count() or 1) processes: under
-    the fork start method it launches all of them at the first submit, and
-    processes beyond the tasks or the CPUs would only wait.
+    The processes number min(workers, len(tasks), os.cpu_count() or 1):
+    under the fork start method a pool launches all of them at the first
+    submit, and processes beyond the tasks or the CPUs would only wait.  At
+    one process this is builtin map, above it ProcessPoolExecutor.map; either
+    way a result is yielded as soon as it and every result before it are done.
     """
-    if workers == 1:
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    if processes <= 1:
         yield from map(fn, tasks)
         return
     from concurrent.futures import ProcessPoolExecutor  # here, so that no CLI start pays for it
 
-    processes = min(workers, len(tasks), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=processes) as pool:
         yield from pool.map(fn, tasks)
 

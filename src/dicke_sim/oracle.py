@@ -26,12 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NotSymmetricError, ResourceLimitError
-from .measure import SingleQubitKraus, _check_complete
-from .states import SymmetricDensity, SymmetricKet
+from .measure import ZERO_PROB_EPS, SingleQubitKraus, _check_complete
+from .states import NORM_TOL, SymmetricDensity, SymmetricKet
 
 DEFAULT_KET_CAP = 20
 DEFAULT_DENSITY_CAP = 12
-NORM_TOL = 1e-12
 
 
 def density_cap() -> int:
@@ -60,7 +59,7 @@ class DenseKet:
         if self.n < 1 or arr.shape != (2**self.n,):
             raise DomainError(f"expected 2^{self.n} amplitudes, got shape {arr.shape}")
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # written so that NaN fails it
             raise DomainError(f"dense ket not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
@@ -82,9 +81,9 @@ class DenseDensity:
         d = 2**self.n
         if self.n < 1 or arr.shape != (d, d):
             raise DomainError(f"expected {d}x{d} matrix, got shape {arr.shape}")
-        if np.max(np.abs(arr - arr.conj().T)) > NORM_TOL:
+        if not np.max(np.abs(arr - arr.conj().T)) <= NORM_TOL:  # written so that NaN fails it
             raise DomainError("dense density is not Hermitian")
-        if abs(arr.trace() - 1.0) > NORM_TOL:
+        if not abs(arr.trace() - 1.0) <= NORM_TOL:
             raise DomainError("dense density has trace != 1")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
@@ -228,10 +227,10 @@ def is_symmetric_over(rho: DenseDensity, subset, tol: float) -> bool:
     for p, q in zip(positions, positions[1:]):
         bits = (2 ** (n - q), 2, 2 ** (q - p - 1), 2, 2 ** (p - 1))
         rows = m.reshape(bits + (d,))
-        if np.max(np.abs(rows.swapaxes(1, 3) - rows)) > tol:
+        if not np.max(np.abs(rows.swapaxes(1, 3) - rows)) <= tol:
             return False
         cols = m.reshape((d,) + bits)
-        if np.max(np.abs(cols.swapaxes(2, 4) - cols)) > tol:
+        if not np.max(np.abs(cols.swapaxes(2, 4) - cols)) <= tol:
             return False
     return True
 
@@ -278,7 +277,7 @@ def apply_kraus_outcomes_at(
     for k in kraus_set:
         raw = _sandwich_at(rho.matrix, rho.n, position, k.matrix)
         p = float(raw.trace().real)
-        if p >= 1e-14:
+        if p >= ZERO_PROB_EPS:
             cond = (raw + raw.conj().T) / 2.0 / p
             results.append((p, DenseDensity(rho.n, cond)))
         else:

@@ -10,8 +10,6 @@ from float_texts, which formats each distinct magnitude once.
 from __future__ import annotations
 
 import json
-import math
-from itertools import chain
 
 import numpy as np
 
@@ -103,100 +101,8 @@ def trace_lines(trial_ids, seeds, events, thetas, phis, labels, probs, finals) -
 
 
 def dumps_json(obj) -> str:
-    """Deterministic JSON: sorted keys, repr floats, two-space indent, trailing newline.
-
-    The bytes of json.dumps(obj, sort_keys=True, indent=2, default=_jsonable)
-    + "\n", without its encoder: given an indent, json.dumps runs a
-    pure-Python encoder that yields every token through a chain of
-    generators.
-    """
-    parts: list[str] = []
-    _indented(obj, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
-
-
-def _indented(obj, newline: str, parts: list) -> None:
-    """Append obj as indented JSON to parts; newline is a line break plus obj's own indent.
-
-    Every level writes into the one list, which dumps_json joins once.  Dicts
-    with str keys and lists are written here, nested float lists in bulk
-    (_float_array), scalars of exact types by _SCALARS.  A subclass of a
-    JSON type, or a dict with other keys, goes to json.dumps whole, its lines
-    indented to obj's depth; any other object is first made JSON-ready by
-    _jsonable, as json.dumps would.
-    """
-    kind = type(obj)
-    inner = newline + "  "
-    if kind in _SCALARS:
-        parts.append(_SCALARS[kind](obj))
-    elif kind is dict and all(type(key) is str for key in obj):
-        opening = "{" + inner
-        for key, value in sorted(obj.items()):
-            parts += (opening, _encode_str(key), ": ")
-            _indented(value, inner, parts)
-            opening = "," + inner
-        parts.append(newline + "}" if obj else "{}")
-    elif kind is list or kind is tuple:
-        if obj and (depth := _float_array_depth(obj)):
-            _float_array(obj, depth, newline, parts)
-        else:
-            opening = "[" + inner
-            for item in obj:
-                parts.append(opening)
-                _indented(item, inner, parts)
-                opening = "," + inner
-            parts.append(newline + "]" if obj else "[]")
-    elif isinstance(obj, (dict, list, tuple, str, int, float)):  # a subclass, or non-str keys
-        parts.append(json.dumps(obj, sort_keys=True, indent=2, default=_jsonable).replace("\n", newline))
-    else:
-        _indented(_jsonable(obj), newline, parts)
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-_SCALARS = {  # json's text of each exact scalar type
-    str: _encode_str,
-    int: int.__repr__,
-    float: lambda x: repr(x) if math.isfinite(x) else json.dumps(x),
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
-
-
-def _float_array_depth(obj) -> int:
-    """d when obj is lists or tuples nested d deep, none empty, with floats at depth d; else 0."""
-    level, depth = [obj], 0
-    while True:
-        kinds = set(map(type, level))
-        if kinds == {float}:
-            return depth
-        if not kinds <= {list, tuple} or not all(level):
-            return 0
-        level, depth = list(chain.from_iterable(level)), depth + 1
-
-
-def _float_array(obj, depth: int, newline: str, parts: list) -> None:
-    """Append a _float_array_depth array to parts, from json.dumps's compact text.
-
-    Between two floats, k lists close and k reopen, so "]" * k + "," + "[" * k
-    is a separator of its own, replaced by its indented form: first every
-    k >= 1 separator by the placeholder chr(k), then the plain commas.
-    """
-    lines = [newline + "  " * j for j in range(depth + 1)]  # the line start at each depth
-
-    def close(k):
-        return "".join(lines[depth - i] + "]" for i in range(1, k + 1))
-
-    def reopen(k):
-        return "".join(lines[j] + "[" for j in range(depth - k, depth)) + lines[depth]
-
-    body = json.dumps(obj, separators=(",", ":"))[depth:-depth]
-    for k in range(depth - 1, 0, -1):
-        body = body.replace("]" * k + "," + "[" * k, chr(k))
-    body = body.replace(",", "," + lines[depth])
-    for k in range(1, depth):
-        body = body.replace(chr(k), close(k) + "," + reopen(k))
-    parts += ("[" + reopen(depth - 1), body, close(depth))
+    """Deterministic JSON: sorted keys, repr floats, two-space indent, trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_jsonable) + "\n"
 
 
 def _jsonable(obj):

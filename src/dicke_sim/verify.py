@@ -19,6 +19,7 @@ from .errors import (DickeSimError, DomainError, NotSymmetricError, ResourceLimi
 from .harness import (TIE_TOL, _ordered_map, combined_pvm, evaluate_sequence,
                       grid_log_likelihoods, ml_phase_estimate, run_trial, run_trials)
 from .measure import (
+    ZERO_PROB_EPS,
     SingleQubitKraus,
     SingleQubitPVM,
     lose_qubit,
@@ -142,7 +143,7 @@ def dense_pure_pvm_sequence(
         proj = np.outer(pvm.kappa[label].conj(), pvm.kappa[label])
         new = apply_matrix_at_ket(amps, dense.n, position, proj)
         p = float(np.linalg.norm(new) ** 2)
-        if p < 1e-14:
+        if p < ZERO_PROB_EPS:
             return 0.0, new
         joint *= p
         amps = new / math.sqrt(p)
@@ -221,6 +222,18 @@ class PropertyResult:
         return asdict(self)
 
 
+def _worst(worst: float, *residuals: float) -> float:
+    """The largest of worst and residuals, NaN once any of them is NaN.
+
+    max(worst, x) keeps worst when x is NaN, so a NaN residual would pass
+    its property.
+    """
+    for x in residuals:
+        if x > worst or x != x:
+            worst = x
+    return worst
+
+
 def _safe_label(outcomes, rng) -> int:
     """Random outcome label, avoiding branches with (near-)zero probability."""
     label = int(rng.integers(0, len(outcomes)))
@@ -232,10 +245,10 @@ def _safe_label(outcomes, rng) -> int:
 def check_worked_example(tol: float = 1e-15) -> PropertyResult:
     """The single-qubit split of |1> on three qubits: sqrt(2/3) and sqrt(1/3)."""
     coeffs = general_split(3, 1, 1)
-    worst = abs(coeffs[0].value - math.sqrt(2.0 / 3.0))
-    worst = max(worst, abs(coeffs[1].value - math.sqrt(1.0 / 3.0)))
-    worst = max(worst, abs(xi_coefficient(1, 3, 1, 1) - math.sqrt(1.0 / 3.0)))
-    worst = max(worst, abs(xi_coefficient(1, 3, 0, 1) - math.sqrt(2.0 / 3.0)))
+    worst = _worst(abs(coeffs[0].value - math.sqrt(2.0 / 3.0)),
+                   abs(coeffs[1].value - math.sqrt(1.0 / 3.0)),
+                   abs(xi_coefficient(1, 3, 1, 1) - math.sqrt(1.0 / 3.0)),
+                   abs(xi_coefficient(1, 3, 0, 1) - math.sqrt(2.0 / 3.0)))
     return PropertyResult("worked_example_split", 4, worst, tol, worst <= tol)
 
 
@@ -247,7 +260,7 @@ def check_xi_completeness(max_n: int = 30, tol: float = 1e-12) -> PropertyResult
         for k in range(n + 1):
             for nu in range(n + 1):
                 total = sum(c.value**2 for c in general_split(n, nu, k))
-                worst = max(worst, abs(total - 1.0))
+                worst = _worst(worst, abs(total - 1.0))
                 cases += 1
     support_ok = True
     for n, k, mu, nu in [(5, 2, 2, 1), (5, 2, 0, 4), (8, 3, 3, 2), (8, 3, 0, 6), (30, 10, 9, 8)]:
@@ -286,7 +299,7 @@ def check_split_vs_oracle(
                 lhs = expand(basis_state(n - k, nu - mu)).amps
                 rhs = expand(basis_state(k, mu)).amps
                 got = float(np.real(lhs @ dense @ rhs))
-                worst = max(worst, abs(got - want))
+                worst = _worst(worst, abs(got - want))
                 cases += 1
         # branch reconstruction of a random ket
         ket = random_symmetric_ket(n, rng)
@@ -296,7 +309,7 @@ def check_split_vs_oracle(
             sub = _branch_dense(branch, n - 1)
             idx = (np.arange(2 ** (n - 1)) << 1) | b
             recon[idx] += sub
-        worst = max(worst, float(np.max(np.abs(recon - expand(ket).amps))))
+        worst = _worst(worst, float(np.max(np.abs(recon - expand(ket).amps))))
         cases += 1
     return PropertyResult("split_reconstruction", cases, worst, tol, worst <= tol)
 
@@ -326,7 +339,7 @@ def check_basis_characterization(
         if not is_symmetric_over(dense, range(1, n + 1), fwd_tol):
             fail = f"expanded symmetric density failed invariance (seed {seed})"
         back = compress(dense, tol=1e-10)
-        worst = max(worst, float(np.max(np.abs(back.alpha - rho.alpha))))
+        worst = _worst(worst, float(np.max(np.abs(back.alpha - rho.alpha))))
         cases += 1
     for seed in range(2 * seeds):
         rng = np.random.default_rng(3000 + seed)
@@ -390,7 +403,7 @@ def check_measurement_oracle(max_n: int = 10, seeds: int = 50, tol: float = 1e-1
                 dense_steps.append((pos, pvm, label))
             p_compact, _, _ = compact_sequence_prob(ket, compact_steps)
             p_dense, _ = dense_pure_pvm_sequence(expand(ket), dense_steps)
-            worst = max(worst, abs(p_compact - p_dense))
+            worst = _worst(worst, abs(p_compact - p_dense))
             cases += 1
             # mixed input, general Kraus sequence
             rho = random_symmetric_density(n, rng)
@@ -405,7 +418,7 @@ def check_measurement_oracle(max_n: int = 10, seeds: int = 50, tol: float = 1e-1
                 p_compact *= outcomes[label].probability
                 compact_state = outcomes[label].require_post_state()
                 p_dense *= runner.measure(pos, kraus, label)
-            worst = max(worst, abs(p_compact - p_dense))
+            worst = _worst(worst, abs(p_compact - p_dense))
             cases += 1
     return PropertyResult("measurement_oracle_equivalence", cases, worst, tol, worst <= tol)
 
@@ -433,7 +446,7 @@ def check_loss_independence(max_n: int = 10, seeds: int = 50, tol: float = 1e-10
         for _ in range(1, n):
             reduced = lose_qubit(reduced)
             probs = [o.probability for o in measure_mixed(reduced, kraus)]
-            worst = max(worst, max(abs(a - b) for a, b in zip(base, probs)))
+            worst = _worst(worst, *(abs(a - b) for a, b in zip(base, probs)))
             cases += 1
         # (b) interleaved losses: deferred replay vs losses where they occur
         ket = random_symmetric_ket(n, rng)
@@ -455,8 +468,8 @@ def check_loss_independence(max_n: int = 10, seeds: int = 50, tol: float = 1e-10
             _, p_stepwise, final_stepwise = compact_sequence_prob(ket, _reference_steps(lossy, channel))
         except ZeroProbabilityError:
             continue  # a forced label hit a zero-probability branch
-        worst = max(worst, max(abs(a - b) for a, b in zip(p_deferred, p_stepwise)))
-        state_worst = max(state_worst, _coefficient_gap(final_deferred, final_stepwise))
+        worst = _worst(worst, *(abs(a - b) for a, b in zip(p_deferred, p_stepwise)))
+        state_worst = _worst(state_worst, _coefficient_gap(final_deferred, final_stepwise))
         cases += 1
         # (c) dense PVM run: random interleaved losses of never-measured spares
         # and of already-measured qubits, vs the compact lossless reference
@@ -487,11 +500,11 @@ def check_loss_independence(max_n: int = 10, seeds: int = 50, tol: float = 1e-10
                     lost.add(q)
                 p_dense *= runner.measure(pos, pvm.kraus_pair(), label)
                 measured_done.append(pos)
-            worst = max(worst, abs(p_dense - p_ref))
+            worst = _worst(worst, abs(p_dense - p_ref))
             cases += 1
     passed = worst <= tol and state_worst <= state_tol
     note = "" if state_worst <= state_tol else f"final states differ by {state_worst:.3e}"
-    worst = max(worst, state_worst)
+    worst = _worst(worst, state_worst)
     return PropertyResult("loss_independence", cases, worst, tol, passed, note)
 
 
@@ -530,7 +543,7 @@ def check_estimator_replay(max_n: int = 10, seeds: int = 20, tol: float = 1e-10)
                 want = math.log(compact_sequence_prob(ket, steps)[0])
             except ZeroProbabilityError:
                 want = -math.inf  # a forced label below ZERO_PROB_EPS
-            worst = max(worst, 0.0 if want == got[g] else abs(want - got[g]))
+            worst = _worst(worst, 0.0 if want == got[g] else abs(want - got[g]))
             cases += 1
         folded = int(rng.integers(2, n + 1))
         for size, ll in ((grid, got), (folded, grid_log_likelihoods(ket, trace, folded))):
@@ -587,8 +600,8 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
             except ZeroProbabilityError:  # a drawn label the reference cannot condition on
                 probs, final = [math.inf], None
             recorded = [ev.probability for ev in trace.events if ev.kind == "measure"]
-            worst = max([worst] + [abs(p - q) for p, q in zip(probs, recorded)])
-            state_worst = max(state_worst, _coefficient_gap(trace.final_state, final))
+            worst = _worst(worst, *(abs(p - q) for p, q in zip(probs, recorded)))
+            state_worst = _worst(state_worst, _coefficient_gap(trace.final_state, final))
             cases += 1
     passed = mismatched == 0 and not_hermitian == 0 and worst <= tol and state_worst <= state_tol
     notes = []
@@ -596,9 +609,9 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
         notes.append(f"{mismatched} trials differ from run_trial alone")
     if not_hermitian:
         notes.append(f"{not_hermitian} final densities not exactly Hermitian")
-    if state_worst > state_tol:
+    if not state_worst <= state_tol:
         notes.append(f"final states differ by {state_worst:.3e}")
-    return PropertyResult("batched_trial_equivalence", cases, max(worst, state_worst), tol, passed,
+    return PropertyResult("batched_trial_equivalence", cases, _worst(worst, state_worst), tol, passed,
                           "; ".join(notes))
 
 
@@ -618,8 +631,7 @@ def check_pure_state_sufficiency(max_n: int = 10, seeds: int = 50, tol: float = 
         p_dense, amps = dense_pure_pvm_sequence(expand(ket), [(position, pvm, label)])
         product = embed_qubit(expand(post).amps, pvm.basis_ket(label), position, n)
         fidelity = abs(np.vdot(product, amps)) ** 2
-        worst = max(worst, abs(1.0 - fidelity))
-        worst = max(worst, abs(p_dense - outcomes[label].probability))
+        worst = _worst(worst, abs(1.0 - fidelity), abs(p_dense - outcomes[label].probability))
         cases += 1
     return PropertyResult("pure_state_sufficiency", cases, worst, tol, worst <= tol)
 
@@ -639,7 +651,7 @@ def check_ordering_independence(max_n: int = 10, seeds: int = 30, tol: float = 1
         pos_b = [int(p) + 1 for p in rng.choice(n, size=m, replace=False)]
         pa, _ = dense_pure_pvm_sequence(ket, list(zip(pos_a, pvms, labels)))
         pb, _ = dense_pure_pvm_sequence(ket, list(zip(pos_b, pvms, labels)))
-        worst = max(worst, abs(pa - pb))
+        worst = _worst(worst, abs(pa - pb))
         cases += 1
     return PropertyResult("ordering_independence", cases, worst, tol, worst <= tol)
 
@@ -657,13 +669,13 @@ def check_trace_povm_commutation(max_n: int = 10, seeds: int = 30, tol: float = 
         first = measure_mixed(rho, kraus)
         after = measure_mixed(lose_qubit(rho), kraus)
         for o_a, o_b in zip(first, after):
-            worst = max(worst, abs(o_a.probability - o_b.probability))
+            worst = _worst(worst, abs(o_a.probability - o_b.probability))
         if n >= 3:
             label = _safe_label(first, rng)
             a = lose_qubit(first[label].require_post_state())
             b = after[label].require_post_state()
             # equal probabilities and equal reduced coefficient matrices
-            worst = max(worst, float(np.max(np.abs(a.alpha - b.alpha))))
+            worst = _worst(worst, float(np.max(np.abs(a.alpha - b.alpha))))
         cases += 1
         # dense identity tr_j(K_i rho K_i^dag) = K_i tr_j(rho) K_i^dag
         if n >= 2 and n <= 8:
@@ -671,7 +683,7 @@ def check_trace_povm_commutation(max_n: int = 10, seeds: int = 30, tol: float = 
             k = random_kraus_pair(rng)[0].matrix
             lhs = partial_trace_raw(_sandwich_at(dense, n, 2, k), n, {1})
             rhs = _sandwich_at(partial_trace_raw(dense, n, {1}), n - 1, 1, k)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            worst = _worst(worst, float(np.max(np.abs(lhs - rhs))))
             cases += 1
     return PropertyResult("trace_povm_commutation", cases, worst, tol, worst <= tol)
 
@@ -688,7 +700,7 @@ def check_loss_mechanism_irrelevance(max_n: int = 8, seeds: int = 30, tol: float
         mangled = apply_kraus_at(rho, j, random_kraus_pair(rng))
         a = partial_trace(mangled, {j})
         b = partial_trace(rho, {j})
-        worst = max(worst, float(np.max(np.abs(a.matrix - b.matrix))))
+        worst = _worst(worst, float(np.max(np.abs(a.matrix - b.matrix))))
         cases += 1
     return PropertyResult("loss_mechanism_irrelevance", cases, worst, tol, worst <= tol)
 
@@ -709,12 +721,12 @@ def check_permutation_group(max_n: int = 8, seeds: int = 30, tol: float = 0.0) -
         p1, p2 = random_permutation(n, rng), random_permutation(n, rng)
         lhs = apply_permutation(ket, p1.compose(p2))
         rhs = apply_permutation(apply_permutation(ket, p2), p1)
-        worst = max(worst, float(np.max(np.abs(lhs.amps - rhs.amps))))
+        worst = _worst(worst, float(np.max(np.abs(lhs.amps - rhs.amps))))
         back = apply_permutation(apply_permutation(ket, p1), p1.inverse())
-        worst = max(worst, float(np.max(np.abs(back.amps - ket.amps))))
+        worst = _worst(worst, float(np.max(np.abs(back.amps - ket.amps))))
         sym = expand(basis_state(n, int(rng.integers(0, n + 1))))
         moved = apply_permutation(sym, p1)
-        worst = max(worst, float(np.max(np.abs(moved.amps - sym.amps))))
+        worst = _worst(worst, float(np.max(np.abs(moved.amps - sym.amps))))
         cases += 3
     return PropertyResult("permutation_group_law", cases, worst, tol, worst <= tol)
 
@@ -732,14 +744,14 @@ def check_remark12_specialization(max_n: int = 8, seeds: int = 30, tol: float = 
         for ell in (0, 1):
             raw = _pvm_update_transcription(rho.alpha, n, pvm.kappa, ell)
             p = raw.trace().real
-            worst = max(worst, abs(p - got[ell].probability))
+            worst = _worst(worst, abs(p - got[ell].probability))
             if got[ell].post_state is not None and p > 1e-12:
-                worst = max(worst, float(np.max(np.abs(raw / p - got[ell].post_state.alpha))))
+                worst = _worst(worst, float(np.max(np.abs(raw / p - got[ell].post_state.alpha))))
             cases += 1
         pure = random_symmetric_ket(n, rng)
         a = [o.probability for o in measure_pure(pure, pvm)]
         b = [o.probability for o in measure_mixed(to_density(pure), pvm.kraus_pair())]
-        worst = max(worst, max(abs(x - y) for x, y in zip(a, b)))
+        worst = _worst(worst, *(abs(x - y) for x, y in zip(a, b)))
         cases += 1
     return PropertyResult("pvm_update_specialization", cases, worst, tol, worst <= tol)
 

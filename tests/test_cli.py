@@ -453,8 +453,9 @@ class TestCliVerify:
 class TestPoolSize:
     """A pool gets no more processes than tasks or CPUs, whatever --workers asks for.
 
-    The pool is replaced by one that records its size and maps in this
-    process: a fork start method would launch every process asked for.
+    Where that leaves one process, no pool starts: builtin map gives the same
+    bytes.  The pool is replaced by one that records its size and maps in
+    this process: a fork start method would launch every process asked for.
     """
 
     @pytest.fixture
@@ -489,8 +490,19 @@ class TestPoolSize:
             assert main(["simulate", "--config", str(path), "--workers", workers, "--out", str(report),
                          "--trace-out", str(traces)]) == EXIT_OK
             outputs[workers] = report.read_bytes(), traces.read_bytes()
-        assert pool_sizes == [processes]
+        assert pool_sizes == ([processes] if processes > 1 else [])
         assert outputs["4096"] == outputs["1"]
+
+    def test_one_block_starts_no_pool(self, tmp_path, monkeypatch, pool_sizes):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        path = TestCliSimulate()._write_config(tmp_path, trials=1)
+        reports = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"{workers}.json"
+            assert main(["simulate", "--config", str(path), "--workers", workers, "--out", str(out)]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert pool_sizes == []
+        assert reports[1] == reports[0]
 
     @pytest.mark.parametrize("cpus, processes", [(64, 15), (2, 2)])
     def test_verify(self, tmp_path, monkeypatch, pool_sizes, cpus, processes):

@@ -29,10 +29,12 @@ from dicke_sim.spec import (
     input_from_config,
     parse_config,
 )
-from dicke_sim.states import SymmetricDensity, SymmetricKet, basis_state, make_ket, to_density
+from dicke_sim.states import (SplitCoefficient, SymmetricDensity, SymmetricKet, basis_state, general_split,
+                              make_ket, to_density)
 from dicke_sim.verify import (
     SuiteParams,
     _run_one_property,
+    _worst,
     check_batched_trials,
     check_estimator_replay,
     random_symmetric_ket,
@@ -350,6 +352,41 @@ class TestDeferredTraceOutReferee:
     def test_batched_trial_equivalence_fails(self, corrupt, monkeypatch):
         # its final densities are at least 2x2, so a depolarized one differs
         result = self._corrupted("batched_trial_equivalence", corrupt, monkeypatch)
+        assert not result.passed, result
+
+
+class TestNanResiduals:
+    """A NaN residual fails its property: max(worst, nan) would keep worst."""
+
+    def test_reduction_is_nan_sticky(self):
+        assert math.isnan(_worst(0.0, 1.0, math.nan, 2.0))
+        assert math.isnan(_worst(math.nan, 3.0))
+        assert _worst(0.5, 0.25, 2.0) == 2.0
+
+    def test_nan_split_coefficients_fail_completeness(self, monkeypatch):
+        import dicke_sim.verify as verify
+
+        def nan_above_25(n, nu, k):
+            coeffs = general_split(n, nu, k)
+            return coeffs if n <= 25 else [SplitCoefficient(c.mu, math.nan) for c in coeffs]
+
+        monkeypatch.setattr(verify, "general_split", nan_above_25)
+        result = _run_one_property("xi_completeness_and_support", SuiteParams())
+        assert not result.passed and math.isnan(result.worst_residual), result
+
+    @pytest.mark.parametrize("name", ["residual_symmetry_after_channels", "loss_mechanism_irrelevance"])
+    def test_nan_channel_fails(self, name, monkeypatch):
+        import dicke_sim.oracle as oracle
+
+        channel_at = oracle._channel_at
+
+        def nan_coherence(matrix, *args):  # NaN in one Hermitian pair of entries, the trace intact
+            out = channel_at(matrix, *args)
+            out[0, 1] = out[1, 0] = math.nan
+            return out
+
+        monkeypatch.setattr(oracle, "_channel_at", nan_coherence)
+        result = _run_one_property(name, SuiteParams())
         assert not result.passed, result
 
 
@@ -804,3 +841,17 @@ class TestCascadeKernel:
         result = run_pvm_cascade(n, kappa, list(ket.amps), np.random.default_rng(5).random(n))
         assert len(result.outcomes) == n
         assert all(0.0 < p <= 1.0 + 1e-12 for p in result.probabilities)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_ensemble({"input": {"type": "dicke", "nu": 1}, "n": 3, "phi": 1.1,
+                           "policy": {"type": "fixed"}, "schedule": ["measure"], "trials": 2, "seed": 1},
+                          workers=0),
+     "workers must be >= 1, got 0"),
+    (lambda: run_pvm_cascade(3, pvm_from_bloch(0.3, 0.2).kappa, [1.0, 0.0, 0.0, 0.0, 0.0], []),
+     "initial state must have 4 amplitudes"),
+], ids=["ensemble-workers-0", "cascade-n-plus-2-amplitudes"])
+def test_malformed_arguments_rejected(call, message):
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

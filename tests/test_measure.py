@@ -21,7 +21,8 @@ from dicke_sim.measure import (
     pvm_from_bloch,
 )
 from dicke_sim.harness import _final_states
-from dicke_sim.states import SymmetricDensity, basis_state, make_ket, require_densities, to_density
+from dicke_sim.states import (SymmetricDensity, SymmetricKet, basis_state, make_ket, require_densities,
+                              to_density)
 from dicke_sim.verify import (
     DenseRunner,
     random_kraus_pair,
@@ -362,3 +363,29 @@ class TestKrausUpdateFormula:
                 assert got[ell].probability == pytest.approx(p, abs=1e-13)
                 if got[ell].post_state is not None:
                     assert np.max(np.abs(raw / p - got[ell].post_state.alpha)) < 1e-12
+
+
+def _overflowing_kept_branch(monkeypatch):
+    """measure_pure_batch on a kept branch whose squared norm overflows to inf.
+
+    pick_labels would refuse that row's probabilities, so it is replaced by
+    one that draws label 0 unchecked: the branch divided by sqrt(inf) is 0.
+    """
+    import dicke_sim.measure as measure
+
+    monkeypatch.setattr(measure, "pick_labels", lambda probs, uniforms: np.zeros(len(probs), dtype=int))
+    with np.errstate(over="ignore", invalid="ignore"):
+        measure_pure_batch(np.array([[1e200, 0.0]], dtype=complex), bloch_kappas(np.zeros(1), np.zeros(1)),
+                           np.zeros(1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda mp: measure_pure(SymmetricKet(0, [1.0]), pvm_from_bloch(0.3, 0.2)), "cannot measure an empty string"),
+    (lambda mp: measure_mixed(SymmetricDensity(0, [[1.0]]), pvm_from_bloch(0.3, 0.2).kraus_pair()),
+     "cannot measure an empty string"),
+    (_overflowing_kept_branch, "ket is not normalized: |norm - 1| = 1.000e+00"),
+], ids=["pure-n-0", "mixed-n-0", "batch-norm"])
+def test_malformed_arguments_rejected(call, message, monkeypatch):
+    with pytest.raises(DomainError) as excinfo:
+        call(monkeypatch)
+    assert str(excinfo.value) == message

@@ -368,7 +368,40 @@ class TestDenseConstructors:
         with pytest.raises(DomainError):
             DenseDensity(1, np.eye(2, dtype=complex))
 
+    def test_nan_ket_rejected(self):
+        with pytest.raises(DomainError, match="dense ket not normalized"):
+            DenseKet(2, np.array([math.nan, 0.0, 0.0, 0.0], dtype=complex))
+
+    def test_nan_density_rejected(self):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 1] = math.nan
+        with pytest.raises(DomainError, match="dense density is not Hermitian"):
+            DenseDensity(2, m)
+
     def test_density_psd_statistically(self):
         rng = np.random.default_rng(83)
         rho = expand_density(random_symmetric_density(4, rng))
         assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
+
+
+_MIXED = np.eye(4, dtype=complex) / 4.0
+_SKEWED = _MIXED.copy()
+_SKEWED[0, 1] = 0.1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DenseKet(2, np.zeros(3)), "expected 2^2 amplitudes, got shape (3,)"),
+    (lambda: DenseKet(0, np.ones(1)), "expected 2^0 amplitudes, got shape (1,)"),
+    (lambda: DenseDensity(2, np.eye(3)), "expected 4x4 matrix, got shape (3, 3)"),
+    (lambda: DenseDensity(2, _SKEWED), "dense density is not Hermitian"),
+    (lambda: is_symmetric_over(DenseDensity(2, _MIXED), [1, 3], 1e-12), "subset [1, 3] not within 1..2"),
+    (lambda: apply_kraus_at(DenseDensity(2, _MIXED), 0, pvm_from_bloch(0.3, 0.2).kraus_pair()),
+     "position 0 not within 1..2"),
+    (lambda: partial_trace(DenseDensity(2, _MIXED), []), "no positions to trace out"),
+    (lambda: partial_trace(DenseDensity(2, _MIXED), {3}), "positions [3] not within 1..2"),
+], ids=["ket-shape", "ket-no-qubits", "density-shape", "not-hermitian", "subset-range",
+        "kraus-position-0", "trace-nothing", "trace-range"])
+def test_malformed_arguments_rejected(call, message):
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -290,3 +290,13 @@ class TestSplitLastQubit:
         assert post.n == 0
         with pytest.raises(DomainError):
             split_last_qubit(post.amps)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SymmetricDensity(2, np.eye(2) / 2.0), "alpha must be 3x3, got shape (2, 2)"),
+    (lambda: SymmetricDensity(-1, np.eye(1)), "qubit count must be >= 0, got -1"),
+], ids=["density-shape", "density-negative-n"])
+def test_malformed_arguments_rejected(call, message):
+    with pytest.raises(DomainError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
