@@ -26,9 +26,10 @@ every block before it are done, so on an error the trace holds the lines of
 the blocks finished before it.
 
 Forced replays (`evaluate_sequence`) and the likelihood grid
-(`grid_log_likelihoods`) share one loop, `_forced_replay`, which holds its
-kets phase-major, kets[nu, g].  It and the ML estimate's replay take each
-step's weights from one helper, `_forced_weights`.
+(`grid_log_likelihoods`) share one loop, `_forced_replay`.  It and the ML
+estimate's replay take each step's forced row from `_forced_rows` and step
+with `measure.pvm_branches`, the kernel of trials and `measure_pure`, so a
+replay of a trial's own labels gives back the trial's bits.
 
 The ML estimate (`ml_phase_estimate`) needs no phase in its replay: the
 channel diag(1, e^{i phi}) on every qubit multiplies |nu> by e^{i nu phi}, so
@@ -55,6 +56,7 @@ from .measure import (
     SingleQubitPVM,
     bloch_kappas,
     measure_pure_batch,
+    pvm_branches,
     require_pvm_rows,
 )
 from .serialize import trace_lines
@@ -232,62 +234,43 @@ def run_trial(input_state: SymmetricKet, channel: PhaseChannel, policy: Policy,
     return run_trials(input_state, channel, policy, schedule, [seed])[0]
 
 
-def _forced_weights(n: int, steps: list):
-    """The phase-free weights (w0, w1) of each forced measurement, one step at a time.
+def _forced_rows(n: int, steps: list) -> np.ndarray:
+    """The forced row kappa[label] of each measurement, as rows[m, 1, 2].
 
     steps: ("lose",) or ("measure", (theta, phi), label), as in
     ExperimentTrace.steps(); losses are skipped, since they are deferred.
-    Every detector is built and checked once.  The j-th measurement, with
-    m = n - j qubits left, maps a ket psi to w0 psi[:m] + w1 psi[1:m + 1]:
-    the forced row kappa[label] times split_last_qubit's weights,
-    w0 = kappa[label, 0] sqrt((m - nu) / m) and w1 = kappa[label, 1] sqrt((nu + 1) / m),
-    as (m, 1) columns.
+    Every detector is built and checked once.  The (1, 2) row is a one-label
+    PVM for pvm_branches, which then forms the forced branch alone.
     """
     measured = [step[1:] for step in steps if step[0] != "lose"]
     if len(measured) > n:
         raise DomainError(f"{len(measured)} measurements but only {n} qubits")
     detectors = bloch_kappas(*np.reshape([angles for angles, _ in measured], (-1, 2)).T)
     require_pvm_rows(detectors)
-    roots = np.sqrt(np.arange(n + 1))[:, None]
-    rows = detectors[np.arange(len(measured)), [label for _, label in measured]]
-    rows /= roots[n:n - len(measured):-1]  # kappa[label] / sqrt(m)
-    for m, (c0, c1) in zip(range(n, 0, -1), rows):
-        yield c0 * roots[m:0:-1], c1 * roots[1:m + 1]
+    return detectors[np.arange(len(measured)), [label for _, label in measured], None]
 
 
 def _forced_replay(input_state: SymmetricKet, steps: list, phases: np.ndarray):
     """Forced labels on G copies of the input, copy g through the channel diag(1, phases[g]).
 
-    steps as in _forced_weights, which gives each step's weights; copy g's
-    channel phase multiplies the |1> half, w1 psi[1:m + 1], only.  The kets
-    are held phase-major, as kets[nu, g], so every elementwise loop runs over
-    the G phases.  A branch's probability sums its float view down each
-    column, one weight after another, and then adds the real and imaginary
-    halves: the same order for any G, so copy g gets the same bits alone as in
-    a batch.  A copy whose label falls below ZERO_PROB_EPS is left
-    unrescaled, so no NaN reaches later steps.
-    Returns probs[G, m] and the final kets[G, n+1-m].
+    steps as in _forced_rows.  The G kets advance as one (G, n+1) array, one
+    pvm_branches call per measurement, with copy g's channel folded into the
+    forced row as _trial_block folds it into the detector; a branch's
+    probability and its renormalization are measure_pure_batch's.  So a copy
+    replaying a trial's labels at the trial's phase gets the trial's bits,
+    and copy g gets the same bits alone as in a batch.  A copy whose label
+    falls below ZERO_PROB_EPS is left unrescaled, so no NaN reaches later
+    steps.  Returns probs[G, m] and the final kets[G, n+1-m].
     """
-    n, grid = input_state.n, len(phases)
+    folds = np.stack([np.ones_like(phases), phases], axis=-1)[:, None]  # diag(1, phases[g]) as (G, 1, 2)
+    kets = np.tile(input_state.amps, (len(phases), 1))
     probs = []
-    # every step writes into these three buffers: a fresh (m, G) array per
-    # operation made the allocator map and fault in new pages on most steps
-    kets, branch, scratch = np.empty((3, n + 1, grid), dtype=complex)
-    kets[:] = input_state.amps[:, None]
-    for w0, w1 in _forced_weights(n, steps):
-        m = len(w0)  # kets[:m + 1] is live
-        b, t = branch[:m], scratch[:m]
-        np.multiply(kets[:m], w0, out=b)
-        np.multiply(kets[1:m + 1], w1, out=t)
-        t *= phases
-        b += t
-        x = b.view(float)  # (m, 2G): at least two columns, so summed row after row
-        s = np.multiply(x, x, out=t.view(float)).sum(axis=0)
-        p = s[0::2] + s[1::2]
+    for row in _forced_rows(input_state.n, steps):
+        branch = pvm_branches(kets, row * folds)[:, 0]
+        p = (branch.real**2 + branch.imag**2).sum(axis=-1)
         probs.append(p)
-        b *= 1.0 / np.sqrt(np.where(p >= ZERO_PROB_EPS, p, 1.0))
-        kets, branch = branch, kets
-    return np.reshape(probs, (-1, grid)).T, kets[:n + 1 - len(probs)].T
+        kets = branch / np.sqrt(np.where(p >= ZERO_PROB_EPS, p, 1.0))[:, None]
+    return np.reshape(probs, (-1, len(phases))).T, kets
 
 
 def evaluate_sequence(
@@ -337,14 +320,14 @@ def _joint_log_likelihoods(input_state: SymmetricKet, steps: list, grid_size: in
 
     diag(1, z) on every qubit, z = e^{i phi}, multiplies psi_nu by z^nu, so
     each amplitude of the forced branch is a polynomial in z.  The replay runs
-    once, with no phase, on its coefficients C[nu', k] (amplitude of |nu'>,
-    power z^k), stepping with _forced_weights.  The columns fold mod
-    grid_size, since z^grid_size = 1 at every grid phase.  Each step applies
-    the forced row without renormalizing, so sum_nu' |sum_k C[nu', k] z_g^k|^2
-    is the joint probability P(g), and one inverse FFT over k evaluates it at
-    every grid phase.  C needs no rescaling: by Parseval over the grid,
-    sum |C|^2 = mean_g P(g) <= 1, and it stays at or above
-    e ZERO_PROB_EPS / grid_size wherever the result is used.
+    once, with no phase, on its coefficients C[k, nu'] (power z^k, amplitude
+    of |nu'>), one pvm_branches call with the forced row per measurement.  The
+    rows fold mod grid_size, since z^grid_size = 1 at every grid phase.  Each
+    step applies the forced row without renormalizing, so
+    sum_nu' |sum_k C[k, nu'] z_g^k|^2 is the joint probability P(g), and one
+    inverse FFT over k evaluates it at every grid phase.  C needs no
+    rescaling: by Parseval over the grid, sum |C|^2 = mean_g P(g) <= 1, and it
+    stays at or above e ZERO_PROB_EPS / grid_size wherever the result is used.
 
     The joint P(g) stands for the stepwise sum of logs only when no
     conditional p_j is below ZERO_PROB_EPS.  Since p_j >= P(g), that holds on
@@ -356,16 +339,16 @@ def _joint_log_likelihoods(input_state: SymmetricKet, steps: list, grid_size: in
     n = input_state.n
     floor = math.log(ZERO_PROB_EPS) + 1.0
     nus = np.arange(n + 1)
-    coeffs = np.zeros((n + 1, min(n + 1, grid_size)), dtype=complex)
-    coeffs[nus, nus % coeffs.shape[1]] = input_state.amps
-    for j, (w0, w1) in enumerate(_forced_weights(n, steps)):
-        coeffs = w0 * coeffs[:len(w0)] + w1 * coeffs[1:len(w0) + 1]
+    coeffs = np.zeros((min(n + 1, grid_size), n + 1), dtype=complex)
+    coeffs[nus % len(coeffs), nus] = input_state.amps
+    for j, row in enumerate(_forced_rows(n, steps)):
+        coeffs = pvm_branches(coeffs, row)[:, 0]
         if j % BOUND_CHECK_EVERY == BOUND_CHECK_EVERY - 1:
-            bound = np.square(np.abs(coeffs).sum(axis=1)).sum()  # >= P(g) now and later
+            bound = np.square(np.abs(coeffs).sum(axis=0)).sum()  # >= P(g) now and later
             if not bound > 0.0 or math.log(bound) < floor:
                 return None
-    amps = np.fft.ifft(coeffs, grid_size, axis=1, norm="forward")  # amps[nu', g] = sum_k C z_g^k
-    probs = (amps.real**2 + amps.imag**2).sum(axis=0)
+    amps = np.fft.ifft(coeffs, grid_size, axis=0, norm="forward")  # amps[g, nu'] = sum_k C z_g^k
+    probs = (amps.real**2 + amps.imag**2).sum(axis=1)
     logs = np.full(grid_size, -math.inf)
     np.log(probs, out=logs, where=probs > 0.0)
     return logs if logs.max() >= floor else None

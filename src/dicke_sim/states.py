@@ -37,8 +37,12 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
 
 
 def squared_norm(arr: np.ndarray) -> float:
-    """sum |a|^2 by numpy's pairwise sum, whose rounding grows as log n, not as n."""
-    return float(np.sum(arr.real**2 + arr.imag**2))
+    """sum |a|^2 by numpy's pairwise sum, whose rounding grows as log n, not as n.
+
+    A sum that overflows reads inf, which every norm check refuses.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.sum(arr.real**2 + arr.imag**2))
 
 
 def _as_complex_vector(values, length: int, what: str) -> np.ndarray:
@@ -249,7 +253,5 @@ def split_last_qubit(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = amps.shape[-1] - 1
     if n < 1:
         raise DomainError("cannot split a qubit off an empty string")
-    nus = np.arange(n)
-    c0 = amps[..., :n] * np.sqrt((n - nus) / n)
-    c1 = amps[..., 1:] * np.sqrt((nus + 1) / n)
-    return c0, c1
+    weights = np.sqrt(np.arange(1, n + 1) / n)  # sqrt((nu+1)/n); reversed, sqrt((n-nu)/n)
+    return amps[..., :n] * weights[::-1], amps[..., 1:] * weights

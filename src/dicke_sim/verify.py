@@ -219,7 +219,9 @@ class PropertyResult:
         self.passed = bool(self.passed)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report entry; JSON has no token for a NaN or infinite worst_residual, so it is None."""
+        finite = math.isfinite(self.worst_residual)
+        return {**asdict(self), "worst_residual": self.worst_residual if finite else None}
 
 
 def _worst(worst: float, *residuals: float) -> float:
@@ -569,6 +571,8 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
     run_trials runs one block of four seeds.  Each trial's labels,
     probabilities and final state must equal run_trial on its seed alone,
     exactly, and a final density must be exactly Hermitian (_exactly_hermitian);
+    evaluate_sequence, forcing the trial's labels, must return its recorded
+    probabilities and final state exactly, since a pure step is one kernel;
     compact_sequence_prob, replaying the trial with each loss applied where it
     occurs, must give the same probabilities at `tol` and the same final state
     at 1e-12.
@@ -578,6 +582,7 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
     state_worst = 0.0
     mismatched = 0
     not_hermitian = 0
+    not_replayed = 0
     cases = 0
     for seed in range(seeds):
         rng = np.random.default_rng(14_000 + seed)
@@ -595,18 +600,22 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
                 mismatched += 1
             if isinstance(trace.final_state, SymmetricDensity) and not _exactly_hermitian(trace.final_state.alpha):
                 not_hermitian += 1
+            recorded = [ev.probability for ev in trace.events if ev.kind == "measure"]
+            replayed, replay_final = evaluate_sequence(ket, channel, trace.steps())
+            not_replayed += replayed != recorded or _coefficient_gap(replay_final, trace.final_state) != 0.0
             try:
                 _, probs, final = compact_sequence_prob(ket, _reference_steps(trace.steps(), channel))
             except ZeroProbabilityError:  # a drawn label the reference cannot condition on
                 probs, final = [math.inf], None
-            recorded = [ev.probability for ev in trace.events if ev.kind == "measure"]
             worst = _worst(worst, *(abs(p - q) for p, q in zip(probs, recorded)))
             state_worst = _worst(state_worst, _coefficient_gap(trace.final_state, final))
             cases += 1
-    passed = mismatched == 0 and not_hermitian == 0 and worst <= tol and state_worst <= state_tol
+    passed = not (mismatched or not_hermitian or not_replayed) and worst <= tol and state_worst <= state_tol
     notes = []
     if mismatched:
         notes.append(f"{mismatched} trials differ from run_trial alone")
+    if not_replayed:
+        notes.append(f"{not_replayed} trials differ from their forced evaluate_sequence replay")
     if not_hermitian:
         notes.append(f"{not_hermitian} final densities not exactly Hermitian")
     if not state_worst <= state_tol:

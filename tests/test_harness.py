@@ -302,6 +302,25 @@ class TestBatchedTrials:
         with pytest.raises(DomainError, match="finite"):
             run_trials(basis_state(3, 1), PhaseChannel(0.2), NanForSecondTrial(), LossSchedule.lossless(2), [1, 2, 3])
 
+    def test_forced_replay_reproduces_trials_exactly(self):
+        # trials and forced replays step through one kernel, so forcing a
+        # trial's labels gives back its probabilities and final state bit for bit
+        for seed in range(30):
+            rng = np.random.default_rng(70_000 + seed)
+            n = int(rng.integers(2, 81))
+            ket = random_symmetric_ket(n, rng)
+            a = [float(x) for x in rng.uniform(0.0, math.pi, 4)]
+            policy = (FixedPolicy(a[0], a[1]), RoundRobinPolicy(((a[0], a[1]), (a[2], a[3]))),
+                      FeedbackPolicy(a[0], a[1], a[2]))[seed % 3]
+            schedule = LossSchedule.random(int(rng.integers(1, n)), 0.3, int(rng.integers(0, 2**31)))
+            channel = PhaseChannel(float(rng.uniform(0.0, 2.0 * math.pi)))
+            for trace in run_trials(ket, channel, policy, schedule, [int(s) for s in rng.integers(0, 2**31, 4)]):
+                probs, final = evaluate_sequence(ket, channel, trace.steps())
+                assert probs == [ev.probability for ev in trace.events if ev.kind == "measure"]
+                assert type(final) is type(trace.final_state)
+                coefficients = [s.amps if isinstance(s, SymmetricKet) else s.alpha for s in (final, trace.final_state)]
+                assert coefficients[0].tobytes() == coefficients[1].tobytes()
+
     def test_matches_stepwise_lossy_replay(self):
         result = check_batched_trials(max_n=10, seeds=30, tol=1e-10)
         assert result.passed, result
@@ -768,8 +787,8 @@ class TestJointLikelihood:
         assert ml_phase_estimate(ket, trace, np.int64(4)) == ml_phase_estimate(ket, trace, 4)
 
 
-class TestPhaseMajorReplay:
-    """The grid's forced replay holds kets[nu, g]; each row keeps the bits it has alone."""
+class TestGridReplayRows:
+    """The grid's forced replay steps one (G, n+1) array of kets; each row keeps the bits it has alone."""
 
     def test_grid_row_equals_replay_alone_bit_for_bit(self):
         from dicke_sim.harness import _final_states, _forced_replay
