@@ -35,8 +35,9 @@ The ML estimate (`ml_phase_estimate`) needs no phase in its replay: the
 channel diag(1, e^{i phi}) on every qubit multiplies |nu> by e^{i nu phi}, so
 every amplitude of a forced branch is a polynomial in e^{i phi} with
 phase-free coefficients.  `_joint_log_likelihoods` replays the trace once on
-those coefficients and evaluates them at every grid phase with one FFT;
-`grid_log_likelihoods` is its referee and its fallback.
+those coefficients and evaluates them at every grid phase with one FFT.  When
+the best of those joint probabilities is below e ZERO_PROB_EPS, the estimate
+reads the stepwise `grid_log_likelihoods` instead, which is also the referee.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ from .states import SymmetricDensity, SymmetricKet, general_split, require_densi
 BLOCK_BYTES = 1 << 22  # memory budget of a trial block's (T, n+1, n+1) densities
 ESTIMATE_GRID = 1024
 TIE_TOL = 1e-10  # log-likelihood slack of a tie; below the 1e-9 of perfbench's grid-maximum check
-BOUND_CHECK_EVERY = 16  # phase-free replay steps between checks that the maximum can still be used
 
 
 def combined_pvm(channel: PhaseChannel, detector: SingleQubitPVM) -> SingleQubitPVM:
@@ -315,8 +315,8 @@ def grid_log_likelihoods(
     return sum(logs.T, np.zeros(grid_size))
 
 
-def _joint_log_likelihoods(input_state: SymmetricKet, steps: list, grid_size: int):
-    """log P(g) of the forced labels at each phase 2 pi g / grid_size, or None.
+def _joint_log_likelihoods(input_state: SymmetricKet, steps: list, grid_size: int) -> np.ndarray:
+    """log P(g), the joint probability of the forced labels at each phase 2 pi g / grid_size.
 
     diag(1, z) on every qubit, z = e^{i phi}, multiplies psi_nu by z^nu, so
     each amplitude of the forced branch is a polynomial in z.  The replay runs
@@ -325,33 +325,22 @@ def _joint_log_likelihoods(input_state: SymmetricKet, steps: list, grid_size: in
     rows fold mod grid_size, since z^grid_size = 1 at every grid phase.  Each
     step applies the forced row without renormalizing, so
     sum_nu' |sum_k C[k, nu'] z_g^k|^2 is the joint probability P(g), and one
-    inverse FFT over k evaluates it at every grid phase.  C needs no
-    rescaling: by Parseval over the grid, sum |C|^2 = mean_g P(g) <= 1, and it
-    stays at or above e ZERO_PROB_EPS / grid_size wherever the result is used.
-
-    The joint P(g) stands for the stepwise sum of logs only when no
-    conditional p_j is below ZERO_PROB_EPS.  Since p_j >= P(g), that holds on
-    every row near the maximum once max_g P(g) >= e ZERO_PROB_EPS; below that
-    (about 45 or more measurements), or once the bound checked every
-    BOUND_CHECK_EVERY steps shows that the maximum can no longer reach it,
-    the result is None.
+    inverse FFT over k evaluates it at every grid phase.  By Parseval over the
+    grid, sum |C|^2 = mean_g P(g) <= 1, so C needs no rescaling; a row with
+    P(g) = 0 reads -inf.  ml_phase_estimate decides whether P(g) can stand
+    for the stepwise likelihood.
     """
     n = input_state.n
-    floor = math.log(ZERO_PROB_EPS) + 1.0
     nus = np.arange(n + 1)
     coeffs = np.zeros((min(n + 1, grid_size), n + 1), dtype=complex)
     coeffs[nus % len(coeffs), nus] = input_state.amps
-    for j, row in enumerate(_forced_rows(n, steps)):
+    for row in _forced_rows(n, steps):
         coeffs = pvm_branches(coeffs, row)[:, 0]
-        if j % BOUND_CHECK_EVERY == BOUND_CHECK_EVERY - 1:
-            bound = np.square(np.abs(coeffs).sum(axis=0)).sum()  # >= P(g) now and later
-            if not bound > 0.0 or math.log(bound) < floor:
-                return None
     amps = np.fft.ifft(coeffs, grid_size, axis=0, norm="forward")  # amps[g, nu'] = sum_k C z_g^k
     probs = (amps.real**2 + amps.imag**2).sum(axis=1)
     logs = np.full(grid_size, -math.inf)
     np.log(probs, out=logs, where=probs > 0.0)
-    return logs if logs.max() >= floor else None
+    return logs
 
 
 def ml_phase_estimate(
@@ -361,16 +350,20 @@ def ml_phase_estimate(
 ) -> float:
     """Maximum-likelihood phase over a uniform grid of candidate phases.
 
-    The log-likelihoods come from _joint_log_likelihoods, or from
-    grid_log_likelihoods where it returns None.  Ties resolve to the smallest
-    grid point within TIE_TOL of the maximum log-likelihood, so a flat
-    likelihood (Dicke inputs, NOON with fewer than n measurements) gives 0.0
-    and exact ties (NOON with n measurements) give the smallest maximum,
-    whatever the rounding.  All points impossible: 0.0.
+    The log-likelihoods are the joint ones of _joint_log_likelihoods when
+    their maximum is at least log(e ZERO_PROB_EPS).  Each conditional p_j is
+    at least the joint P(g), so then no row near the maximum has a forced
+    label below ZERO_PROB_EPS, and the joint log equals the stepwise sum of
+    logs there.  Below that floor (about 45 or more measurements) they come
+    from the stepwise grid_log_likelihoods, which reads -inf for such a row.
+    Ties resolve to the smallest grid point within TIE_TOL of the maximum
+    log-likelihood, so a flat likelihood (Dicke inputs, NOON with fewer than
+    n measurements) gives 0.0 and exact ties (NOON with n measurements) give
+    the smallest maximum, whatever the rounding.  All points impossible: 0.0.
     """
     _require_grid_size(grid_size)
     ll = _joint_log_likelihoods(input_state, trace.steps(), grid_size)
-    if ll is None:
+    if ll.max() < math.log(ZERO_PROB_EPS) + 1.0:
         ll = grid_log_likelihoods(input_state, trace, grid_size)
     g = int(np.argmax(ll >= ll.max() - TIE_TOL))  # all -inf: every point ties, g = 0
     return 2.0 * math.pi * g / grid_size

@@ -22,6 +22,11 @@ from .measure import SingleQubitKraus, SingleQubitPVM, pvm_from_bloch
 from .states import SymmetricDensity, SymmetricKet, basis_state, make_ket, require_state_entries
 
 
+def _require_finite(what: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{what} must be finite, got {', '.join(map(str, values))}")
+
+
 @dataclass(frozen=True)
 class PhaseChannel:
     """Unitary single-qubit channel diag(1, e^{i phi}); phi is the unknown."""
@@ -29,8 +34,7 @@ class PhaseChannel:
     phi: float
 
     def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise DomainError(f"channel phase must be finite, got {self.phi}")
+        _require_finite("channel phase", self.phi)
 
     def unitary(self) -> np.ndarray:
         return np.array([[1.0, 0.0], [0.0, np.exp(1j * self.phi)]], dtype=complex)
@@ -52,6 +56,9 @@ class FixedPolicy(Policy):
     theta: float = 0.0
     phi: float = 0.0
 
+    def __post_init__(self):
+        _require_finite("fixed policy angles", self.theta, self.phi)
+
     def next_settings(self, labels):
         return np.full(len(labels), self.theta), np.full(len(labels), self.phi)
 
@@ -63,6 +70,7 @@ class RoundRobinPolicy(Policy):
     def __post_init__(self):
         if not self.settings:
             raise ConfigError("round-robin policy needs at least one basis")
+        _require_finite("round-robin policy angles", *(angle for basis in self.settings for angle in basis))
 
     def next_settings(self, labels):
         theta, phi = self.settings[labels.shape[1] % len(self.settings)]
@@ -79,6 +87,9 @@ class FeedbackPolicy(Policy):
     delta: float
     theta: float = math.pi / 2.0
     initial_phi: float = 0.0
+
+    def __post_init__(self):
+        _require_finite("feedback policy settings", self.delta, self.theta, self.initial_phi)
 
     def next_settings(self, labels):
         trials, m = labels.shape
@@ -270,6 +281,8 @@ def policy_from_config(doc) -> Policy:
         bases = doc.get("bases")
         if not bases or not isinstance(bases, list) or not all(isinstance(b, dict) for b in bases):
             raise ConfigError("round_robin policy needs 'bases', a list of objects")
+        for basis in bases:
+            _reject_unknown(basis, {"theta", "phi"}, "round_robin basis")
         return RoundRobinPolicy(tuple((angle(b, "theta", 0.0), angle(b, "phi", 0.0)) for b in bases))
     if kind == "feedback":
         return FeedbackPolicy(

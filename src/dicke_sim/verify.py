@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (DickeSimError, DomainError, NotSymmetricError, ResourceLimitError,
                      ZeroProbabilityError)
-from .harness import (TIE_TOL, _ordered_map, combined_pvm, evaluate_sequence,
+from .harness import (TIE_TOL, ExperimentTrace, TraceEvent, _ordered_map, combined_pvm, evaluate_sequence,
                       grid_log_likelihoods, ml_phase_estimate, run_trial, run_trials)
 from .measure import (
     ZERO_PROB_EPS,
@@ -510,16 +510,44 @@ def check_loss_independence(max_n: int = 10, seeds: int = 50, tol: float = 1e-10
     return PropertyResult("loss_independence", cases, worst, tol, passed, note)
 
 
+def unlikely_noon_trace(max_n: int, seed: int) -> tuple[SymmetricKet, ExperimentTrace]:
+    """A NOON-like input and forced labels that no phase makes possible.
+
+    a|0..0> + b|1..1> on n = 2 to max_n qubits, |a| < 0.8 |b|, all measured:
+    a detector within 1e-7 of theta = 0 reads 1, one within 1e-7 of
+    theta = pi reads 1, and n - 2 detectors with theta in [pi/4, 3pi/4] read
+    random labels.  The second conditional stays below
+    ((1 + 0.8) 1e-7 / 2)^2 < ZERO_PROB_EPS at every phase, so every row of
+    grid_log_likelihoods reads -inf and the estimate is 0.0.  Both branches
+    end on the vacuum and interfere, so the joint probability, below
+    e ZERO_PROB_EPS, peaks at a phase set by the detector phases.
+    """
+    rng = np.random.default_rng(13_500 + seed)
+    n = int(rng.integers(2, max_n + 1))
+    amps = np.zeros(n + 1, dtype=complex)
+    amps[0] = 0.8 * rng.uniform() * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    amps[n] = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    thetas = [rng.uniform(0.0, 1e-7), math.pi - rng.uniform(0.0, 1e-7),
+              *rng.uniform(math.pi / 4.0, 3.0 * math.pi / 4.0, n - 2)]
+    labels = [1, 1, *rng.integers(0, 2, n - 2)]
+    events = tuple(TraceEvent(j, "measure", float(theta), rng.uniform(0.0, 2.0 * math.pi), int(label))
+                   for j, (theta, label) in enumerate(zip(thetas, labels)))
+    ket = make_ket(n, amps)
+    return ket, ExperimentTrace(seed, events, ket)
+
+
 def check_estimator_replay(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -> PropertyResult:
     """Grid log-likelihoods match the step-by-step lossy replay; the estimate reads them.
 
     On lossy feedback traces from random, NOON and Dicke inputs (in turn),
-    grid_log_likelihoods must equal, at every candidate phase of a small grid,
-    the log of compact_sequence_prob's joint probability, which applies each
-    loss where it occurs.  ml_phase_estimate, which evaluates a phase-free
-    replay by FFT, must give exactly the tie-rule argmax of
-    grid_log_likelihoods, on that grid and on a grid of 2 to n points, where
-    the powers of e^{i phi} fold.
+    and on one unlikely_noon_trace per seed, grid_log_likelihoods must equal,
+    at every candidate phase of a small grid, the log of
+    compact_sequence_prob's joint probability, which applies each loss where
+    it occurs.  ml_phase_estimate, which evaluates a phase-free replay by FFT,
+    must give exactly the tie-rule argmax of grid_log_likelihoods, on that
+    grid and on a grid of 2 to n points, where the powers of e^{i phi} fold.
+    On the unlikely traces that holds only if the estimate falls back to the
+    grid below the joint replay's floor.
     """
     grid = 16  # small, so that the suite stays cheap
     worst = 0.0
@@ -538,19 +566,20 @@ def check_estimator_replay(max_n: int = 10, seeds: int = 20, tol: float = 1e-10)
         policy = FeedbackPolicy(*(float(x) for x in rng.uniform(0.0, math.pi, 3)))
         channel = PhaseChannel(float(rng.uniform(0.0, 2.0 * math.pi)))
         trace = run_trial(ket, channel, policy, schedule, int(rng.integers(0, 2**31)))
-        got = grid_log_likelihoods(ket, trace, grid)
-        for g in range(grid):
-            steps = _reference_steps(trace.steps(), PhaseChannel(2.0 * math.pi * g / grid))
-            try:
-                want = math.log(compact_sequence_prob(ket, steps)[0])
-            except ZeroProbabilityError:
-                want = -math.inf  # a forced label below ZERO_PROB_EPS
-            worst = _worst(worst, 0.0 if want == got[g] else abs(want - got[g]))
-            cases += 1
-        folded = int(rng.integers(2, n + 1))
-        for size, ll in ((grid, got), (folded, grid_log_likelihoods(ket, trace, folded))):
-            tie_rule = 2.0 * math.pi * int(np.argmax(ll >= ll.max() - TIE_TOL)) / size
-            moved += ml_phase_estimate(ket, trace, size) != tie_rule
+        for ket, trace in ((ket, trace), unlikely_noon_trace(max_n, seed)):
+            got = grid_log_likelihoods(ket, trace, grid)
+            for g in range(grid):
+                steps = _reference_steps(trace.steps(), PhaseChannel(2.0 * math.pi * g / grid))
+                try:
+                    want = math.log(compact_sequence_prob(ket, steps)[0])
+                except ZeroProbabilityError:
+                    want = -math.inf  # a forced label below ZERO_PROB_EPS
+                worst = _worst(worst, 0.0 if want == got[g] else abs(want - got[g]))
+                cases += 1
+            folded = int(rng.integers(2, ket.n + 1))
+            for size, ll in ((grid, got), (folded, grid_log_likelihoods(ket, trace, folded))):
+                tie_rule = 2.0 * math.pi * int(np.argmax(ll >= ll.max() - TIE_TOL)) / size
+                moved += ml_phase_estimate(ket, trace, size) != tie_rule
     note = f"{moved} estimates differ from the grid's tie-rule argmax" if moved else ""
     passed = worst <= tol and not moved
     return PropertyResult("estimator_replay_equivalence", cases, worst, tol, passed, note)

@@ -28,7 +28,7 @@ from dicke_sim import harness
 from dicke_sim.harness import ExperimentTrace, TraceEvent, run_ensemble, run_trials
 from dicke_sim.serialize import dumps_json
 from dicke_sim.spec import FeedbackPolicy, FixedPolicy, LossSchedule, PhaseChannel, RoundRobinPolicy
-from dicke_sim.states import basis_state, make_ket
+from dicke_sim.states import SymmetricKet, basis_state, make_ket
 
 CORPUS = Path(__file__).with_name("golden_corpus.json")
 
@@ -44,7 +44,7 @@ def config_digests(entry: dict) -> dict:
     return {"report_sha256": _sha256(dumps_json(report)), "trace_sha256": _sha256(sink.getvalue())}
 
 
-def _input(kind: int, n: int, rng) -> object:
+def _input(kind: int, n: int, rng) -> SymmetricKet:
     if kind == 0:
         return make_ket(n, rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1))
     if kind == 1:

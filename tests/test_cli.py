@@ -298,6 +298,11 @@ class TestMalformedInputs:
         argv = self._simulate(tmp_path, policy={"type": "round_robin", "bases": [1]})
         self._assert_config_error(argv, capsys)
 
+    def test_round_robin_basis_unknown_field(self, tmp_path, capsys):
+        # "ph" is no basis field: refused, not run with phi = 0
+        argv = self._simulate(tmp_path, policy={"type": "round_robin", "bases": [{"theta": 1.2, "ph": 0.3}]})
+        self._assert_config_error(argv, capsys)
+
     def test_bench_zero_reps(self, capsys):
         self._assert_config_error(["bench", "--reps", "0"], capsys)
 
@@ -389,6 +394,20 @@ class TestUnphysicalInputs:
     def test_weight_above_n(self, capsys):
         assert main(["measure", "--state", "dicke:3,9", "--pvm", "computational"]) == EXIT_DOMAIN
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("policy, schedule", [
+        ({"type": "feedback", "delta": "inf"}, ["lose", "lose"]),
+        ({"type": "round_robin", "bases": [{"theta": "inf"}]}, []),
+        ({"type": "fixed", "phi": "nan"}, ["measure"]),
+    ])
+    def test_non_finite_policy(self, tmp_path, capsys, policy, schedule):
+        # refused when the policy is built, even if no measurement would read it
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"input": {"type": "dicke", "nu": 1}, "n": 3, "phi": 1.1, "policy": policy,
+                                    "schedule": schedule, "trials": 2, "seed": 5}))
+        assert main(["simulate", "--config", str(path)]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "must be finite" in err
 
     def test_overflowing_file_ket(self, tmp_path, capsys):
         # |amp|^2 overflows to inf, which the norm check refuses without a warning

@@ -19,7 +19,7 @@ from dicke_sim.harness import (
     run_trial,
     run_trials,
 )
-from dicke_sim.measure import lose_qubit, measure_mixed, measure_pure, pvm_from_bloch
+from dicke_sim.measure import ZERO_PROB_EPS, lose_qubit, measure_mixed, measure_pure, pvm_from_bloch
 from dicke_sim.spec import (
     FeedbackPolicy,
     FixedPolicy,
@@ -38,6 +38,7 @@ from dicke_sim.verify import (
     check_batched_trials,
     check_estimator_replay,
     random_symmetric_ket,
+    unlikely_noon_trace,
 )
 
 
@@ -87,6 +88,16 @@ class TestPolicies:
     def test_round_robin_empty_rejected(self):
         with pytest.raises(ConfigError):
             RoundRobinPolicy(())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [
+        lambda x: FixedPolicy(x, 0.2), lambda x: FixedPolicy(0.1, x),
+        lambda x: RoundRobinPolicy(((0.3, 0.4), (0.5, x))), lambda x: RoundRobinPolicy(((x, 0.4),)),
+        lambda x: FeedbackPolicy(x), lambda x: FeedbackPolicy(0.5, x), lambda x: FeedbackPolicy(0.5, 1.0, x),
+    ])
+    def test_non_finite_settings_rejected_when_built(self, build, bad):
+        with pytest.raises(DomainError, match="must be finite"):
+            build(bad)
 
     def test_feedback_steps_by_delta_over_m(self):
         policy = FeedbackPolicy(delta=0.6, initial_phi=1.0)
@@ -751,7 +762,7 @@ class TestJointLikelihood:
         ket = random_symmetric_ket(n, np.random.default_rng(5))
         trace = run_trial(ket, PhaseChannel(1.1), FeedbackPolicy(0.7, 0.3, 0.9), LossSchedule.lossless(84), 5)
         joint, grid = self.joint_and_grid(ket, trace, 1024)
-        assert joint is None and grid.max() < math.log(1e-14)
+        assert joint.max() < math.log(math.e * ZERO_PROB_EPS) and grid.max() < math.log(1e-14)
         assert ml_phase_estimate(ket, trace) == self.tie_rule(grid, 1024)
 
     def test_losses_only_give_zero(self):
@@ -766,8 +777,34 @@ class TestJointLikelihood:
         vacuum = basis_state(2, 0)
         never = ExperimentTrace(0, (TraceEvent(0, "measure", 0.0, 0.0, 1, 0.0),), vacuum)
         joint, grid = self.joint_and_grid(vacuum, never, 1024)
-        assert joint is None and np.all(grid == -math.inf)
+        assert np.all(joint == -math.inf) and np.all(grid == -math.inf)
         assert ml_phase_estimate(vacuum, never) == 0.0
+
+    def test_grid_decides_below_the_floor(self):
+        # the second label is below ZERO_PROB_EPS at every phase, so every grid
+        # row is dead and the referee's estimate is 0.0; the joint probability,
+        # below e * ZERO_PROB_EPS, still peaks at g = 2
+        ket = make_ket(2, [-0.256 - 0.597j, 0.0, -0.653 - 0.389j])
+        events = (TraceEvent(0, "measure", 1.1471598025988573e-08, 4.436938355960884, 1),
+                  TraceEvent(1, "measure", 3.1415925900687975, 2.789180998537133, 1))
+        trace = ExperimentTrace(0, events, ket)
+        joint, grid = self.joint_and_grid(ket, trace, 16)
+        assert np.all(grid == -math.inf) and joint.max() < math.log(math.e * ZERO_PROB_EPS)
+        assert self.tie_rule(joint, 16) == 2 * math.pi * 2 / 16
+        assert ml_phase_estimate(ket, trace, 16) == 0.0
+
+    def test_unlikely_noon_traces_separate_the_tie_rules(self):
+        # estimator_replay_equivalence's default cases include unlikely traces
+        # whose joint tie rule is not the grid's, so a lost fallback fails it
+        params = SuiteParams()
+        differ = 0
+        for seed in range(params.seeds):
+            ket, trace = unlikely_noon_trace(params.max_n, seed)
+            joint, grid = self.joint_and_grid(ket, trace, 16)
+            assert np.all(grid == -math.inf) and joint.max() < math.log(math.e * ZERO_PROB_EPS)
+            assert ml_phase_estimate(ket, trace, 16) == 0.0
+            differ += self.tie_rule(joint, 16) != 0.0
+        assert differ >= 1
 
     @pytest.mark.parametrize("grid_size", [0, -3, 2.5, True, "8", None])
     def test_bad_grid_size_rejected(self, grid_size):
