@@ -9,17 +9,17 @@ reproducible from its seed.
 Losses are deferred: a loss changes no later measurement probability and a
 partial trace commutes with a measurement on another qubit, so trials (through
 `measure.pvm_branches`), forced replays and the likelihood measure the pure
-ket at every step and trace the lost qubits out of the final ket once, in one
-product through the split coefficients (`_final_states`).
+ket at every step.  The final ket and the k losses fix the final density,
+which only readers that ask for one trace out (`states._final_states`).
 
 Trials run in blocks (`_trial_block`): the T kets of a block advance as one
 (T, n+1) array, with one vectorized measurement step per `measure` event,
 and the block returns arrays: settings, labels and probabilities (T, m) and
-the final kets or densities.  `run_trials` wraps them as one ExperimentTrace
-per trial; an ensemble does so only for the estimator and writes its labels
-and trace lines from the arrays.  The block size follows from n, so that a
-block's largest array, its (T, n+1, n+1) final densities, stays within
-BLOCK_BYTES.  A trial's outcome does not depend on its block.  An ensemble
+the final kets (T, n+1-m).  `run_trials` wraps them as one ExperimentTrace
+per trial with its final state.  An ensemble builds no density: its labels,
+trace lines and estimator traces (with no final state) come from the arrays.
+Its blocks are sized from the arrays a trial adds (`_trial_bytes`), within
+BLOCK_BYTES; a trial's outcome does not depend on its block.  An ensemble
 (`run_ensemble`) is one ordered list of blocks for any worker count.  Its
 trace lines are written per block, in trial order, as soon as the block and
 every block before it are done, so on an error the trace holds the lines of
@@ -46,7 +46,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from operator import add, mul
 
 import numpy as np
@@ -62,9 +62,9 @@ from .measure import (
 )
 from .serialize import trace_lines
 from .spec import LossSchedule, PhaseChannel, Policy, parse_config
-from .states import SymmetricDensity, SymmetricKet, general_split, require_densities
+from .states import SymmetricDensity, SymmetricKet, _final_states
 
-BLOCK_BYTES = 1 << 22  # memory budget of a trial block's (T, n+1, n+1) densities
+BLOCK_BYTES = 1 << 22  # memory budget of a trial block's arrays (_trial_bytes)
 ESTIMATE_GRID = 1024
 TIE_TOL = 1e-10  # log-likelihood slack of a tie; below the 1e-9 of perfbench's grid-maximum check
 
@@ -92,7 +92,7 @@ class TraceEvent:
 class ExperimentTrace:
     seed: int
     events: tuple[TraceEvent, ...]
-    final_state: SymmetricKet | SymmetricDensity
+    final_state: SymmetricKet | SymmetricDensity | None  # None in the ensemble's estimator traces
 
     def outcome_labels(self) -> tuple[int, ...]:
         return tuple(ev.label for ev in self.events if ev.kind == "measure")
@@ -101,64 +101,6 @@ class ExperimentTrace:
         """The replay encoding of each event: ("measure", (theta, phi), label) or ("lose",)."""
         return [("lose",) if ev.kind == "lose" else ("measure", (ev.theta, ev.phi), ev.label)
                 for ev in self.events]
-
-
-@lru_cache(maxsize=1)
-def _loss_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """_final_states' gather table for k of n qubits lost, as read-only arrays.
-
-    nus[j, mu] = mu + j and xi[j, mu] = Xi(k, n; j, mu + j), from one
-    general_split call per nu.  It depends only on (n, k), so the blocks of
-    an ensemble share the one kept.
-    """
-    table = np.zeros((k + 1, n + 1))
-    for nu in range(n + 1):
-        for c in general_split(n, nu, k):
-            table[c.mu, nu] = c.value
-    nus = np.arange(k + 1)[:, None] + np.arange(n - k + 1)
-    xi = np.take_along_axis(table, nus, axis=1)
-    nus.setflags(write=False)
-    xi.setflags(write=False)
-    return nus, xi
-
-
-def _final_states(kets: np.ndarray, k: int) -> np.ndarray:
-    """The k deferred losses, traced out of every final ket kets[T] in one product.
-
-    Splitting the k lost qubits off |nu> of the N left leaves j ones among
-    them with amplitude Xi(k, N; j, nu), so alpha = sum_j c_j c_j^dag with
-    c_j[mu] = psi[mu + j] Xi(k, N; j, mu + j), gathered through _loss_table.
-    Returns the densities alpha[T, N-k+1, N-k+1], checked once over the
-    block as SymmetricDensity checks each (states.require_densities).
-    k = 0 returns the kets as they are: in a trial block they are the input
-    or come from measure_pure_batch, whose norm check is SymmetricKet's, and
-    evaluate_sequence builds its one as a SymmetricKet.
-
-    With c_j = x + iy, the real part x_a x_b + y_a y_b and the imaginary part
-    y_a x_b - x_a y_b are summed separately, elementwise over j in order, in
-    buffers reused for every j.  So alpha has the same bytes in any block and
-    is exactly Hermitian: its real part is bitwise symmetric, its imaginary
-    part antisymmetric, and its imaginary diagonal 0.0.  (numpy's complex
-    product c_a conj(c_b) is not: it leaves imaginary diagonals of about
-    1e-19.)
-    """
-    n = kets.shape[-1] - 1
-    if k == 0:
-        return kets
-    nus, xi = _loss_table(n, k)
-    c = kets[:, nus] * xi  # c[T, j, mu]
-    alpha = np.zeros((len(kets), n - k + 1, n - k + 1), dtype=complex)
-    term, product = np.empty(alpha.shape), np.empty(alpha.shape)
-    for cj in c.swapaxes(0, 1):
-        a, b = cj[:, :, None], cj[:, None, :]
-        np.multiply(a.real, b.real, out=term)
-        term += np.multiply(a.imag, b.imag, out=product)
-        alpha.real += term
-        np.multiply(a.imag, b.real, out=term)
-        term -= np.multiply(a.real, b.imag, out=product)
-        alpha.imag += term
-    require_densities(alpha)
-    return alpha
 
 
 def _as_state(final: np.ndarray) -> SymmetricKet | SymmetricDensity:
@@ -172,8 +114,8 @@ def _trial_block(input_state: SymmetricKet, channel: PhaseChannel, policy: Polic
     """run_trials' arithmetic, returning arrays instead of traces.
 
     Returns thetas, phis, labels and probs of shape (T, m), one column per
-    measurement in schedule order, and the final states: kets (T, n+1) when
-    the schedule loses nothing, else densities (T, d, d) (_final_states).
+    measurement in schedule order, and the final kets (T, n+1-m) before the
+    schedule's losses: no density (_final_states) is built here.
     """
     if len(schedule.events) > input_state.n:
         raise DomainError(
@@ -189,21 +131,19 @@ def _trial_block(input_state: SymmetricKet, channel: PhaseChannel, policy: Polic
         thetas[:, j], phis[:, j] = policy.next_settings(labels[:, :j])
         kappas = bloch_kappas(thetas[:, j], phis[:, j]) * fold
         labels[:, j], probs[:, j], kets = measure_pure_batch(kets, kappas, uniforms[:, j])
-    return thetas, phis, labels, probs, _final_states(kets, len(schedule.events) - m)
+    return thetas, phis, labels, probs, kets
 
 
-def _traces(schedule: LossSchedule, seeds, thetas, phis, labels, probs, finals) -> list[ExperimentTrace]:
-    """A _trial_block's arrays as one ExperimentTrace per trial."""
+def _traces(schedule: LossSchedule, seeds, thetas, phis, labels, probs, finals):
+    """A _trial_block's arrays as one ExperimentTrace per trial, lazily; a None final state stays None."""
     per_trial = zip(thetas.tolist(), phis.tolist(), labels.tolist(), probs.tolist())
-    traces = []
     for seed, final, rows in zip(seeds, finals, per_trial):
         measured = zip(*rows)  # (theta, phi, label, probability) of each measurement
         events = tuple(
             TraceEvent(step, "lose") if kind == "lose" else TraceEvent(step, "measure", *next(measured))
             for step, kind in enumerate(schedule.events)
         )
-        traces.append(ExperimentTrace(seed, events, _as_state(final)))
-    return traces
+        yield ExperimentTrace(seed, events, None if final is None else _as_state(final))
 
 
 def run_trials(
@@ -221,11 +161,12 @@ def run_trials(
     advance as one (T, n+1) array: each `measure` event builds every trial's
     detector from policy.next_settings with the channel folded in, and takes
     one measure_pure_batch step.  `lose` events are only recorded; the lost
-    qubits are traced out of the final kets once.  The block runs as arrays
-    (_trial_block); only then is each trial wrapped as an ExperimentTrace
-    with a SymmetricKet / SymmetricDensity final state.
+    qubits are traced out of the block's final kets once (_final_states).
+    The block runs as arrays (_trial_block); only then is each trial wrapped
+    as an ExperimentTrace with a SymmetricKet / SymmetricDensity final state.
     """
-    return _traces(schedule, seeds, *_trial_block(input_state, channel, policy, schedule, seeds))
+    *arrays, kets = _trial_block(input_state, channel, policy, schedule, seeds)
+    return list(_traces(schedule, seeds, *arrays, _final_states(kets, schedule.events.count("lose"))))
 
 
 def run_trial(input_state: SymmetricKet, channel: PhaseChannel, policy: Policy,
@@ -393,7 +334,7 @@ def _run_trial_block(parsed: dict, trial_ids: range, keep_traces: bool):
 
     Returns their outcome labels, their phase estimates (none when estimation
     is off) and their trace lines (none unless keep_traces), in trial order.
-    The block stays arrays: only the estimator gets ExperimentTrace objects.
+    The block stays arrays: only the estimator gets ExperimentTraces, one at a time, with no final state.
     """
     seeds = [parsed["seed"] + t for t in trial_ids]
     block = _trial_block(parsed["input"], parsed["channel"], parsed["policy"], parsed["schedule"], seeds)
@@ -401,19 +342,25 @@ def _run_trial_block(parsed: dict, trial_ids: range, keep_traces: bool):
     estimates = []
     if parsed["estimate"]:
         estimates = [ml_phase_estimate(parsed["input"], trace)
-                     for trace in _traces(parsed["schedule"], seeds, *block)]
+                     for trace in _traces(parsed["schedule"], seeds, *block[:4], [None] * len(seeds))]
     lines = trace_lines(trial_ids, seeds, parsed["schedule"].events, *block) if keep_traces else []
     return labels, estimates, lines
+
+
+def _trial_bytes(n: int, m: int, keep_traces: bool) -> int:
+    """About the bytes a trial adds to a block: its (n+1) ket and (2, n) branches, 5 m floats, its line."""
+    text = 160 * (2 * n + 2 + m) if keep_traces else 0  # its 3 m + 2 (n + 1 - m) floats; 106 to 149 measured
+    return 48 * n + 16 + 40 * m + text
 
 
 def run_ensemble(config: dict, workers: int = 1, trace_sink=None) -> dict:
     """Run `trials` independent trials with seeds base, base+1, ...
 
     The trials run as one ordered list of blocks (_run_trial_block) over
-    `workers` processes.  A block holds as many trials as fit their (n+1, n+1)
-    densities into BLOCK_BYTES, at most ceil(trials / workers) and at least
-    one.  A trial's outcome does not depend on its block, so the report is the
-    same for any worker count.  The report is a JSON-ready dict:
+    `workers` processes.  A block holds as many trials as fit the arrays they
+    build (_trial_bytes) into BLOCK_BYTES, at most ceil(trials / workers), at
+    least one.  A trial's outcome does not depend on its block, so the report
+    is the same for any worker count.  The report is a JSON-ready dict:
     per-outcome-sequence frequencies, and (when estimation is on) the
     phase-estimate distribution and the sharpness |<e^{i(phi_hat - phi)}>|
     over trials.  Identical (config, seed) give a byte-identical report.
@@ -426,7 +373,8 @@ def run_ensemble(config: dict, workers: int = 1, trace_sink=None) -> dict:
     trials = parsed["trials"]
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    size = max(1, min(BLOCK_BYTES // (16 * (parsed["n"] + 1) ** 2), -(-trials // workers)))
+    per_trial = _trial_bytes(parsed["n"], parsed["schedule"].measurement_count(), trace_sink is not None)
+    size = max(1, min(BLOCK_BYTES // per_trial, -(-trials // workers)))
     blocks = [range(s, min(s + size, trials)) for s in range(0, trials, size)]
     counts: Counter = Counter()
     estimates: list[float] = []

@@ -94,9 +94,9 @@ class MeasurementOutcome:
 
 
 def require_pvm_rows(kappas: np.ndarray) -> None:
-    """Raise unless every kappa[..., ell, b] has orthonormal rows; NaN fails too."""
-    gram = kappas @ kappas.conj().swapaxes(-1, -2)
-    dev = np.abs(gram - _IDENTITY).max(initial=0.0)
+    """Raise unless every kappa[..., ell, b] has orthonormal rows; NaN and an overflow fail too."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an entry above 1e154 overflows the product
+        dev = np.abs(kappas @ kappas.conj().swapaxes(-1, -2) - _IDENTITY).max(initial=0.0)
     if not dev <= PVM_TOL:
         raise InvalidMeasurementError(f"PVM rows are not orthonormal: max deviation {dev:.3e}")
 
@@ -177,9 +177,9 @@ def measure_pure_batch(
 def _check_complete(kraus_set: list[SingleQubitKraus]) -> None:
     if not kraus_set:
         raise InvalidMeasurementError("empty Kraus set")
-    total = sum(k.matrix.conj().T @ k.matrix for k in kraus_set)
-    dev = np.max(np.abs(total - np.eye(2)))
-    if dev > COMPLETENESS_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # an entry above 1e154 overflows: dev is inf or NaN
+        dev = np.max(np.abs(sum(k.matrix.conj().T @ k.matrix for k in kraus_set) - np.eye(2)))
+    if not dev <= COMPLETENESS_TOL:
         raise InvalidMeasurementError(
             f"Kraus set violates completeness: max deviation {dev:.3e}"
         )
@@ -251,7 +251,7 @@ def lose_qubit(rho: SymmetricDensity) -> SymmetricDensity:
     """Trace out one qubit of a mixed state: a full trace has gram = identity.
 
     One loss at a time; trials and replays defer theirs to one product
-    (`harness._final_states`), and this stepwise update is its referee.
+    (`states._final_states`), and this stepwise update is its referee.
     """
     if rho.n < 1:
         raise DomainError("cannot lose a qubit from an empty string")

@@ -52,9 +52,8 @@ def float_texts(values) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError("cannot write a non-finite float as JSON")
     magnitudes, which = np.unique(np.abs(values), return_inverse=True)
-    texts = [repr(x) for x in magnitudes.tolist()]
-    signed = np.array(texts + ["-" + text for text in texts], dtype=object)
-    return signed[which.reshape(values.shape) + len(texts) * np.signbit(values)]
+    texts = np.array(list(map(repr, magnitudes.tolist())), dtype=object)[which.reshape(values.shape)]
+    return np.add("-", texts, out=texts, where=np.signbit(values))  # "-" + text on the negative entries
 
 
 def _pairs_template(shape: tuple) -> str:
@@ -69,28 +68,30 @@ _LOST = '{"kind": "lose", "label": null, "phi": null, "probability": null, "step
 _MEASURED = '{"kind": "measure", "label": %%s, "phi": %%s, "probability": %%s, "step": %d, "theta": %%s}'
 
 
-def trace_lines(trial_ids, seeds, events, thetas, phis, labels, probs, finals) -> list[str]:
+def trace_lines(trial_ids, seeds, events, thetas, phis, labels, probs, kets) -> list[str]:
     """The newline-terminated JSON line of each trial of a block, trial_ids their trial numbers.
 
     The arguments are harness._trial_block's arrays: events the schedule's
     kinds ("measure" or "lose"), thetas, phis, labels and probs of shape
-    (T, m) with one column per measurement, and finals the final kets
-    (T, n+1) or densities (T, d, d).  Each line has the bytes of
-    json.dumps(doc, sort_keys=True) of
+    (T, m) with one column per measurement, and the final kets (T, N+1),
+    N = n - m.  Each line has the bytes of json.dumps(doc, sort_keys=True) of
     {"trial": t, "seed": seed, "events": [the TraceEvent fields of each event],
-    "final_state": {"kind": "ket" or "density", "n": n, "amps" or "alpha": [re, im] pairs}}.
-    The trials of a block differ only in labels and floats: one % template
-    writes every line, and float_texts formats all their floats at once.
+    "final_state": {"kind": "ket", "n": N, "amps": [re, im] pairs}}; when the
+    schedule loses k > 0 qubits, {"kind": "ket_with_losses", "lost": k, ...}:
+    its density is states._final_states(ket[None], k)[0], as
+    spec.state_from_json reads it.  The trials of a block differ only in
+    labels and floats: one % template writes every line, and float_texts
+    formats all their floats at once.
     """
     count, m = labels.shape
-    key, kind = ("amps", "ket") if finals.ndim == 2 else ("alpha", "density")
+    lost = events.count("lose")
+    kind = '"ket_with_losses", "lost": %d' % lost if lost else '"ket"'
     steps = ", ".join((_LOST if ev == "lose" else _MEASURED) % step for step, ev in enumerate(events))
-    state = '{"%s": %s, "kind": "%s", "n": %d}' % (key, _pairs_template(finals.shape[1:]), kind,
-                                                     finals.shape[-1] - 1)
+    state = '{"amps": %s, "kind": %s, "n": %d}' % (_pairs_template(kets.shape[1:]), kind, kets.shape[-1] - 1)
     template = '{"events": [' + steps + '], "final_state": ' + state + ', "seed": %s, "trial": %s}\n'
     texts = float_texts(np.concatenate(
         (np.stack((phis, probs, thetas), axis=-1).reshape(count, 3 * m),
-         np.ascontiguousarray(finals).view(float).reshape(count, -1)), axis=1))
+         np.ascontiguousarray(kets).view(float).reshape(count, -1)), axis=1))
     args = np.empty((count, m + texts.shape[1] + 2), dtype=object)  # the template's fields
     columns = np.arange(4 * m).reshape(m, 4)  # of each measurement: label, phi, probability, theta
     args[:, columns[:, 0]] = labels

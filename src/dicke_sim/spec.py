@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .measure import SingleQubitKraus, SingleQubitPVM, pvm_from_bloch
-from .states import SymmetricDensity, SymmetricKet, basis_state, make_ket, require_state_entries
+from .states import SymmetricDensity, SymmetricKet, _final_states, basis_state, make_ket, require_state_entries
 
 
 def _require_finite(what: str, *values: float) -> None:
@@ -96,7 +96,9 @@ class FeedbackPolicy(Policy):
         step = self.delta / np.arange(1, m + 1)
         nudges = np.where(labels == 0, step, -step)
         # summed left to right from initial_phi, one column per outcome
-        phase = np.add.accumulate(np.column_stack([np.full(trials, self.initial_phi), nudges]), axis=1)
+        with np.errstate(over="ignore"):  # an overflow is refused below, in one line
+            phase = np.add.accumulate(np.column_stack([np.full(trials, self.initial_phi), nudges]), axis=1)
+        _require_finite(f"feedback policy phase after {m} outcomes", float(np.abs(phase[:, -1]).max(initial=0.0)))
         return np.full(trials, self.theta), phase[:, -1]
 
 
@@ -217,13 +219,26 @@ def measurement_from_spec(spec: str) -> SingleQubitPVM | list[SingleQubitKraus]:
 
 
 def state_from_json(doc) -> SymmetricKet | SymmetricDensity:
-    """{"n", "amps"} or {"n", "alpha"} coefficients, or an input kind with its "n"."""
+    """{"n", "amps"} or {"n", "alpha"} coefficients, or an input kind with its "n".
+
+    "kind", if given, is "ket", "density" or "ket_with_losses": a lossy trace line's ket, read as the
+    density it leaves after "lost" losses (states._final_states).
+    """
     if not isinstance(doc, dict):
         raise ConfigError("a state document must be an object")
     if "type" in doc:
         n = _qubit_count(doc.get("n"), "state 'n'", lo=1)
         return input_from_config({k: v for k, v in doc.items() if k != "n"}, n)
     n = _qubit_count(doc.get("n"), "state 'n'", lo=0)
+    if doc.get("kind") not in (None, "ket", "density", "ket_with_losses"):
+        raise ConfigError(f"unknown state kind {doc['kind']!r}")
+    if doc.get("kind") == "ket_with_losses":
+        lost = convert(int, doc.get("lost"), "state 'lost'", lo=0)
+        if lost > n:
+            raise ConfigError(f"state 'lost' must be at most n = {n}, got {lost}")
+        require_state_entries(max((lost + 1) * (n + 1), (n - lost + 1) ** 2), "the loss table or density")
+        ket = SymmetricKet(n, convert(complex, doc.get("amps"), "state 'amps'", shape=(n + 1,)))
+        return SymmetricDensity(n - lost, _final_states(ket.amps[None], lost)[0]) if lost else ket
     if "amps" in doc:
         return SymmetricKet(n, convert(complex, doc["amps"], "state 'amps'", shape=(n + 1,)))
     if "alpha" in doc:

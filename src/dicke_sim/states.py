@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -241,6 +242,63 @@ def general_split(n: int, nu: int, k: int) -> list[SplitCoefficient]:
         x *= mu * (n - k - nu + mu) / ((k - mu + 1) * (nu - mu + 1))
         sq[mu - 1 - lo] = x
     return [SplitCoefficient(mu, math.sqrt(v)) for mu, v in zip(range(lo, hi + 1), sq)]
+
+
+@lru_cache(maxsize=1)
+def _loss_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """_final_states' gather table for k of n qubits lost, as read-only arrays.
+
+    nus[j, mu] = mu + j and xi[j, mu] = Xi(k, n; j, mu + j), from one
+    general_split call per nu.  It depends only on (n, k), so successive
+    calls for one (n, k) share the one kept.
+    """
+    table = np.zeros((k + 1, n + 1))
+    for nu in range(n + 1):
+        for c in general_split(n, nu, k):
+            table[c.mu, nu] = c.value
+    nus = np.arange(k + 1)[:, None] + np.arange(n - k + 1)
+    xi = np.take_along_axis(table, nus, axis=1)
+    nus.setflags(write=False)
+    xi.setflags(write=False)
+    return nus, xi
+
+
+def _final_states(kets: np.ndarray, k: int) -> np.ndarray:
+    """The k deferred losses, traced out of every final ket kets[T] in one product.
+
+    Splitting the k lost qubits off |nu> of the N left leaves j ones among
+    them with amplitude Xi(k, N; j, nu), so alpha = sum_j c_j c_j^dag with
+    c_j[mu] = psi[mu + j] Xi(k, N; j, mu + j), gathered through _loss_table.
+    Returns the densities alpha[T, N-k+1, N-k+1], checked once over the
+    block as SymmetricDensity checks each (require_densities).  k = 0
+    returns the kets as they are (each from measure_pure_batch or a
+    SymmetricKet, whose norm checks are the same).  Ensembles never call it.
+
+    With c_j = x + iy, the real part x_a x_b + y_a y_b and the imaginary part
+    y_a x_b - x_a y_b are summed separately, elementwise over j in order, in
+    buffers reused for every j.  So alpha has the same bytes in any block and
+    is exactly Hermitian: its real part is bitwise symmetric, its imaginary
+    part antisymmetric, and its imaginary diagonal 0.0.  (numpy's complex
+    product c_a conj(c_b) is not: it leaves imaginary diagonals of about
+    1e-19.)
+    """
+    n = kets.shape[-1] - 1
+    if k == 0:
+        return kets
+    nus, xi = _loss_table(n, k)
+    c = kets[:, nus] * xi  # c[T, j, mu]
+    alpha = np.zeros((len(kets), n - k + 1, n - k + 1), dtype=complex)
+    term, product = np.empty(alpha.shape), np.empty(alpha.shape)
+    for cj in c.swapaxes(0, 1):
+        a, b = cj[:, :, None], cj[:, None, :]
+        np.multiply(a.real, b.real, out=term)
+        term += np.multiply(a.imag, b.imag, out=product)
+        alpha.real += term
+        np.multiply(a.imag, b.real, out=term)
+        term -= np.multiply(a.real, b.imag, out=product)
+        alpha.imag += term
+    require_densities(alpha)
+    return alpha
 
 
 def split_last_qubit(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ call the same functions with their pinned parameters.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -16,8 +17,8 @@ import numpy as np
 
 from .errors import (DickeSimError, DomainError, NotSymmetricError, ResourceLimitError,
                      ZeroProbabilityError)
-from .harness import (TIE_TOL, ExperimentTrace, TraceEvent, _ordered_map, combined_pvm, evaluate_sequence,
-                      grid_log_likelihoods, ml_phase_estimate, run_trial, run_trials)
+from .harness import (TIE_TOL, ExperimentTrace, TraceEvent, _ordered_map, _trial_block, combined_pvm,
+                      evaluate_sequence, grid_log_likelihoods, ml_phase_estimate, run_trial, run_trials)
 from .measure import (
     ZERO_PROB_EPS,
     SingleQubitKraus,
@@ -45,8 +46,9 @@ from .oracle import (
     partial_trace,
     partial_trace_raw,
 )
+from .serialize import trace_lines
 from .spec import (FeedbackPolicy, FixedPolicy, LossSchedule, PhaseChannel, RoundRobinPolicy,
-                   input_from_config)
+                   input_from_config, state_from_json)
 from .states import (
     SymmetricDensity,
     SymmetricKet,
@@ -599,9 +601,11 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
     schedules that leave one qubit (so a final density is at least 2x2),
     run_trials runs one block of four seeds.  Each trial's labels,
     probabilities and final state must equal run_trial on its seed alone,
-    exactly, and a final density must be exactly Hermitian (_exactly_hermitian);
-    evaluate_sequence, forcing the trial's labels, must return its recorded
-    probabilities and final state exactly, since a pure step is one kernel;
+    exactly, and so must its trace line's final state, read back by
+    spec.state_from_json; a final density must be exactly Hermitian
+    (_exactly_hermitian); evaluate_sequence, forcing the trial's labels, must
+    return its recorded probabilities and final state exactly, since a pure
+    step is one kernel;
     compact_sequence_prob, replaying the trial with each loss applied where it
     occurs, must give the same probabilities at `tol` and the same final state
     at 1e-12.
@@ -623,9 +627,12 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
         schedule = LossSchedule.random(n - 1, 0.3, int(rng.integers(0, 2**31)))
         channel = PhaseChannel(float(rng.uniform(0.0, 2.0 * math.pi)))
         block = [int(s) for s in rng.integers(0, 2**31, 4)]
-        for trace in run_trials(ket, channel, policy, schedule, block):
+        lines = trace_lines(range(4), block, schedule.events, *_trial_block(ket, channel, policy, schedule, block))
+        for trace, line in zip(run_trials(ket, channel, policy, schedule, block), lines):
             alone = run_trial(ket, channel, policy, schedule, trace.seed)
-            if alone.events != trace.events or _coefficient_gap(alone.final_state, trace.final_state) != 0.0:
+            read_back = state_from_json(json.loads(line)["final_state"])
+            if alone.events != trace.events or _coefficient_gap(alone.final_state, trace.final_state) != 0.0 \
+                    or _coefficient_gap(read_back, trace.final_state) != 0.0:
                 mismatched += 1
             if isinstance(trace.final_state, SymmetricDensity) and not _exactly_hermitian(trace.final_state.alpha):
                 not_hermitian += 1
@@ -642,7 +649,7 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
     passed = not (mismatched or not_hermitian or not_replayed) and worst <= tol and state_worst <= state_tol
     notes = []
     if mismatched:
-        notes.append(f"{mismatched} trials differ from run_trial alone")
+        notes.append(f"{mismatched} trials differ from run_trial alone or from their trace line")
     if not_replayed:
         notes.append(f"{not_replayed} trials differ from their forced evaluate_sequence replay")
     if not_hermitian:

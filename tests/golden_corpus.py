@@ -1,11 +1,12 @@
 """The golden corpus: named `simulate` configs and a seeded set of ML estimates, pinned by SHA-256.
 
 golden_corpus.json holds the data.  Each entry of "configs" is a config
-document with a worker count and the SHA-256 of its `dumps_json` report and of
-its `--trace-out` text.  "ml_estimates" is the recipe of a seeded set of
-traces (`estimate_traces`), the SHA-256 of their `ml_phase_estimate` results
-and how many of those read the stepwise grid because the joint replay's best
-probability fell below e ZERO_PROB_EPS.  tests/test_golden_corpus.py
+document with a worker count and the SHA-256 of its `dumps_json` report, of
+its `--trace-out` text, and of that text as it read when a lossy line's final
+state was its density (`density_lines`).  "ml_estimates" is the recipe of a
+seeded set of traces (`estimate_traces`), the SHA-256 of their
+`ml_phase_estimate` results and how many of those read the stepwise grid
+because the joint replay's best probability fell below e ZERO_PROB_EPS.  tests/test_golden_corpus.py
 recomputes every digest.  A change that moves an output on purpose rewrites
 them with
 
@@ -28,7 +29,7 @@ from dicke_sim import harness
 from dicke_sim.harness import ExperimentTrace, TraceEvent, run_ensemble, run_trials
 from dicke_sim.serialize import dumps_json
 from dicke_sim.spec import FeedbackPolicy, FixedPolicy, LossSchedule, PhaseChannel, RoundRobinPolicy
-from dicke_sim.states import SymmetricKet, basis_state, make_ket
+from dicke_sim.states import SymmetricKet, _final_states, basis_state, make_ket
 
 CORPUS = Path(__file__).with_name("golden_corpus.json")
 
@@ -37,11 +38,34 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def density_lines(text: str) -> str:
+    """Trace text as it read when a lossy line's final state was its density.
+
+    Each "ket_with_losses" final state {"amps", "lost", "n"} becomes
+    {"alpha", "kind": "density", "n": n - lost}, alpha being
+    _final_states(ket[None], lost)[0], and its line is written again as
+    json.dumps(doc, sort_keys=True).  Other lines are left as they are.
+    """
+    lines = []
+    for line in text.splitlines(keepends=True):
+        doc = json.loads(line)
+        final = doc["final_state"]
+        if final["kind"] == "ket_with_losses":
+            ket = np.array([complex(re, im) for re, im in final["amps"]])
+            alpha = _final_states(ket[None], final["lost"])[0]
+            doc["final_state"] = {"alpha": np.stack((alpha.real, alpha.imag), -1).tolist(),
+                                  "kind": "density", "n": final["n"] - final["lost"]}
+            line = json.dumps(doc, sort_keys=True) + "\n"
+        lines.append(line)
+    return "".join(lines)
+
+
 def config_digests(entry: dict) -> dict:
-    """The SHA-256 of the entry's report (dumps_json) and of its trace-out text."""
+    """The SHA-256 of the entry's report (dumps_json), of its trace-out text and of density_lines of it."""
     sink = io.StringIO()
     report = run_ensemble(entry["config"], workers=entry["workers"], trace_sink=sink)
-    return {"report_sha256": _sha256(dumps_json(report)), "trace_sha256": _sha256(sink.getvalue())}
+    return {"report_sha256": _sha256(dumps_json(report)), "trace_sha256": _sha256(sink.getvalue()),
+            "density_trace_sha256": _sha256(density_lines(sink.getvalue()))}
 
 
 def _input(kind: int, n: int, rng) -> SymmetricKet:

