@@ -13,7 +13,7 @@ ket at every step.  The final ket and the k losses fix the final density,
 which only readers that ask for one trace out (`states._final_states`).
 
 Trials run in blocks (`_trial_block`): the T kets of a block advance as one
-(T, n+1) array, with one vectorized measurement step per `measure` event,
+(T, n+1) array, one policy step and one two-outcome draw per `measure` event,
 and the block returns arrays: settings, labels and probabilities (T, m) and
 the final kets (T, n+1-m).  `run_trials` wraps them as one ExperimentTrace
 per trial with its final state.  An ensemble builds no density: its labels,
@@ -61,11 +61,10 @@ from .measure import (
     require_pvm_rows,
 )
 from .serialize import trace_lines
-from .spec import LossSchedule, PhaseChannel, Policy, parse_config
+from .spec import ESTIMATE_GRID, LossSchedule, PhaseChannel, Policy, parse_config
 from .states import SymmetricDensity, SymmetricKet, _final_states
 
 BLOCK_BYTES = 1 << 22  # memory budget of a trial block's arrays (_trial_bytes)
-ESTIMATE_GRID = 1024
 TIE_TOL = 1e-10  # log-likelihood slack of a tie; below the 1e-9 of perfbench's grid-maximum check
 
 
@@ -122,14 +121,15 @@ def _trial_block(input_state: SymmetricKet, channel: PhaseChannel, policy: Polic
             f"schedule has {len(schedule.events)} events but only {input_state.n} qubits"
         )
     trials, m = len(seeds), schedule.measurement_count()
-    uniforms = np.array([np.random.default_rng(s).random(m) for s in seeds]).reshape(trials, m)
+    uniforms = np.array([np.random.Generator(np.random.PCG64(s)).random(m) for s in seeds]).reshape(trials, m)
     fold = np.diagonal(channel.unitary())  # kappa @ U for the diagonal channel U
     kets = np.tile(input_state.amps, (trials, 1))
     labels = np.zeros((trials, m), dtype=int)
     thetas, phis, probs = np.zeros((3, trials, m))
+    settings = None
     for j in range(m):  # the j-th measurement; losses wait for the end
-        thetas[:, j], phis[:, j] = policy.next_settings(labels[:, :j])
-        kappas = bloch_kappas(thetas[:, j], phis[:, j]) * fold
+        settings = thetas[:, j], phis[:, j] = policy.next_settings(labels[:, :j], settings)
+        kappas = bloch_kappas(*settings) * fold
         labels[:, j], probs[:, j], kets = measure_pure_batch(kets, kappas, uniforms[:, j])
     return thetas, phis, labels, probs, kets
 
@@ -156,11 +156,11 @@ def run_trials(
     """Execute one block of trials, one per seed, all at once.
 
     Trial t is deterministic for fixed (inputs, seeds[t]) and does not depend
-    on the rest of the block.  Its uniforms come up front from
-    default_rng(seeds[t]), one per measurement in schedule order.  The kets
-    advance as one (T, n+1) array: each `measure` event builds every trial's
-    detector from policy.next_settings with the channel folded in, and takes
-    one measure_pure_batch step.  `lose` events are only recorded; the lost
+    on the rest of the block.  Its uniforms come up front from PCG64(seeds[t]),
+    default_rng's stream, one per measurement in schedule order.  The kets
+    advance as one (T, n+1) array: each `measure` event steps the policy once
+    from its previous settings, folds the channel into every trial's detector
+    and takes one measure_pure_batch step.  `lose` events are only recorded; the lost
     qubits are traced out of the block's final kets once (_final_states).
     The block runs as arrays (_trial_block); only then is each trial wrapped
     as an ExperimentTrace with a SymmetricKet / SymmetricDensity final state.

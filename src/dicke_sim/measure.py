@@ -127,12 +127,14 @@ def pvm_from_bloch(theta: float, phi: float) -> SingleQubitPVM:
 def pvm_branches(amps: np.ndarray, kappa: np.ndarray) -> np.ndarray:
     """Unnormalized branch amplitudes b[..., ell, nu] of a PVM on the last qubit.
 
-    b_ell = kappa[ell, 0] c0 + kappa[ell, 1] c1 with (c0, c1) from
-    split_last_qubit, and p_ell = ||b_ell||^2.  Leading axes of amps[..., nu]
+    b_ell = kappa[ell, 0] c0 + kappa[ell, 1] c1, summed in place, with (c0, c1)
+    from split_last_qubit, and p_ell = ||b_ell||^2.  Leading axes of amps[..., nu]
     and kappa[..., ell, b] broadcast: one call serves one ket or a batch.
     """
     c0, c1 = split_last_qubit(amps)
-    return kappa[..., :, 0, None] * c0[..., None, :] + kappa[..., :, 1, None] * c1[..., None, :]
+    branches = kappa[..., :, 0, None] * c0[..., None, :]
+    branches += kappa[..., :, 1, None] * c1[..., None, :]
+    return branches
 
 
 def measure_pure(ket: SymmetricKet, pvm: SingleQubitPVM) -> list[MeasurementOutcome]:
@@ -152,7 +154,7 @@ def measure_pure_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measure one qubit of each ket in kets[T, nu] with its own PVM kappas[T].
 
-    Each row keeps the branch that pick_labels draws with uniforms[T].
+    Each row keeps the branch that pick_labels' two-outcome rule draws with uniforms[T].
     Returns (labels, their probabilities, the renormalized kept kets).  The
     checks of SingleQubitPVM, require_post_state and
     SymmetricKet run once over the batch, written so that NaN fails them.
@@ -260,16 +262,16 @@ def lose_qubit(rho: SymmetricDensity) -> SymmetricDensity:
 
 
 def pick_labels(probs: np.ndarray, uniforms) -> np.ndarray:
-    """Outcome index of each row of probs[..., K] for its uniform draw uniforms[...].
+    """The PVM's two-outcome rule: the label of each row of probs[..., 2] for its draw uniforms[...].
 
-    The first index whose running sum exceeds the draw; when rounding leaves
-    the draw at or above the total, the most probable index (the first on a
-    tie).  Each row must sum to 1 within PROB_SUM_TOL; NaN fails that check.
+    Label 0 if u < p0, 1 if u < p0 + p1; when rounding leaves the draw at or
+    above the total, the more probable label (0 on a tie).  Each row must sum
+    to 1 within PROB_SUM_TOL; NaN fails that check.
     """
-    acc = np.cumsum(probs, axis=-1)
-    dev = np.abs(acc[..., -1] - 1.0).max(initial=0.0)
+    if np.shape(probs)[-1:] != (2,):
+        raise DomainError(f"a PVM has two outcome probabilities per row, got shape {np.shape(probs)}")
+    p0, p1 = probs[..., 0], probs[..., 1]
+    dev = np.abs(p0 + p1 - 1.0).max(initial=0.0)
     if not dev <= PROB_SUM_TOL:
         raise DomainError(f"outcome probabilities do not sum to 1: deviation {dev:.3e}")
-    below = np.asarray(uniforms)[..., None] < acc
-    return np.where(below.any(axis=-1), below.argmax(axis=-1), np.argmax(probs, axis=-1))
-
+    return np.where(uniforms < p0 + p1, uniforms >= p0, p1 > p0).astype(int)

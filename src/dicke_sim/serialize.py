@@ -56,12 +56,9 @@ def float_texts(values) -> np.ndarray:
     return np.add("-", texts, out=texts, where=np.signbit(values))  # "-" + text on the negative entries
 
 
-def _pairs_template(shape: tuple) -> str:
-    """The text json.dumps writes for _pairs of a complex array of this shape, with %s for each float."""
-    text = "[%s, %s]"
-    for size in reversed(shape):
-        text = "[" + ", ".join([text] * size) + "]"
-    return text
+def _pairs_template(length: int) -> str:
+    """The text json.dumps writes for _pairs of a ket of `length` amplitudes, with %s for each float."""
+    return "[" + ", ".join(["[%s, %s]"] * length) + "]"
 
 
 _LOST = '{"kind": "lose", "label": null, "phi": null, "probability": null, "step": %d, "theta": null}'
@@ -87,7 +84,7 @@ def trace_lines(trial_ids, seeds, events, thetas, phis, labels, probs, kets) -> 
     lost = events.count("lose")
     kind = '"ket_with_losses", "lost": %d' % lost if lost else '"ket"'
     steps = ", ".join((_LOST if ev == "lose" else _MEASURED) % step for step, ev in enumerate(events))
-    state = '{"amps": %s, "kind": %s, "n": %d}' % (_pairs_template(kets.shape[1:]), kind, kets.shape[-1] - 1)
+    state = '{"amps": %s, "kind": %s, "n": %d}' % (_pairs_template(kets.shape[-1]), kind, kets.shape[-1] - 1)
     template = '{"events": [' + steps + '], "final_state": ' + state + ', "seed": %s, "trial": %s}\n'
     texts = float_texts(np.concatenate(
         (np.stack((phis, probs, thetas), axis=-1).reshape(count, 3 * m),

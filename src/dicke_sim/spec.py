@@ -21,6 +21,8 @@ from .errors import ConfigError, DomainError
 from .measure import SingleQubitKraus, SingleQubitPVM, pvm_from_bloch
 from .states import SymmetricDensity, SymmetricKet, _final_states, basis_state, make_ket, require_state_entries
 
+ESTIMATE_GRID = 1024  # candidate phases of harness.ml_phase_estimate
+
 
 def _require_finite(what: str, *values: float) -> None:
     if not all(map(math.isfinite, values)):
@@ -44,10 +46,10 @@ class Policy(ABC):
     """Chooses each trial's next detector basis from its measurement history."""
 
     @abstractmethod
-    def next_settings(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def next_settings(self, labels: np.ndarray, previous) -> tuple[np.ndarray, np.ndarray]:
         """Bloch angles (theta[T], phi[T]) of the next detector PVM of T trials.
 
-        labels[T, m] holds each trial's outcomes of its m measurements so far.
+        labels[T, j]: the j outcomes so far; previous: this method's last (theta, phi), None at j = 0.
         """
 
 
@@ -59,7 +61,7 @@ class FixedPolicy(Policy):
     def __post_init__(self):
         _require_finite("fixed policy angles", self.theta, self.phi)
 
-    def next_settings(self, labels):
+    def next_settings(self, labels, previous):
         return np.full(len(labels), self.theta), np.full(len(labels), self.phi)
 
 
@@ -72,16 +74,16 @@ class RoundRobinPolicy(Policy):
             raise ConfigError("round-robin policy needs at least one basis")
         _require_finite("round-robin policy angles", *(angle for basis in self.settings for angle in basis))
 
-    def next_settings(self, labels):
+    def next_settings(self, labels, previous):
         theta, phi = self.settings[labels.shape[1] % len(self.settings)]
         return np.full(len(labels), theta), np.full(len(labels), phi)
 
 
 @dataclass(frozen=True)
 class FeedbackPolicy(Policy):
-    """Equatorial detector phase nudged by delta/m after the m-th outcome.
+    """Equatorial detector phase nudged by delta/j after the j-th outcome.
 
-    Outcome 0 steps the phase up, outcome 1 steps it down.
+    Outcome 0 steps the previous phase up, outcome 1 steps it down; phi_0 = initial_phi.
     """
 
     delta: float
@@ -91,15 +93,14 @@ class FeedbackPolicy(Policy):
     def __post_init__(self):
         _require_finite("feedback policy settings", self.delta, self.theta, self.initial_phi)
 
-    def next_settings(self, labels):
-        trials, m = labels.shape
-        step = self.delta / np.arange(1, m + 1)
-        nudges = np.where(labels == 0, step, -step)
-        # summed left to right from initial_phi, one column per outcome
+    def next_settings(self, labels, previous):
+        trials, j = labels.shape
+        if not j:
+            return np.full(trials, self.theta), np.full(trials, self.initial_phi)
         with np.errstate(over="ignore"):  # an overflow is refused below, in one line
-            phase = np.add.accumulate(np.column_stack([np.full(trials, self.initial_phi), nudges]), axis=1)
-        _require_finite(f"feedback policy phase after {m} outcomes", float(np.abs(phase[:, -1]).max(initial=0.0)))
-        return np.full(trials, self.theta), phase[:, -1]
+            phase = previous[1] + np.where(labels[:, -1] == 0, self.delta / j, -(self.delta / j))
+        _require_finite(f"feedback policy phase after {j} outcomes", float(np.abs(phase).max(initial=0.0)))
+        return np.full(trials, self.theta), phase
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,6 @@ def state_from_json(doc) -> SymmetricKet | SymmetricDensity:
         lost = convert(int, doc.get("lost"), "state 'lost'", lo=0)
         if lost > n:
             raise ConfigError(f"state 'lost' must be at most n = {n}, got {lost}")
-        require_state_entries(max((lost + 1) * (n + 1), (n - lost + 1) ** 2), "the loss table or density")
         ket = SymmetricKet(n, convert(complex, doc.get("amps"), "state 'amps'", shape=(n + 1,)))
         return SymmetricDensity(n - lost, _final_states(ket.amps[None], lost)[0]) if lost else ket
     if "amps" in doc:
@@ -344,9 +344,8 @@ def parse_config(config) -> dict:
         "trials": trials,
         "seed": convert(int, config["seed"], "config 'seed'", lo=0),
     }
-    events = parsed["schedule"].events
-    if "lose" in events:  # the trials end in densities of the qubits no event reached
-        require_state_entries((n - len(events) + 1) ** 2, "the final density")
     feedback = isinstance(parsed["policy"], FeedbackPolicy)
     parsed["estimate"] = convert(bool, config.get("estimate", feedback), "config 'estimate'")
+    if parsed["estimate"]:  # harness._joint_log_likelihoods' coefficients C[k, nu']
+        require_state_entries(min(n + 1, ESTIMATE_GRID) * (n + 1), "the estimator's coefficient array")
     return parsed

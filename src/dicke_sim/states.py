@@ -273,6 +273,7 @@ def _final_states(kets: np.ndarray, k: int) -> np.ndarray:
     block as SymmetricDensity checks each (require_densities).  k = 0
     returns the kets as they are (each from measure_pure_batch or a
     SymmetricKet, whose norm checks are the same).  Ensembles never call it.
+    A loss table or final density above MAX_STATE_ENTRIES is refused first.
 
     With c_j = x + iy, the real part x_a x_b + y_a y_b and the imaginary part
     y_a x_b - x_a y_b are summed separately, elementwise over j in order, in
@@ -285,6 +286,7 @@ def _final_states(kets: np.ndarray, k: int) -> np.ndarray:
     n = kets.shape[-1] - 1
     if k == 0:
         return kets
+    require_state_entries(max((k + 1) * (n + 1), (n - k + 1) ** 2), "the loss table or final density")
     nus, xi = _loss_table(n, k)
     c = kets[:, nus] * xi  # c[T, j, mu]
     alpha = np.zeros((len(kets), n - k + 1, n - k + 1), dtype=complex)
@@ -311,5 +313,11 @@ def split_last_qubit(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = amps.shape[-1] - 1
     if n < 1:
         raise DomainError("cannot split a qubit off an empty string")
-    weights = np.sqrt(np.arange(1, n + 1) / n)  # sqrt((nu+1)/n); reversed, sqrt((n-nu)/n)
+    weights = (_split_weights if n <= 1024 else _split_weights.__wrapped__)(n)  # reversed, sqrt((n-nu)/n)
     return amps[..., :n] * weights[::-1], amps[..., 1:] * weights
+
+
+@lru_cache(maxsize=128)
+def _split_weights(n: int) -> np.ndarray:
+    """sqrt((nu+1)/n) for nu < n, as a read-only view; split_last_qubit keeps it for the last 128 n <= 1024."""
+    return np.broadcast_to(np.sqrt(np.arange(1, n + 1) / n), (n,))

@@ -12,13 +12,16 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
+from itertools import product
+from statistics import NormalDist
 
 import numpy as np
 
 from .errors import (DickeSimError, DomainError, NotSymmetricError, ResourceLimitError,
                      ZeroProbabilityError)
 from .harness import (TIE_TOL, ExperimentTrace, TraceEvent, _ordered_map, _trial_block, combined_pvm,
-                      evaluate_sequence, grid_log_likelihoods, ml_phase_estimate, run_trial, run_trials)
+                      evaluate_sequence, grid_log_likelihoods, ml_phase_estimate, run_ensemble, run_trial,
+                      run_trials)
 from .measure import (
     ZERO_PROB_EPS,
     SingleQubitKraus,
@@ -48,7 +51,7 @@ from .oracle import (
 )
 from .serialize import trace_lines
 from .spec import (FeedbackPolicy, FixedPolicy, LossSchedule, PhaseChannel, RoundRobinPolicy,
-                   input_from_config, state_from_json)
+                   input_from_config, parse_config, state_from_json)
 from .states import (
     SymmetricDensity,
     SymmetricKet,
@@ -660,6 +663,105 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
                           "; ".join(notes))
 
 
+def g_test_ratio(counts: dict, probs: dict, alpha: float = 1e-6) -> float:
+    """The G statistic of counts against the exact probs, over its chi^2 quantile at false-alarm rate alpha.
+
+    counts[s] and probs[s] per outcome string s.  G = 2 sum O ln(O / E) over
+    the cells, E = N p with N the total count; cells expecting fewer than 5
+    draws are pooled into one, where the chi^2 approximation of G would fail.
+    The quantile of chi^2 with k = cells - 1 degrees of freedom is
+    Wilson-Hilferty's k (1 - 2/(9k) + z sqrt(2/(9k)))^3, z the standard
+    normal quantile at 1 - alpha.  A ratio above 1 refuses the counts; a
+    string drawn at probability 0 gives inf, and a single cell gives 0.0.
+    """
+    trials = sum(counts.values())
+    cells, pooled = [], np.zeros(2)
+    for s, p in probs.items():
+        observed, expected = counts.get(s, 0), trials * p
+        if observed and not expected > 0.0:
+            return math.inf
+        if expected < 5.0:
+            pooled += observed, expected
+        else:
+            cells.append((observed, expected))
+    cells += [tuple(pooled)] if pooled[1] > 0.0 else []
+    k = len(cells) - 1
+    if k < 1:
+        return 0.0
+    g = 2.0 * sum(o * math.log(o / e) for o, e in cells if o)
+    z = NormalDist().inv_cdf(1.0 - alpha)
+    return g / (k * (1.0 - 2.0 / (9 * k) + z * math.sqrt(2.0 / (9 * k))) ** 3)
+
+
+def exact_label_distribution(parsed: dict) -> dict:
+    """The exact probability of every label string of a parsed config's trials, by the stepwise referee.
+
+    All 2^m strings of its m measurements run through the policy as one
+    batch, so each prefix gets the detector a trial would get after it; each
+    string's joint probability is compact_sequence_prob's, which applies each
+    loss where it occurs, and 0.0 for a string with a forced label below
+    ZERO_PROB_EPS.
+    """
+    schedule = parsed["schedule"]
+    m = schedule.measurement_count()
+    labels = np.array(list(product((0, 1), repeat=m)), dtype=int).reshape(-1, m)
+    settings, detectors = None, []
+    for j in range(m):
+        settings = parsed["policy"].next_settings(labels[:, :j], settings)
+        detectors.append(settings)
+    probs = {}
+    for row, string in enumerate(labels.tolist()):
+        measured = iter(zip(((float(t[row]), float(f[row])) for t, f in detectors), string))
+        steps = [("lose",) if ev == "lose" else ("measure", *next(measured)) for ev in schedule.events]
+        try:
+            p = compact_sequence_prob(parsed["input"], _reference_steps(steps, parsed["channel"]))[0]
+        except ZeroProbabilityError:
+            p = 0.0
+        probs["".join(map(str, string))] = p
+    return probs
+
+
+def check_born_rule_sampling(max_n: int = 8, cases: int = 10, trials: int = 4000,
+                             alpha: float = 1e-6) -> PropertyResult:
+    """Trials draw each label string with its Born-rule probability.
+
+    Each case is a random ket on n = 3 to max_n qubits, a fixed, round-robin
+    or feedback policy (in turn), a random phase and a schedule of at most 6
+    measurements among random losses.  run_ensemble runs `trials` trials of
+    it from a fixed seed, and g_test_ratio compares the counts of its label
+    strings with exact_label_distribution's.  The seeds are fixed, so the
+    result is deterministic.  Over random seeds, a correct sampler would fail
+    a case with probability about alpha (1e-6), and the property at most
+    cases * alpha: 1e-5 for the 10 cases the verify suite runs at its
+    defaults (ceil(seeds / 2) cases; 2.5e-5 at --seeds 50).  No other
+    property samples, so that is also the suite's false-alarm rate.  The
+    residual is the worst ratio, against a tolerance of 1.0.
+    """
+    worst = 0.0
+    for case in range(cases):
+        rng = np.random.default_rng(15_000 + case)
+        n = int(rng.integers(3, max(max_n, 3) + 1))
+        m = int(rng.integers(1, min(n, 6) + 1))
+        events = ["measure"] * m + ["lose"] * int(rng.integers(0, n - m + 1))
+        a = [float(x) for x in rng.uniform(0.0, math.pi, 4)]
+        amps = random_symmetric_ket(n, rng).amps
+        config = {
+            "input": {"type": "custom", "amps": [[z.real, z.imag] for z in amps.tolist()]},
+            "n": n,
+            "phi": float(rng.uniform(0.0, 2.0 * math.pi)),
+            "policy": ({"type": "fixed", "theta": a[0], "phi": a[1]},
+                       {"type": "round_robin", "bases": [{"theta": a[0], "phi": a[1]}, {"theta": a[2], "phi": a[3]}]},
+                       {"type": "feedback", "delta": a[0], "theta": a[1], "initial_phi": a[2]})[case % 3],
+            "schedule": [str(ev) for ev in rng.permutation(events)],
+            "trials": trials,
+            "seed": int(rng.integers(0, 2**31)),
+            "estimate": False,
+        }
+        counts = {s: c["count"] for s, c in run_ensemble(config)["outcome_sequences"].items()}
+        worst = _worst(worst, g_test_ratio(counts, exact_label_distribution(parse_config(config)), alpha))
+    return PropertyResult("born_rule_sampling", cases, worst, 1.0, worst <= 1.0)
+
+
 def check_pure_state_sufficiency(max_n: int = 10, seeds: int = 50, tol: float = 1e-10) -> PropertyResult:
     """Dense post-PVM state = |l'> at the measured spot (x) compact rest."""
     worst = 0.0
@@ -850,6 +952,7 @@ PROPERTY_BUILDERS = {
     "pvm_update_specialization": lambda p: check_remark12_specialization(min(p.max_n, 8), p.seeds),
     "estimator_replay_equivalence": lambda p: check_estimator_replay(p.max_n, p.seeds, p.tolerance),
     "batched_trial_equivalence": lambda p: check_batched_trials(p.max_n, p.seeds, p.tolerance),
+    "born_rule_sampling": lambda p: check_born_rule_sampling(p.max_n, -(-p.seeds // 2)),
 }
 
 

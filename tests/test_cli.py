@@ -513,7 +513,7 @@ class TestCliVerify:
         rc = main(["verify", "--max-n", "3", "--seeds", "2", "--out", str(out)])
         assert rc == EXIT_VERIFY_FAILED
         report = json.loads(out.read_text())
-        assert len(report["properties"]) == 15
+        assert len(report["properties"]) == 16
         by_name = {p["name"]: p for p in report["properties"]}
         raised = by_name["residual_symmetry_after_channels"]
         assert raised["passed"] is False and raised["cases"] == 0
@@ -621,7 +621,7 @@ class TestPoolSize:
         assert pool_sizes == []
         assert reports[1] == reports[0]
 
-    @pytest.mark.parametrize("cpus, processes", [(64, 15), (2, 2)])
+    @pytest.mark.parametrize("cpus, processes", [(64, 16), (2, 2)])
     def test_verify(self, tmp_path, monkeypatch, pool_sizes, cpus, processes):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         reports = []
@@ -653,6 +653,8 @@ class TestSizeLimit:
         self._assert_resource_limit(["bench", "--sizes", "8,16777216", "--reps", "1"], capsys)
 
     def test_simulate_huge_final_density(self, tmp_path, capsys):
+        # an ensemble builds no final density: its 19998-qubit density would have 19999**2 entries,
+        # but the trial holds 20001 amplitudes and its trace line the 20000 of the pre-loss ket
         config = {
             "input": {"type": "uniform"},
             "n": 20000,
@@ -662,9 +664,23 @@ class TestSizeLimit:
             "trials": 1,
             "seed": 1,
         }
+        path, traces = tmp_path / "config.json", tmp_path / "traces.jsonl"
+        path.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "report.json"),
+                     "--trace-out", str(traces)]) == EXIT_OK
+        (line,) = traces.read_text().splitlines()
+        final = json.loads(line)["final_state"]
+        assert (final["kind"], final["n"], final["lost"], len(final["amps"])) == ("ket_with_losses", 19999, 1, 20000)
+
+    def test_simulate_estimator_over_the_cap(self, tmp_path, capsys):
+        # a feedback policy estimates by default: C would hold min(n + 1, 1024) (n + 1) > 2**24 entries
+        config = {"input": {"type": "uniform"}, "n": 16384, "phi": 0.3, "policy": {"type": "feedback", "delta": 0.5},
+                  "schedule": ["measure"], "trials": 1, "seed": 1}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         self._assert_resource_limit(["simulate", "--config", str(path)], capsys)
+        assert parse_config({**config, "n": 16383})["estimate"] is True  # 1024 * 16384 = 2**24 fits
+        assert parse_config({**config, "estimate": False})["estimate"] is False
 
     def test_ket_with_losses_density_over_the_cap(self, tmp_path, capsys):
         path = tmp_path / "state.json"  # the 4999-qubit density after one loss has 25e6 entries
@@ -743,8 +759,8 @@ class TestFloatTexts:
         with pytest.raises(ValueError, match="non-finite"):
             float_texts([0.5, bad])
 
-    @pytest.mark.parametrize("shape", [(0,), (1,), (3,), (2, 2), (3, 1, 2)])
+    @pytest.mark.parametrize("shape", [(1,), (2,), (65,)])  # the trace lines' kets, N + 1 amplitudes
     def test_pairs_template_fills_to_json_text(self, shape):
         arr = np.arange(1, 1 + math.prod(shape)).reshape(shape) * (0.5 - 0.25j)
         texts = float_texts(arr.view(float))
-        assert _pairs_template(shape) % tuple(texts.ravel().tolist()) == json.dumps(_pairs(arr))
+        assert _pairs_template(*shape) % tuple(texts.ravel().tolist()) == json.dumps(_pairs(arr))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dicke_sim.errors import ConfigError, DomainError, ZeroProbabilityError
+from dicke_sim.errors import ConfigError, DomainError, ResourceLimitError, ZeroProbabilityError
 from dicke_sim.harness import (
     ExperimentTrace,
     TIE_TOL,
@@ -19,7 +19,7 @@ from dicke_sim.harness import (
     run_trial,
     run_trials,
 )
-from dicke_sim.measure import ZERO_PROB_EPS, lose_qubit, measure_mixed, measure_pure, pvm_from_bloch
+from dicke_sim.measure import ZERO_PROB_EPS, lose_qubit, measure_mixed, measure_pure, measure_pure_batch, pvm_from_bloch
 from dicke_sim.spec import (
     FeedbackPolicy,
     FixedPolicy,
@@ -36,7 +36,10 @@ from dicke_sim.verify import (
     _run_one_property,
     _worst,
     check_batched_trials,
+    check_born_rule_sampling,
     check_estimator_replay,
+    exact_label_distribution,
+    g_test_ratio,
     random_symmetric_ket,
     unlikely_noon_trace,
 )
@@ -117,8 +120,9 @@ class TestPolicies:
         # the per-trial loop the batched method replaced, as the exact reference
         policy = FeedbackPolicy(delta=0.7, theta=1.1, initial_phi=0.25)
         labels = np.random.default_rng(4).integers(0, 2, size=(6, 40))
+        settings = None
         for m in range(41):
-            thetas, phis = policy.next_settings(labels[:, :m])
+            thetas, phis = settings = policy.next_settings(labels[:, :m], settings)
             for t in range(6):
                 phase = policy.initial_phi
                 for j, label in enumerate(labels[t, :m].tolist(), start=1):
@@ -127,9 +131,12 @@ class TestPolicies:
 
 
 def _setting(policy, labels):
-    """(theta, phi) for one trial with these labels so far, via the batched method."""
-    theta, phi = policy.next_settings(np.array([labels], dtype=int).reshape(1, len(labels)))
-    return (float(theta[0]), float(phi[0]))
+    """(theta, phi) for one trial with these labels so far, stepping the batched method once per label."""
+    history = np.array([labels], dtype=int).reshape(1, len(labels))
+    settings = None
+    for j in range(len(labels) + 1):
+        settings = policy.next_settings(history[:, :j], settings)
+    return (float(settings[0][0]), float(settings[1][0]))
 
 
 class TestLossSchedule:
@@ -149,6 +156,15 @@ class TestLossSchedule:
 
 
 class TestRunTrial:
+    def test_huge_lossy_schedule_refused_before_the_density(self):
+        # the trial holds 20001 amplitudes; its 19998-qubit final density would hold 19999**2 entries
+        ket = input_from_config({"type": "uniform"}, 20000)
+        schedule = LossSchedule(("measure", "lose"))
+        with pytest.raises(ResourceLimitError, match="the loss table or final density needs 399960001 complex entries"):
+            run_trial(ket, PhaseChannel(0.3), FixedPolicy(), schedule, seed=1)
+        with pytest.raises(ResourceLimitError, match="the loss table or final density needs 399960001 complex entries"):
+            evaluate_sequence(ket, PhaseChannel(0.3), [("measure", (0.0, 0.0), 0), ("lose",)])
+
     def test_all_lose_schedule(self):
         trace = run_trial(
             basis_state(4, 2), PhaseChannel(0.3), FixedPolicy(), LossSchedule(("lose",) * 3), seed=1
@@ -243,6 +259,23 @@ class TestBatchedTrials:
             "estimate": True,
         }
 
+    def test_uniforms_are_default_rng_streams(self, monkeypatch):
+        # the block draws each trial's uniforms from PCG64(seed): default_rng(seed)'s stream, one per measurement
+        import dicke_sim.harness as harness
+
+        drawn = []
+
+        def recording(kets, kappas, uniforms):
+            drawn.append(uniforms.copy())
+            return measure_pure_batch(kets, kappas, uniforms)
+
+        monkeypatch.setattr(harness, "measure_pure_batch", recording)
+        seeds = [0, 2**31 - 1, 2**40]
+        ket = random_symmetric_ket(7, np.random.default_rng(2))
+        harness._trial_block(ket, PhaseChannel(0.4), FeedbackPolicy(0.5), LossSchedule(("measure", "lose") * 3), seeds)
+        want = [np.random.default_rng(seed).random(3) for seed in seeds]
+        assert np.array_equal(np.transpose(drawn), want)
+
     def test_blocks_match_trial_by_trial(self, monkeypatch):
         import dicke_sim.harness as harness
 
@@ -322,8 +355,8 @@ class TestBatchedTrials:
 
     def test_nan_setting_rejected(self):
         class NanForSecondTrial(FixedPolicy):
-            def next_settings(self, labels):
-                theta, phi = super().next_settings(labels)
+            def next_settings(self, labels, previous):
+                theta, phi = super().next_settings(labels, previous)
                 phi[1] = math.nan
                 return theta, phi
 
@@ -435,6 +468,30 @@ class TestNanResiduals:
         monkeypatch.setattr(oracle, "_channel_at", nan_coherence)
         result = _run_one_property(name, SuiteParams())
         assert not result.passed, result
+
+
+class TestBornRuleSampling:
+    """verify's born_rule_sampling: label-string counts against the exact distribution by a G-test."""
+
+    def test_fixed_seed_passes(self):
+        result = check_born_rule_sampling(max_n=6, cases=3)
+        assert result.passed and result.cases == 3, result
+
+    def test_wrong_distribution_fails(self):
+        amps = random_symmetric_ket(5, np.random.default_rng(3)).amps
+        config = {"input": {"type": "custom", "amps": [[z.real, z.imag] for z in amps.tolist()]}, "n": 5,
+                  "phi": 0.7, "policy": {"type": "fixed", "theta": 1.1, "phi": 0.4},
+                  "schedule": ["measure", "lose", "measure", "measure"], "trials": 4000, "seed": 8}
+        counts = {s: c["count"] for s, c in run_ensemble(config)["outcome_sequences"].items()}
+        exact = exact_label_distribution(parse_config(config))
+        assert sorted(exact) == ["000", "001", "010", "011", "100", "101", "110", "111"]
+        assert g_test_ratio(counts, exact) <= 1.0
+        reversed_labels = {s.translate(str.maketrans("01", "10")): p for s, p in exact.items()}
+        assert g_test_ratio(counts, reversed_labels) > 1.0
+        # hand-made counts of a fair coin: 7.5 % off fails, 1 % off passes, a drawn impossible label is inf
+        assert g_test_ratio({"0": 2300, "1": 1700}, {"0": 0.5, "1": 0.5}) > 1.0
+        assert g_test_ratio({"0": 2040, "1": 1960}, {"0": 0.5, "1": 0.5}) < 1.0
+        assert g_test_ratio({"0": 3999, "1": 1}, {"0": 1.0, "1": 0.0}) == math.inf
 
 
 class TestRunEnsemble:

@@ -245,6 +245,12 @@ class TestSampleOutcome:
             pick_labels(_probabilities([out[0], out[0]]), np.random.default_rng(1).random())  # sums to 4/3
 
 
+    @pytest.mark.parametrize("shape", [(), (3,), (4, 1), (4, 3)])
+    def test_not_two_outcomes_rejected(self, shape):
+        with pytest.raises(DomainError, match=r"a PVM has two outcome probabilities per row, got shape"):
+            pick_labels(np.full(shape, 0.25), 0.5)
+
+
 class TestSharedLabelRule:
     """pick_labels, the one label rule of batched trials, for one row or many."""
 
