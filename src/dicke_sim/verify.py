@@ -13,7 +13,6 @@ import math
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import product
-from statistics import NormalDist
 
 import numpy as np
 
@@ -688,6 +687,8 @@ def g_test_ratio(counts: dict, probs: dict, alpha: float = 1e-6) -> float:
     k = len(cells) - 1
     if k < 1:
         return 0.0
+    from statistics import NormalDist  # here, so that no CLI start pays for it
+
     g = 2.0 * sum(o * math.log(o / e) for o, e in cells if o)
     z = NormalDist().inv_cdf(1.0 - alpha)
     return g / (k * (1.0 - 2.0 / (9 * k) + z * math.sqrt(2.0 / (9 * k))) ** 3)
@@ -711,8 +712,9 @@ def exact_label_distribution(parsed: dict) -> dict:
         detectors.append(settings)
     probs = {}
     for row, string in enumerate(labels.tolist()):
-        measured = iter(zip(((float(t[row]), float(f[row])) for t, f in detectors), string))
-        steps = [("lose",) if ev == "lose" else ("measure", *next(measured)) for ev in schedule.events]
+        measured = iter([("measure", (float(theta[row]), float(phi[row])), label)
+                         for (theta, phi), label in zip(detectors, string)])
+        steps = [("lose",) if ev == "lose" else next(measured) for ev in schedule.events]
         try:
             p = compact_sequence_prob(parsed["input"], _reference_steps(steps, parsed["channel"]))[0]
         except ZeroProbabilityError:
@@ -725,7 +727,7 @@ def check_born_rule_sampling(max_n: int = 8, cases: int = 10, trials: int = 4000
                              alpha: float = 1e-6) -> PropertyResult:
     """Trials draw each label string with its Born-rule probability.
 
-    Each case is a random ket on n = 3 to max_n qubits, a fixed, round-robin
+    Each case is a random ket on n = 3 to max(max_n, 3) qubits, a fixed, round-robin
     or feedback policy (in turn), a random phase and a schedule of at most 6
     measurements among random losses.  run_ensemble runs `trials` trials of
     it from a fixed seed, and g_test_ratio compares the counts of its label

@@ -19,7 +19,8 @@ from dicke_sim.harness import (
     run_trial,
     run_trials,
 )
-from dicke_sim.measure import ZERO_PROB_EPS, lose_qubit, measure_mixed, measure_pure, measure_pure_batch, pvm_from_bloch
+from dicke_sim.measure import (ZERO_PROB_EPS, lose_qubit, measure_mixed, measure_pure, measure_pure_batch,
+                               pvm_from_bloch)
 from dicke_sim.spec import (
     FeedbackPolicy,
     FixedPolicy,
@@ -159,10 +160,10 @@ class TestRunTrial:
     def test_huge_lossy_schedule_refused_before_the_density(self):
         # the trial holds 20001 amplitudes; its 19998-qubit final density would hold 19999**2 entries
         ket = input_from_config({"type": "uniform"}, 20000)
-        schedule = LossSchedule(("measure", "lose"))
-        with pytest.raises(ResourceLimitError, match="the loss table or final density needs 399960001 complex entries"):
+        schedule, message = LossSchedule(("measure", "lose")), "the loss table or final density needs 399960001 "
+        with pytest.raises(ResourceLimitError, match=message):
             run_trial(ket, PhaseChannel(0.3), FixedPolicy(), schedule, seed=1)
-        with pytest.raises(ResourceLimitError, match="the loss table or final density needs 399960001 complex entries"):
+        with pytest.raises(ResourceLimitError, match=message):
             evaluate_sequence(ket, PhaseChannel(0.3), [("measure", (0.0, 0.0), 0), ("lose",)])
 
     def test_all_lose_schedule(self):
@@ -272,7 +273,8 @@ class TestBatchedTrials:
         monkeypatch.setattr(harness, "measure_pure_batch", recording)
         seeds = [0, 2**31 - 1, 2**40]
         ket = random_symmetric_ket(7, np.random.default_rng(2))
-        harness._trial_block(ket, PhaseChannel(0.4), FeedbackPolicy(0.5), LossSchedule(("measure", "lose") * 3), seeds)
+        schedule = LossSchedule(("measure", "lose") * 3)
+        harness._trial_block(ket, PhaseChannel(0.4), FeedbackPolicy(0.5), schedule, seeds)
         want = [np.random.default_rng(seed).random(3) for seed in seeds]
         assert np.array_equal(np.transpose(drawn), want)
 

@@ -244,7 +244,6 @@ class TestSampleOutcome:
         with pytest.raises(DomainError):
             pick_labels(_probabilities([out[0], out[0]]), np.random.default_rng(1).random())  # sums to 4/3
 
-
     @pytest.mark.parametrize("shape", [(), (3,), (4, 1), (4, 3)])
     def test_not_two_outcomes_rejected(self, shape):
         with pytest.raises(DomainError, match=r"a PVM has two outcome probabilities per row, got shape"):
