@@ -49,7 +49,8 @@ class Policy(ABC):
     def next_settings(self, labels: np.ndarray, previous) -> tuple[np.ndarray, np.ndarray]:
         """Bloch angles (theta[T], phi[T]) of the next detector PVM of T trials.
 
-        labels[T, j]: the j outcomes so far; previous: this method's last (theta, phi), None at j = 0.
+        labels[T, j]: the j outcomes so far; previous: this method's own result for labels[:, :j-1],
+        None at j = 0.  Call it once per measurement, in order; a policy may step from previous.
         """
 
 
@@ -97,6 +98,8 @@ class FeedbackPolicy(Policy):
         trials, j = labels.shape
         if not j:
             return np.full(trials, self.theta), np.full(trials, self.initial_phi)
+        if previous is None:
+            raise DomainError(f"feedback policy needs its settings after {j - 1} outcomes to step after {j}")
         with np.errstate(over="ignore"):  # an overflow is refused below, in one line
             phase = previous[1] + np.where(labels[:, -1] == 0, self.delta / j, -(self.delta / j))
         _require_finite(f"feedback policy phase after {j} outcomes", float(np.abs(phase).max(initial=0.0)))

@@ -313,11 +313,5 @@ def split_last_qubit(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = amps.shape[-1] - 1
     if n < 1:
         raise DomainError("cannot split a qubit off an empty string")
-    weights = (_split_weights if n <= 1024 else _split_weights.__wrapped__)(n)  # reversed, sqrt((n-nu)/n)
+    weights = np.sqrt(np.arange(1, n + 1) / n)  # sqrt((nu+1)/n); reversed, sqrt((n-nu)/n)
     return amps[..., :n] * weights[::-1], amps[..., 1:] * weights
-
-
-@lru_cache(maxsize=128)
-def _split_weights(n: int) -> np.ndarray:
-    """sqrt((nu+1)/n) for nu < n, as a read-only view; split_last_qubit keeps it for the last 128 n <= 1024."""
-    return np.broadcast_to(np.sqrt(np.arange(1, n + 1) / n), (n,))

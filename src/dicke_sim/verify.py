@@ -668,6 +668,8 @@ def g_test_ratio(counts: dict, probs: dict, alpha: float = 1e-6) -> float:
     counts[s] and probs[s] per outcome string s.  G = 2 sum O ln(O / E) over
     the cells, E = N p with N the total count; cells expecting fewer than 5
     draws are pooled into one, where the chi^2 approximation of G would fail.
+    A pool still expecting fewer than 5 joins the regular cell expecting the
+    fewest draws (it stands alone only when there is no regular cell).
     The quantile of chi^2 with k = cells - 1 degrees of freedom is
     Wilson-Hilferty's k (1 - 2/(9k) + z sqrt(2/(9k)))^3, z the standard
     normal quantile at 1 - alpha.  A ratio above 1 refuses the counts; a
@@ -683,7 +685,11 @@ def g_test_ratio(counts: dict, probs: dict, alpha: float = 1e-6) -> float:
             pooled += observed, expected
         else:
             cells.append((observed, expected))
-    cells += [tuple(pooled)] if pooled[1] > 0.0 else []
+    if 0.0 < pooled[1] < 5.0 and cells:
+        i = min(range(len(cells)), key=lambda c: cells[c][1])
+        cells[i] = (cells[i][0] + pooled[0], cells[i][1] + pooled[1])
+    elif pooled[1] > 0.0:
+        cells.append(tuple(pooled))
     k = len(cells) - 1
     if k < 1:
         return 0.0

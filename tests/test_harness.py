@@ -112,6 +112,10 @@ class TestPolicies:
         hist.append(1)
         assert _setting(policy, hist)[1] == pytest.approx(1.0 + 0.6 - 0.3)
 
+    def test_feedback_step_needs_previous_settings(self):
+        with pytest.raises(DomainError, match="needs its settings after 1 outcomes"):
+            FeedbackPolicy(delta=0.4).next_settings(np.zeros((3, 2), dtype=int), None)
+
     def test_feedback_pure_function_of_history(self):
         policy = FeedbackPolicy(delta=0.4)
         hist = [1, 0, 1]
@@ -494,6 +498,12 @@ class TestBornRuleSampling:
         assert g_test_ratio({"0": 2300, "1": 1700}, {"0": 0.5, "1": 0.5}) > 1.0
         assert g_test_ratio({"0": 2040, "1": 1960}, {"0": 0.5, "1": 0.5}) < 1.0
         assert g_test_ratio({"0": 3999, "1": 1}, {"0": 1.0, "1": 0.0}) == math.inf
+
+    def test_tiny_pool_joins_a_regular_cell(self):
+        # two draws where 1e-4 are expected would add about 40 to G as a cell of their own
+        probs = {"00": 0.5, "01": 0.5 - 2e-8, "10": 1e-8, "11": 1e-8}
+        assert g_test_ratio({"00": 2000, "01": 1998, "10": 1, "11": 1}, probs) < 1.0
+        assert g_test_ratio({"00": 2000, "01": 1998, "10": 2}, probs) < 1.0
 
 
 class TestRunEnsemble:
