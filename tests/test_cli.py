@@ -566,6 +566,41 @@ class TestCliVerify:
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["all_passed"] is True
 
+    # (name, cases) of every property, in suite order, at SuiteParams() and at perfbench's smoke parameters.
+    # Case counts are integers that do not depend on the BLAS build.
+    PINNED_CASES = {
+        (): [("worked_example_split", 4), ("xi_completeness_and_support", 10420), ("split_reconstruction", 58),
+             ("basis_characterization", 60), ("residual_symmetry_after_channels", 80),
+             ("measurement_oracle_equivalence", 32), ("loss_independence", 125), ("pure_state_sufficiency", 20),
+             ("ordering_independence", 20), ("trace_povm_commutation", 40), ("loss_mechanism_irrelevance", 20),
+             ("permutation_group_law", 60), ("pvm_update_specialization", 60),
+             ("estimator_replay_equivalence", 640), ("batched_trial_equivalence", 80), ("born_rule_sampling", 10)],
+        ("--max-n", "3", "--seeds", "2"): [
+            ("worked_example_split", 4), ("xi_completeness_and_support", 10420), ("split_reconstruction", 6),
+            ("basis_characterization", 6), ("residual_symmetry_after_channels", 8),
+            ("measurement_oracle_equivalence", 6), ("loss_independence", 8), ("pure_state_sufficiency", 2),
+            ("ordering_independence", 2), ("trace_povm_commutation", 4), ("loss_mechanism_irrelevance", 2),
+            ("permutation_group_law", 6), ("pvm_update_specialization", 6), ("estimator_replay_equivalence", 64),
+            ("batched_trial_equivalence", 8), ("born_rule_sampling", 1)],
+    }
+
+    @pytest.mark.parametrize("flags", list(PINNED_CASES), ids=["defaults", "smoke"])
+    def test_case_counts_pinned(self, tmp_path, flags):
+        out = tmp_path / "report.json"
+        assert main(["verify", *flags, "--out", str(out)]) == EXIT_OK
+        properties = json.loads(out.read_text())["properties"]
+        assert [(p["name"], p["cases"]) for p in properties] == self.PINNED_CASES[flags]
+        assert all(p["passed"] is True for p in properties)
+
+    def test_flag_defaults_are_suite_params(self):
+        from dataclasses import asdict
+
+        from dicke_sim.cli import build_parser
+        from dicke_sim.verify import SuiteParams
+
+        args = vars(build_parser().parse_args(["verify"]))
+        assert {key: args[key] for key in asdict(SuiteParams())} == asdict(SuiteParams())
+
 
 class TestPoolSize:
     """A pool gets no more processes than tasks or CPUs, whatever --workers asks for.
