@@ -24,7 +24,7 @@ from .oracle import apply_kraus_outcomes_at, density_cap, expand_density, partia
 from .serialize import SCHEMA_VERSION, dumps_json, rows_to_csv, state_to_json
 from .spec import PhaseChannel, convert, load_document, measurement_from_spec, state_from_spec
 from .states import general_split, require_state_entries, to_density
-from .verify import random_symmetric_ket, run_suite
+from .verify import SuiteParams, random_symmetric_ket, run_suite
 
 BENCH_COLUMNS = [
     "schema_version",
@@ -113,13 +113,7 @@ def cmd_verify(args) -> int:
     convert(int, args.max_n, "--max-n", lo=2)
     for flag, value in (("--seeds", args.seeds), ("--workers", args.workers)):
         convert(int, value, flag, lo=1)
-    report = run_suite(
-        max_n=args.max_n,
-        seeds=args.seeds,
-        tolerance=args.tolerance,
-        corrupt_xi=args.corrupt_xi,
-        workers=args.workers,
-    )
+    report = run_suite(SuiteParams(args.max_n, args.seeds, args.tolerance, args.corrupt_xi), args.workers)
     _emit(args, dumps_json(report))
     if not report["all_passed"]:
         failing = [p["name"] for p in report["properties"] if not p["passed"]]
@@ -242,12 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
+    suite = SuiteParams()
     p = sub.add_parser("verify", help="run the dense-oracle property suite")
-    p.add_argument("--max-n", type=int, default=8, dest="max_n")
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--tolerance", type=float, default=1e-10)
+    p.add_argument("--max-n", type=int, default=suite.max_n, dest="max_n")
+    p.add_argument("--seeds", type=int, default=suite.seeds)
+    p.add_argument("--tolerance", type=float, default=suite.tolerance)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--corrupt-xi", action="store_true", dest="corrupt_xi",
+    p.add_argument("--corrupt-xi", action="store_true", default=suite.corrupt_xi, dest="corrupt_xi",
                    help="negative control: flip one split coefficient's sign")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)

@@ -60,7 +60,7 @@ from .measure import (
     pvm_branches,
     require_pvm_rows,
 )
-from .serialize import trace_lines
+from .serialize import SCHEMA_VERSION, trace_lines
 from .spec import ESTIMATE_GRID, LossSchedule, PhaseChannel, Policy, parse_config
 from .states import SymmetricDensity, SymmetricKet, _final_states
 
@@ -386,7 +386,7 @@ def run_ensemble(config: dict, workers: int = 1, trace_sink=None) -> dict:
             trace_sink.writelines(lines)
 
     report = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "config": config,
         "trials": trials,
         "measurements_per_trial": parsed["schedule"].measurement_count(),

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .measure import SingleQubitKraus, SingleQubitPVM, pvm_from_bloch
+from .serialize import SCHEMA_VERSION
 from .states import SymmetricDensity, SymmetricKet, _final_states, basis_state, make_ket, require_state_entries
 
 ESTIMATE_GRID = 1024  # candidate phases of harness.ml_phase_estimate
@@ -186,10 +187,15 @@ def _reject_unknown(doc: dict, allowed: set, what: str) -> None:
         raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
 
 
-def _typed(doc, what: str) -> str:
+def _typed(doc, what: str, fields: dict) -> str:
+    """doc's "type", a key of fields; doc may hold "type" and the fields of that type, nothing else."""
     if not isinstance(doc, dict) or "type" not in doc:
         raise ConfigError(f"{what} must be an object with a 'type' field")
-    return doc["type"]
+    kind = doc["type"]
+    if not isinstance(kind, str) or kind not in fields:
+        raise ConfigError(f"unknown {what} type {kind!r}")
+    _reject_unknown(doc, {"type", *fields[kind]}, f"{kind} {what}")
+    return kind
 
 
 _STATE_SPECS = {"dicke": ("dicke", ("n", "nu")), "noon": ("noon", ("n",)), "uniform": ("uniform", ("n",))}
@@ -222,8 +228,12 @@ def measurement_from_spec(spec: str) -> SingleQubitPVM | list[SingleQubitKraus]:
     return measurement_from_json(doc)
 
 
+_STATE_FIELDS = {"ket": {"n", "kind", "amps"}, "density": {"n", "kind", "alpha"},
+                 "ket_with_losses": {"n", "kind", "amps", "lost"}}
+
+
 def state_from_json(doc) -> SymmetricKet | SymmetricDensity:
-    """{"n", "amps"} or {"n", "alpha"} coefficients, or an input kind with its "n".
+    """{"n", "amps"} or {"n", "alpha"} coefficients, or an input type with its "n".
 
     "kind", if given, is "ket", "density" or "ket_with_losses": a lossy trace line's ket, read as the
     density it leaves after "lost" losses (states._final_states).
@@ -234,45 +244,49 @@ def state_from_json(doc) -> SymmetricKet | SymmetricDensity:
         n = _qubit_count(doc.get("n"), "state 'n'", lo=1)
         return input_from_config({k: v for k, v in doc.items() if k != "n"}, n)
     n = _qubit_count(doc.get("n"), "state 'n'", lo=0)
-    if doc.get("kind") not in (None, "ket", "density", "ket_with_losses"):
-        raise ConfigError(f"unknown state kind {doc['kind']!r}")
-    if doc.get("kind") == "ket_with_losses":
+    kind = doc.get("kind")
+    if kind is None and "amps" not in doc and "alpha" not in doc:
+        raise ConfigError("state document needs 'amps' or 'alpha'")
+    if kind is None:
+        kind = "density" if "alpha" in doc else "ket"
+    if not isinstance(kind, str) or kind not in _STATE_FIELDS:
+        raise ConfigError(f"unknown state kind {kind!r}")
+    _reject_unknown(doc, _STATE_FIELDS[kind], f"{kind} state")
+    if kind == "density":
+        return SymmetricDensity(n, convert(complex, doc.get("alpha"), "state 'alpha'", shape=(n + 1, n + 1)))
+    lost = 0
+    if kind == "ket_with_losses":
         lost = convert(int, doc.get("lost"), "state 'lost'", lo=0)
         if lost > n:
             raise ConfigError(f"state 'lost' must be at most n = {n}, got {lost}")
-        ket = SymmetricKet(n, convert(complex, doc.get("amps"), "state 'amps'", shape=(n + 1,)))
-        return SymmetricDensity(n - lost, _final_states(ket.amps[None], lost)[0]) if lost else ket
-    if "amps" in doc:
-        return SymmetricKet(n, convert(complex, doc["amps"], "state 'amps'", shape=(n + 1,)))
-    if "alpha" in doc:
-        return SymmetricDensity(n, convert(complex, doc["alpha"], "state 'alpha'", shape=(n + 1, n + 1)))
-    raise ConfigError("state document needs 'amps' or 'alpha'")
+    ket = SymmetricKet(n, convert(complex, doc.get("amps"), "state 'amps'", shape=(n + 1,)))
+    return SymmetricDensity(n - lost, _final_states(ket.amps[None], lost)[0]) if lost else ket
+
+
+_MEASUREMENT_FIELDS = {"pvm": {"theta", "phi"}, "pvm_kappa": {"kappa"}, "kraus": {"matrices"}}
 
 
 def measurement_from_json(doc) -> SingleQubitPVM | list[SingleQubitKraus]:
     """{"type": "pvm", "theta", "phi"}, {"type": "pvm_kappa", "kappa"} or {"type": "kraus", "matrices"}."""
-    kind = _typed(doc, "measurement document")
+    kind = _typed(doc, "measurement", _MEASUREMENT_FIELDS)
     if kind == "pvm":
         angles = (convert(float, doc.get(key, 0.0), f"pvm {key!r}") for key in ("theta", "phi"))
         return pvm_from_bloch(*angles)
     if kind == "pvm_kappa":
         return SingleQubitPVM(convert(complex, doc.get("kappa"), "pvm_kappa 'kappa'", shape=(2, 2)))
-    if kind == "kraus":
-        matrices = convert(complex, doc.get("matrices"), "kraus 'matrices'", shape=(None, 2, 2))
-        if not len(matrices):
-            raise ConfigError("kraus measurement needs at least one matrix")
-        return [SingleQubitKraus(i, m) for i, m in enumerate(matrices)]
-    raise ConfigError(f"unknown measurement type {kind!r}")
+    matrices = convert(complex, doc.get("matrices"), "kraus 'matrices'", shape=(None, 2, 2))
+    if not len(matrices):
+        raise ConfigError("kraus measurement needs at least one matrix")
+    return [SingleQubitKraus(i, m) for i, m in enumerate(matrices)]
 
 
-_INPUT_KEYS = {"type", "nu", "amps"}
-_POLICY_KEYS = {"type", "theta", "phi", "bases", "delta", "initial_phi"}
+_INPUT_FIELDS = {"dicke": {"nu"}, "noon": set(), "uniform": set(), "custom": {"amps"}}
+_POLICY_FIELDS = {"fixed": {"theta", "phi"}, "round_robin": {"bases"}, "feedback": {"delta", "theta", "initial_phi"}}
 _CONFIG_KEYS = {"schema_version", "input", "n", "phi", "policy", "schedule", "trials", "seed", "estimate"}
 
 
 def input_from_config(doc, n: int) -> SymmetricKet:
-    kind = _typed(doc, "input")
-    _reject_unknown(doc, _INPUT_KEYS, "input")
+    kind = _typed(doc, "input", _INPUT_FIELDS)
     if kind == "dicke":
         return basis_state(n, convert(int, doc.get("nu"), "dicke 'nu'"))
     if kind == "noon":
@@ -281,14 +295,11 @@ def input_from_config(doc, n: int) -> SymmetricKet:
         return make_ket(n, amps)
     if kind == "uniform":
         return make_ket(n, np.ones(n + 1, dtype=complex))
-    if kind == "custom":
-        return make_ket(n, convert(complex, doc.get("amps"), "custom 'amps'", shape=(n + 1,)))
-    raise ConfigError(f"unknown input type {kind!r}")
+    return make_ket(n, convert(complex, doc.get("amps"), "custom 'amps'", shape=(n + 1,)))
 
 
 def policy_from_config(doc) -> Policy:
-    kind = _typed(doc, "policy")
-    _reject_unknown(doc, _POLICY_KEYS, "policy")
+    kind = _typed(doc, "policy", _POLICY_FIELDS)
 
     def angle(owner: dict, key: str, default: float) -> float:
         return convert(float, owner.get(key, default), f"policy {key!r}")
@@ -302,13 +313,11 @@ def policy_from_config(doc) -> Policy:
         for basis in bases:
             _reject_unknown(basis, {"theta", "phi"}, "round_robin basis")
         return RoundRobinPolicy(tuple((angle(b, "theta", 0.0), angle(b, "phi", 0.0)) for b in bases))
-    if kind == "feedback":
-        return FeedbackPolicy(
-            convert(float, doc.get("delta"), "policy 'delta'"),
-            angle(doc, "theta", math.pi / 2.0),
-            angle(doc, "initial_phi", 0.0),
-        )
-    raise ConfigError(f"unknown policy type {kind!r}")
+    return FeedbackPolicy(
+        convert(float, doc.get("delta"), "policy 'delta'"),
+        angle(doc, "theta", math.pi / 2.0),
+        angle(doc, "initial_phi", 0.0),
+    )
 
 
 def schedule_from_config(doc, n: int) -> LossSchedule:
@@ -333,6 +342,9 @@ def parse_config(config) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("configuration must be a JSON object")
     _reject_unknown(config, _CONFIG_KEYS, "config")
+    version = config.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:  # True == 1 and 1.0 == 1 are no version
+        raise ConfigError(f"config 'schema_version' must be {SCHEMA_VERSION}, got {version!r}")
     for key in ("input", "n", "phi", "policy", "schedule", "trials", "seed"):
         if key not in config:
             raise ConfigError(f"missing config field {key!r}")

@@ -1,9 +1,10 @@
 """Property suite cross-checking the compact modules against the dense oracle.
 
 Each property draws randomized cases, records its worst residual, and passes
-iff that residual stays within the property's tolerance.  The CLI `verify`
+iff that residual stays within the property's tolerance.  Every property
+reads one SuiteParams and derives its sizes from it.  The CLI `verify`
 subcommand runs the whole suite and emits a JSON report; the acceptance tests
-call the same functions with their pinned parameters.
+call the same functions with SuiteParams of their own.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .oracle import (
     partial_trace,
     partial_trace_raw,
 )
-from .serialize import trace_lines
+from .serialize import SCHEMA_VERSION, trace_lines
 from .spec import (FeedbackPolicy, FixedPolicy, LossSchedule, PhaseChannel, RoundRobinPolicy,
                    input_from_config, parse_config, state_from_json)
 from .states import (
@@ -205,6 +206,27 @@ def embed_qubit(rest_amps: np.ndarray, qubit: np.ndarray, position: int, n: int)
 
 # --- properties -----------------------------------------------------------------
 
+WORKED_EXAMPLE_TOL = 1e-15  # closed forms of three-qubit coefficients: a last-bit error at most
+IDENTITY_TOL = 1e-12  # identities the theorems pin tighter than the oracle comparisons' tolerance
+EXACT_TOL = 0.0  # permutation operators are pure index relabelings
+REV_RESIDUAL = 1e-6  # a random dense density misses permutation symmetry by more than this
+BORN_TRIALS = 4000  # trials of each born_rule_sampling case
+FALSE_ALARM = 1e-6  # g_test_ratio's false-alarm rate
+
+
+@dataclass
+class SuiteParams:
+    """The suite's settings; each property derives its sizes from them.
+
+    `tolerance` applies to the oracle-comparison properties; identities the
+    theorems pin tighter (1e-12 sums, exact zeros) keep their own tolerance.
+    """
+
+    max_n: int = 8
+    seeds: int = 20
+    tolerance: float = 1e-10
+    corrupt_xi: bool = False
+
 
 @dataclass
 class PropertyResult:
@@ -228,16 +250,33 @@ class PropertyResult:
         return {**asdict(self), "worst_residual": self.worst_residual if finite else None}
 
 
-def _worst(worst: float, *residuals: float) -> float:
-    """The largest of worst and residuals, NaN once any of them is NaN.
+class _Tally:
+    """A property's case count and worst residual, NaN once any residual is NaN.
 
     max(worst, x) keeps worst when x is NaN, so a NaN residual would pass
     its property.
     """
-    for x in residuals:
-        if x > worst or x != x:
-            worst = x
-    return worst
+
+    def __init__(self):
+        self.cases = 0
+        self.worst = 0.0
+
+    def add(self, *residuals: float, cases: int = 1) -> None:
+        for x in residuals:
+            if x > self.worst or x != x:
+                self.worst = x
+        self.cases += cases
+
+    def result(self, name: str, tol: float, note: str = "") -> PropertyResult:
+        """Passed iff the worst residual is within tol and there is no failure note."""
+        return PropertyResult(name, self.cases, self.worst, tol, self.worst <= tol and not note, note)
+
+
+def _cases(base: int, count: int, lo: int, hi: int):
+    """(seed, rng, n) of each of `count` cases: rng = default_rng(base + seed), whose first draw is n in [lo, hi]."""
+    for seed in range(count):
+        rng = np.random.default_rng(base + seed)
+        yield seed, rng, int(rng.integers(lo, hi + 1))
 
 
 def _safe_label(outcomes, rng) -> int:
@@ -248,55 +287,45 @@ def _safe_label(outcomes, rng) -> int:
     return label
 
 
-def check_worked_example(tol: float = 1e-15) -> PropertyResult:
+def check_worked_example(params: SuiteParams) -> PropertyResult:
     """The single-qubit split of |1> on three qubits: sqrt(2/3) and sqrt(1/3)."""
     coeffs = general_split(3, 1, 1)
-    worst = _worst(abs(coeffs[0].value - math.sqrt(2.0 / 3.0)),
-                   abs(coeffs[1].value - math.sqrt(1.0 / 3.0)),
-                   abs(xi_coefficient(1, 3, 1, 1) - math.sqrt(1.0 / 3.0)),
-                   abs(xi_coefficient(1, 3, 0, 1) - math.sqrt(2.0 / 3.0)))
-    return PropertyResult("worked_example_split", 4, worst, tol, worst <= tol)
+    tally = _Tally()
+    tally.add(abs(coeffs[0].value - math.sqrt(2.0 / 3.0)),
+              abs(coeffs[1].value - math.sqrt(1.0 / 3.0)),
+              abs(xi_coefficient(1, 3, 1, 1) - math.sqrt(1.0 / 3.0)),
+              abs(xi_coefficient(1, 3, 0, 1) - math.sqrt(2.0 / 3.0)), cases=4)
+    return tally.result("worked_example_split", WORKED_EXAMPLE_TOL)
 
 
-def check_xi_completeness(max_n: int = 30, tol: float = 1e-12) -> PropertyResult:
-    """sum_mu Xi^2 = 1 for every (k, nu) with n <= max_n; exact zeros outside."""
-    worst = 0.0
-    cases = 0
-    for n in range(1, max_n + 1):
+def check_xi_completeness(params: SuiteParams) -> PropertyResult:
+    """sum_mu Xi^2 = 1 for every (k, nu) with n <= max(max_n, 30); exact zeros outside."""
+    tally = _Tally()
+    for n in range(1, max(params.max_n, 30) + 1):
         for k in range(n + 1):
             for nu in range(n + 1):
-                total = sum(c.value**2 for c in general_split(n, nu, k))
-                worst = _worst(worst, abs(total - 1.0))
-                cases += 1
-    support_ok = True
-    for n, k, mu, nu in [(5, 2, 2, 1), (5, 2, 0, 4), (8, 3, 3, 2), (8, 3, 0, 6), (30, 10, 9, 8)]:
-        if xi_coefficient(k, n, mu, nu) != 0.0:
-            support_ok = False
-        cases += 1
-    passed = worst <= tol and support_ok
-    note = "" if support_ok else "nonzero value outside Theta support"
-    return PropertyResult("xi_completeness_and_support", cases, worst, tol, passed, note)
+                tally.add(abs(sum(c.value**2 for c in general_split(n, nu, k)) - 1.0))
+    support = [(5, 2, 2, 1), (5, 2, 0, 4), (8, 3, 3, 2), (8, 3, 0, 6), (30, 10, 9, 8)]
+    tally.add(cases=len(support))
+    support_ok = all(xi_coefficient(k, n, mu, nu) == 0.0 for n, k, mu, nu in support)
+    return tally.result("xi_completeness_and_support", IDENTITY_TOL,
+                        "" if support_ok else "nonzero value outside Theta support")
 
 
-def check_split_vs_oracle(
-    max_n: int = 12, seeds: int = 20, tol: float = 1e-12, corrupt_xi: bool = False
-) -> PropertyResult:
-    """Split coefficients and branch reconstruction against dense expansion.
+def check_split_vs_oracle(params: SuiteParams) -> PropertyResult:
+    """Split coefficients and branch reconstruction against dense expansion, n <= min(max_n + 2, 12).
 
     corrupt_xi flips the sign of one coefficient; it exists so the negative
     control in the CLI tests can watch this property fail by name.
     """
-    worst = 0.0
-    cases = 0
-    for seed in range(seeds):
-        rng = np.random.default_rng(1000 + seed)
-        n = int(rng.integers(2, max_n + 1))
+    tally = _Tally()
+    for _, rng, n in _cases(1000, params.seeds, 2, min(params.max_n + 2, 12)):
         nu = int(rng.integers(0, n + 1))
         k = int(rng.integers(1, n))
         # coefficients vs dense bipartite inner products (block = low k qubits)
         dense = expand(basis_state(n, nu)).amps.reshape(2 ** (n - k), 2**k)
         coeffs = {c.mu: c.value for c in general_split(n, nu, k)}
-        if corrupt_xi and coeffs:
+        if params.corrupt_xi and coeffs:
             first = min(coeffs)
             coeffs[first] = -coeffs[first]
         for mu in range(k + 1):
@@ -305,8 +334,7 @@ def check_split_vs_oracle(
                 lhs = expand(basis_state(n - k, nu - mu)).amps
                 rhs = expand(basis_state(k, mu)).amps
                 got = float(np.real(lhs @ dense @ rhs))
-                worst = _worst(worst, abs(got - want))
-                cases += 1
+                tally.add(abs(got - want))
         # branch reconstruction of a random ket
         ket = random_symmetric_ket(n, rng)
         c0, c1 = split_last_qubit(ket.amps)
@@ -315,9 +343,8 @@ def check_split_vs_oracle(
             sub = _branch_dense(branch, n - 1)
             idx = (np.arange(2 ** (n - 1)) << 1) | b
             recon[idx] += sub
-        worst = _worst(worst, float(np.max(np.abs(recon - expand(ket).amps))))
-        cases += 1
-    return PropertyResult("split_reconstruction", cases, worst, tol, worst <= tol)
+        tally.add(float(np.max(np.abs(recon - expand(ket).amps))))
+    return tally.result("split_reconstruction", IDENTITY_TOL)
 
 
 def _branch_dense(branch: np.ndarray, n: int) -> np.ndarray:
@@ -330,67 +357,63 @@ def _branch_dense(branch: np.ndarray, n: int) -> np.ndarray:
     return expand(SymmetricKet(n, branch / norm)).amps * norm
 
 
-def check_basis_characterization(
-    max_n: int = 8, seeds: int = 50, fwd_tol: float = 1e-12, rev_residual: float = 1e-6
-) -> PropertyResult:
-    """Theorem: symmetric coefficients <=> invariance under all permutations."""
-    worst = 0.0
-    cases = 0
+def check_basis_characterization(params: SuiteParams) -> PropertyResult:
+    """Theorem: symmetric coefficients <=> invariance under all permutations, n <= min(max_n, 8).
+
+    `seeds` symmetric densities and twice as many random dense ones.
+    """
+    max_n = min(params.max_n, 8)
+    tally = _Tally()
     fail = ""
-    for seed in range(seeds):
-        rng = np.random.default_rng(2000 + seed)
-        n = int(rng.integers(2, max_n + 1))
+    for seed, rng, n in _cases(2000, params.seeds, 2, max_n):
         rho = random_symmetric_density(n, rng)
         dense = expand_density(rho)
-        if not is_symmetric_over(dense, range(1, n + 1), fwd_tol):
+        if not is_symmetric_over(dense, range(1, n + 1), IDENTITY_TOL):
             fail = f"expanded symmetric density failed invariance (seed {seed})"
         back = compress(dense, tol=1e-10)
-        worst = _worst(worst, float(np.max(np.abs(back.alpha - rho.alpha))))
-        cases += 1
-    for seed in range(2 * seeds):
-        rng = np.random.default_rng(3000 + seed)
-        n = int(rng.integers(2, max_n + 1))
+        tally.add(float(np.max(np.abs(back.alpha - rho.alpha))))
+    for seed, rng, n in _cases(3000, 2 * params.seeds, 2, max_n):
         try:
             compress(random_dense_density(n, rng), tol=1e-10)
             fail = f"random non-symmetric density compressed (seed {seed})"
         except NotSymmetricError as exc:
-            if exc.residual <= rev_residual:
+            if exc.residual <= REV_RESIDUAL:
                 fail = f"non-symmetric residual only {exc.residual:.3e} (seed {seed})"
-        cases += 1
-    passed = not fail and worst <= fwd_tol
-    return PropertyResult("basis_characterization", cases, worst, fwd_tol, passed, fail)
+        tally.add()
+    return tally.result("basis_characterization", IDENTITY_TOL, fail)
 
 
-def check_residual_symmetry(max_n: int = 8, cases: int = 200, tol: float = 1e-10) -> PropertyResult:
-    """Channels on a subset S leave the state symmetric over the complement."""
+def check_residual_symmetry(params: SuiteParams) -> PropertyResult:
+    """Channels on a subset S leave the state symmetric over the complement.
+
+    4 * seeds cases on n = 3 to max(min(max_n, 8), 3) qubits; the residual is always 0.0.
+    """
+    tally = _Tally()
     fail = ""
-    done = 0
-    hi = max(max_n, 3)  # needs a nonempty subset and a nontrivial complement
-    for seed in range(cases):
-        rng = np.random.default_rng(4000 + seed)
-        n = int(rng.integers(3, hi + 1))
+    # n >= 3: a nonempty subset and a nontrivial complement
+    for seed, rng, n in _cases(4000, 4 * params.seeds, 3, max(min(params.max_n, 8), 3)):
         rho = expand_density(random_symmetric_density(n, rng))
         size = int(rng.integers(1, n - 1))
         touched = [int(p) + 1 for p in rng.choice(n, size=size, replace=False)]
         for position in touched:
             rho = apply_kraus_at(rho, position, random_kraus_pair(rng))
         complement = sorted(set(range(1, n + 1)) - set(touched))
-        if not is_symmetric_over(rho, complement, tol):
+        if not is_symmetric_over(rho, complement, params.tolerance):
             fail = f"complement symmetry broken (seed {seed}, touched {sorted(touched)})"
-        done += 1
-    return PropertyResult("residual_symmetry_after_channels", done, 0.0, tol, not fail, fail)
+        tally.add()
+    return tally.result("residual_symmetry_after_channels", params.tolerance, fail)
 
 
-def check_measurement_oracle(max_n: int = 10, seeds: int = 50, tol: float = 1e-10) -> PropertyResult:
+def check_measurement_oracle(params: SuiteParams) -> PropertyResult:
     """Compact joint outcome probabilities match the dense oracle.
 
     Pure states with PVM sequences and mixed states with general POVM
-    sequences, at random injective qubit positions.
+    sequences, at random injective qubit positions: max(1, seeds // max_n)
+    cases at each n from 1 to max_n.
     """
-    worst = 0.0
-    cases = 0
-    per_n = max(1, seeds // max_n)
-    for n in range(1, max_n + 1):
+    tally = _Tally()
+    per_n = max(1, params.seeds // params.max_n)
+    for n in range(1, params.max_n + 1):
         for s in range(per_n):
             rng = np.random.default_rng(5000 + 97 * n + s)
             m = int(rng.integers(1, n + 1))
@@ -409,8 +432,7 @@ def check_measurement_oracle(max_n: int = 10, seeds: int = 50, tol: float = 1e-1
                 dense_steps.append((pos, pvm, label))
             p_compact, _, _ = compact_sequence_prob(ket, compact_steps)
             p_dense, _ = dense_pure_pvm_sequence(expand(ket), dense_steps)
-            worst = _worst(worst, abs(p_compact - p_dense))
-            cases += 1
+            tally.add(abs(p_compact - p_dense))
             # mixed input, general Kraus sequence
             rho = random_symmetric_density(n, rng)
             runner = DenseRunner(expand_density(rho))
@@ -424,27 +446,21 @@ def check_measurement_oracle(max_n: int = 10, seeds: int = 50, tol: float = 1e-1
                 p_compact *= outcomes[label].probability
                 compact_state = outcomes[label].require_post_state()
                 p_dense *= runner.measure(pos, kraus, label)
-            worst = _worst(worst, abs(p_compact - p_dense))
-            cases += 1
-    return PropertyResult("measurement_oracle_equivalence", cases, worst, tol, worst <= tol)
+            tally.add(abs(p_compact - p_dense))
+    return tally.result("measurement_oracle_equivalence", params.tolerance)
 
 
-def check_loss_independence(max_n: int = 10, seeds: int = 50, tol: float = 1e-10) -> PropertyResult:
+def check_loss_independence(params: SuiteParams) -> PropertyResult:
     """Loss events change no measurement probability.
 
     (a) compact probabilities after k losses equal the original state's;
     (b) the deferred-loss evaluate_sequence vs compact_sequence_prob, which
-        loses each qubit where the loss occurs: probabilities at `tol`, the
-        final state at 1e-12;
+        loses each qubit where the loss occurs: probabilities at `tolerance`,
+        the final state at IDENTITY_TOL;
     (c) dense interleavings that also trace out already-measured qubits.
     """
-    state_tol = 1e-12
-    worst = 0.0
-    state_worst = 0.0
-    cases = 0
-    for seed in range(seeds):
-        rng = np.random.default_rng(6000 + seed)
-        n = int(rng.integers(2, max_n + 1))
+    tally, states = _Tally(), _Tally()
+    for _, rng, n in _cases(6000, params.seeds, 2, params.max_n):
         rho = random_symmetric_density(n, rng)
         kraus = random_kraus_pair(rng)
         base = [o.probability for o in measure_mixed(rho, kraus)]
@@ -452,8 +468,7 @@ def check_loss_independence(max_n: int = 10, seeds: int = 50, tol: float = 1e-10
         for _ in range(1, n):
             reduced = lose_qubit(reduced)
             probs = [o.probability for o in measure_mixed(reduced, kraus)]
-            worst = _worst(worst, *(abs(a - b) for a, b in zip(base, probs)))
-            cases += 1
+            tally.add(*(abs(a - b) for a, b in zip(base, probs)))
         # (b) interleaved losses: deferred replay vs losses where they occur
         ket = random_symmetric_ket(n, rng)
         m = int(rng.integers(1, n))
@@ -474,9 +489,8 @@ def check_loss_independence(max_n: int = 10, seeds: int = 50, tol: float = 1e-10
             _, p_stepwise, final_stepwise = compact_sequence_prob(ket, _reference_steps(lossy, channel))
         except ZeroProbabilityError:
             continue  # a forced label hit a zero-probability branch
-        worst = _worst(worst, *(abs(a - b) for a, b in zip(p_deferred, p_stepwise)))
-        state_worst = _worst(state_worst, _coefficient_gap(final_deferred, final_stepwise))
-        cases += 1
+        tally.add(*(abs(a - b) for a, b in zip(p_deferred, p_stepwise)))
+        states.add(_coefficient_gap(final_deferred, final_stepwise), cases=0)
         # (c) dense PVM run: random interleaved losses of never-measured spares
         # and of already-measured qubits, vs the compact lossless reference
         if n >= 3:
@@ -506,12 +520,11 @@ def check_loss_independence(max_n: int = 10, seeds: int = 50, tol: float = 1e-10
                     lost.add(q)
                 p_dense *= runner.measure(pos, pvm.kraus_pair(), label)
                 measured_done.append(pos)
-            worst = _worst(worst, abs(p_dense - p_ref))
-            cases += 1
-    passed = worst <= tol and state_worst <= state_tol
-    note = "" if state_worst <= state_tol else f"final states differ by {state_worst:.3e}"
-    worst = _worst(worst, state_worst)
-    return PropertyResult("loss_independence", cases, worst, tol, passed, note)
+            tally.add(abs(p_dense - p_ref))
+    passed = tally.worst <= params.tolerance and states.worst <= IDENTITY_TOL
+    note = "" if states.worst <= IDENTITY_TOL else f"final states differ by {states.worst:.3e}"
+    tally.add(states.worst, cases=0)
+    return PropertyResult("loss_independence", tally.cases, tally.worst, params.tolerance, passed, note)
 
 
 def unlikely_noon_trace(max_n: int, seed: int) -> tuple[SymmetricKet, ExperimentTrace]:
@@ -526,8 +539,7 @@ def unlikely_noon_trace(max_n: int, seed: int) -> tuple[SymmetricKet, Experiment
     end on the vacuum and interfere, so the joint probability, below
     e ZERO_PROB_EPS, peaks at a phase set by the detector phases.
     """
-    rng = np.random.default_rng(13_500 + seed)
-    n = int(rng.integers(2, max_n + 1))
+    [(_, rng, n)] = _cases(13_500 + seed, 1, 2, max_n)
     amps = np.zeros(n + 1, dtype=complex)
     amps[0] = 0.8 * rng.uniform() * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     amps[n] = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
@@ -540,7 +552,7 @@ def unlikely_noon_trace(max_n: int, seed: int) -> tuple[SymmetricKet, Experiment
     return ket, ExperimentTrace(seed, events, ket)
 
 
-def check_estimator_replay(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -> PropertyResult:
+def check_estimator_replay(params: SuiteParams) -> PropertyResult:
     """Grid log-likelihoods match the step-by-step lossy replay; the estimate reads them.
 
     On lossy feedback traces from random, NOON and Dicke inputs (in turn),
@@ -554,12 +566,9 @@ def check_estimator_replay(max_n: int = 10, seeds: int = 20, tol: float = 1e-10)
     grid below the joint replay's floor.
     """
     grid = 16  # small, so that the suite stays cheap
-    worst = 0.0
-    cases = 0
+    tally = _Tally()
     moved = 0
-    for seed in range(seeds):
-        rng = np.random.default_rng(13_000 + seed)
-        n = int(rng.integers(2, max_n + 1))
+    for seed, rng, n in _cases(13_000, params.seeds, 2, params.max_n):
         if seed % 3 == 0:
             ket = random_symmetric_ket(n, rng)
         elif seed % 3 == 1:
@@ -570,7 +579,7 @@ def check_estimator_replay(max_n: int = 10, seeds: int = 20, tol: float = 1e-10)
         policy = FeedbackPolicy(*(float(x) for x in rng.uniform(0.0, math.pi, 3)))
         channel = PhaseChannel(float(rng.uniform(0.0, 2.0 * math.pi)))
         trace = run_trial(ket, channel, policy, schedule, int(rng.integers(0, 2**31)))
-        for ket, trace in ((ket, trace), unlikely_noon_trace(max_n, seed)):
+        for ket, trace in ((ket, trace), unlikely_noon_trace(params.max_n, seed)):
             got = grid_log_likelihoods(ket, trace, grid)
             for g in range(grid):
                 steps = _reference_steps(trace.steps(), PhaseChannel(2.0 * math.pi * g / grid))
@@ -578,15 +587,13 @@ def check_estimator_replay(max_n: int = 10, seeds: int = 20, tol: float = 1e-10)
                     want = math.log(compact_sequence_prob(ket, steps)[0])
                 except ZeroProbabilityError:
                     want = -math.inf  # a forced label below ZERO_PROB_EPS
-                worst = _worst(worst, 0.0 if want == got[g] else abs(want - got[g]))
-                cases += 1
+                tally.add(0.0 if want == got[g] else abs(want - got[g]))
             folded = int(rng.integers(2, ket.n + 1))
             for size, ll in ((grid, got), (folded, grid_log_likelihoods(ket, trace, folded))):
                 tie_rule = 2.0 * math.pi * int(np.argmax(ll >= ll.max() - TIE_TOL)) / size
                 moved += ml_phase_estimate(ket, trace, size) != tie_rule
     note = f"{moved} estimates differ from the grid's tie-rule argmax" if moved else ""
-    passed = worst <= tol and not moved
-    return PropertyResult("estimator_replay_equivalence", cases, worst, tol, passed, note)
+    return tally.result("estimator_replay_equivalence", params.tolerance, note)
 
 
 def _exactly_hermitian(alpha: np.ndarray) -> bool:
@@ -596,7 +603,7 @@ def _exactly_hermitian(alpha: np.ndarray) -> bool:
             and not np.signbit(np.diagonal(alpha.imag)).any())
 
 
-def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -> PropertyResult:
+def check_batched_trials(params: SuiteParams) -> PropertyResult:
     """A block of trials equals each trial run alone and the stepwise lossy replay.
 
     On random inputs, policies (fixed, round-robin, feedback) and lossy
@@ -609,19 +616,14 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
     return its recorded probabilities and final state exactly, since a pure
     step is one kernel;
     compact_sequence_prob, replaying the trial with each loss applied where it
-    occurs, must give the same probabilities at `tol` and the same final state
-    at 1e-12.
+    occurs, must give the same probabilities at `tolerance` and the same final
+    state at IDENTITY_TOL.
     """
-    state_tol = 1e-12
-    worst = 0.0
-    state_worst = 0.0
+    tally, states = _Tally(), _Tally()
     mismatched = 0
     not_hermitian = 0
     not_replayed = 0
-    cases = 0
-    for seed in range(seeds):
-        rng = np.random.default_rng(14_000 + seed)
-        n = int(rng.integers(2, max_n + 1))
+    for seed, rng, n in _cases(14_000, params.seeds, 2, params.max_n):
         ket = random_symmetric_ket(n, rng)
         a = [float(x) for x in rng.uniform(0.0, math.pi, 4)]
         policy = (FixedPolicy(a[0], a[1]), RoundRobinPolicy(((a[0], a[1]), (a[2], a[3]))),
@@ -645,10 +647,10 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
                 _, probs, final = compact_sequence_prob(ket, _reference_steps(trace.steps(), channel))
             except ZeroProbabilityError:  # a drawn label the reference cannot condition on
                 probs, final = [math.inf], None
-            worst = _worst(worst, *(abs(p - q) for p, q in zip(probs, recorded)))
-            state_worst = _worst(state_worst, _coefficient_gap(trace.final_state, final))
-            cases += 1
-    passed = not (mismatched or not_hermitian or not_replayed) and worst <= tol and state_worst <= state_tol
+            tally.add(*(abs(p - q) for p, q in zip(probs, recorded)))
+            states.add(_coefficient_gap(trace.final_state, final), cases=0)
+    passed = (not (mismatched or not_hermitian or not_replayed) and tally.worst <= params.tolerance
+              and states.worst <= IDENTITY_TOL)
     notes = []
     if mismatched:
         notes.append(f"{mismatched} trials differ from run_trial alone or from their trace line")
@@ -656,14 +658,15 @@ def check_batched_trials(max_n: int = 10, seeds: int = 20, tol: float = 1e-10) -
         notes.append(f"{not_replayed} trials differ from their forced evaluate_sequence replay")
     if not_hermitian:
         notes.append(f"{not_hermitian} final densities not exactly Hermitian")
-    if not state_worst <= state_tol:
-        notes.append(f"final states differ by {state_worst:.3e}")
-    return PropertyResult("batched_trial_equivalence", cases, _worst(worst, state_worst), tol, passed,
+    if not states.worst <= IDENTITY_TOL:
+        notes.append(f"final states differ by {states.worst:.3e}")
+    tally.add(states.worst, cases=0)
+    return PropertyResult("batched_trial_equivalence", tally.cases, tally.worst, params.tolerance, passed,
                           "; ".join(notes))
 
 
-def g_test_ratio(counts: dict, probs: dict, alpha: float = 1e-6) -> float:
-    """The G statistic of counts against the exact probs, over its chi^2 quantile at false-alarm rate alpha.
+def g_test_ratio(counts: dict, probs: dict) -> float:
+    """The G statistic of counts against the exact probs, over its chi^2 quantile at false-alarm rate FALSE_ALARM.
 
     counts[s] and probs[s] per outcome string s.  G = 2 sum O ln(O / E) over
     the cells, E = N p with N the total count; cells expecting fewer than 5
@@ -672,8 +675,8 @@ def g_test_ratio(counts: dict, probs: dict, alpha: float = 1e-6) -> float:
     fewest draws (it stands alone only when there is no regular cell).
     The quantile of chi^2 with k = cells - 1 degrees of freedom is
     Wilson-Hilferty's k (1 - 2/(9k) + z sqrt(2/(9k)))^3, z the standard
-    normal quantile at 1 - alpha.  A ratio above 1 refuses the counts; a
-    string drawn at probability 0 gives inf, and a single cell gives 0.0.
+    normal quantile at 1 - FALSE_ALARM.  A ratio above 1 refuses the counts;
+    a string drawn at probability 0 gives inf, and a single cell gives 0.0.
     """
     trials = sum(counts.values())
     cells, pooled = [], np.zeros(2)
@@ -696,7 +699,7 @@ def g_test_ratio(counts: dict, probs: dict, alpha: float = 1e-6) -> float:
     from statistics import NormalDist  # here, so that no CLI start pays for it
 
     g = 2.0 * sum(o * math.log(o / e) for o, e in cells if o)
-    z = NormalDist().inv_cdf(1.0 - alpha)
+    z = NormalDist().inv_cdf(1.0 - FALSE_ALARM)
     return g / (k * (1.0 - 2.0 / (9 * k) + z * math.sqrt(2.0 / (9 * k))) ** 3)
 
 
@@ -729,26 +732,24 @@ def exact_label_distribution(parsed: dict) -> dict:
     return probs
 
 
-def check_born_rule_sampling(max_n: int = 8, cases: int = 10, trials: int = 4000,
-                             alpha: float = 1e-6) -> PropertyResult:
+def check_born_rule_sampling(params: SuiteParams) -> PropertyResult:
     """Trials draw each label string with its Born-rule probability.
 
-    Each case is a random ket on n = 3 to max(max_n, 3) qubits, a fixed, round-robin
-    or feedback policy (in turn), a random phase and a schedule of at most 6
-    measurements among random losses.  run_ensemble runs `trials` trials of
-    it from a fixed seed, and g_test_ratio compares the counts of its label
-    strings with exact_label_distribution's.  The seeds are fixed, so the
-    result is deterministic.  Over random seeds, a correct sampler would fail
-    a case with probability about alpha (1e-6), and the property at most
-    cases * alpha: 1e-5 for the 10 cases the verify suite runs at its
-    defaults (ceil(seeds / 2) cases; 2.5e-5 at --seeds 50).  No other
-    property samples, so that is also the suite's false-alarm rate.  The
-    residual is the worst ratio, against a tolerance of 1.0.
+    Each of ceil(seeds / 2) cases is a random ket on n = 3 to max(max_n, 3)
+    qubits, a fixed, round-robin or feedback policy (in turn), a random phase
+    and a schedule of at most 6 measurements among random losses.
+    run_ensemble runs BORN_TRIALS trials of it from a fixed seed, and
+    g_test_ratio compares the counts of its label strings with
+    exact_label_distribution's.  The seeds are fixed, so the result is
+    deterministic.  Over random seeds, a correct sampler would fail a case
+    with probability about FALSE_ALARM (1e-6), and the property at most
+    cases * FALSE_ALARM: 1e-5 for the 10 cases at the suite defaults
+    (2.5e-5 at --seeds 50).  No other property samples, so that is also the
+    suite's false-alarm rate.  The residual is the worst ratio, against a
+    tolerance of 1.0.
     """
-    worst = 0.0
-    for case in range(cases):
-        rng = np.random.default_rng(15_000 + case)
-        n = int(rng.integers(3, max(max_n, 3) + 1))
+    tally = _Tally()
+    for case, rng, n in _cases(15_000, -(-params.seeds // 2), 3, max(params.max_n, 3)):
         m = int(rng.integers(1, min(n, 6) + 1))
         events = ["measure"] * m + ["lose"] * int(rng.integers(0, n - m + 1))
         a = [float(x) for x in rng.uniform(0.0, math.pi, 4)]
@@ -761,22 +762,19 @@ def check_born_rule_sampling(max_n: int = 8, cases: int = 10, trials: int = 4000
                        {"type": "round_robin", "bases": [{"theta": a[0], "phi": a[1]}, {"theta": a[2], "phi": a[3]}]},
                        {"type": "feedback", "delta": a[0], "theta": a[1], "initial_phi": a[2]})[case % 3],
             "schedule": [str(ev) for ev in rng.permutation(events)],
-            "trials": trials,
+            "trials": BORN_TRIALS,
             "seed": int(rng.integers(0, 2**31)),
             "estimate": False,
         }
         counts = {s: c["count"] for s, c in run_ensemble(config)["outcome_sequences"].items()}
-        worst = _worst(worst, g_test_ratio(counts, exact_label_distribution(parse_config(config)), alpha))
-    return PropertyResult("born_rule_sampling", cases, worst, 1.0, worst <= 1.0)
+        tally.add(g_test_ratio(counts, exact_label_distribution(parse_config(config))))
+    return tally.result("born_rule_sampling", 1.0)
 
 
-def check_pure_state_sufficiency(max_n: int = 10, seeds: int = 50, tol: float = 1e-10) -> PropertyResult:
+def check_pure_state_sufficiency(params: SuiteParams) -> PropertyResult:
     """Dense post-PVM state = |l'> at the measured spot (x) compact rest."""
-    worst = 0.0
-    cases = 0
-    for seed in range(seeds):
-        rng = np.random.default_rng(7000 + seed)
-        n = int(rng.integers(2, max_n + 1))
+    tally = _Tally()
+    for _, rng, n in _cases(7000, params.seeds, 2, params.max_n):
         ket = random_symmetric_ket(n, rng)
         pvm = random_pvm(rng)
         position = int(rng.integers(1, n + 1))
@@ -786,18 +784,14 @@ def check_pure_state_sufficiency(max_n: int = 10, seeds: int = 50, tol: float = 
         p_dense, amps = dense_pure_pvm_sequence(expand(ket), [(position, pvm, label)])
         product = embed_qubit(expand(post).amps, pvm.basis_ket(label), position, n)
         fidelity = abs(np.vdot(product, amps)) ** 2
-        worst = _worst(worst, abs(1.0 - fidelity), abs(p_dense - outcomes[label].probability))
-        cases += 1
-    return PropertyResult("pure_state_sufficiency", cases, worst, tol, worst <= tol)
+        tally.add(abs(1.0 - fidelity), abs(p_dense - outcomes[label].probability))
+    return tally.result("pure_state_sufficiency", params.tolerance)
 
 
-def check_ordering_independence(max_n: int = 10, seeds: int = 30, tol: float = 1e-10) -> PropertyResult:
+def check_ordering_independence(params: SuiteParams) -> PropertyResult:
     """Joint PVM probabilities agree for any two injective position choices."""
-    worst = 0.0
-    cases = 0
-    for seed in range(seeds):
-        rng = np.random.default_rng(8000 + seed)
-        n = int(rng.integers(2, max_n + 1))
+    tally = _Tally()
+    for _, rng, n in _cases(8000, params.seeds, 2, params.max_n):
         m = int(rng.integers(1, n + 1))
         ket = expand(random_symmetric_ket(n, rng))
         pvms = [random_pvm(rng) for _ in range(m)]
@@ -806,109 +800,89 @@ def check_ordering_independence(max_n: int = 10, seeds: int = 30, tol: float = 1
         pos_b = [int(p) + 1 for p in rng.choice(n, size=m, replace=False)]
         pa, _ = dense_pure_pvm_sequence(ket, list(zip(pos_a, pvms, labels)))
         pb, _ = dense_pure_pvm_sequence(ket, list(zip(pos_b, pvms, labels)))
-        worst = _worst(worst, abs(pa - pb))
-        cases += 1
-    return PropertyResult("ordering_independence", cases, worst, tol, worst <= tol)
+        tally.add(abs(pa - pb))
+    return tally.result("ordering_independence", params.tolerance)
 
 
-def check_trace_povm_commutation(max_n: int = 10, seeds: int = 30, tol: float = 1e-10) -> PropertyResult:
+def check_trace_povm_commutation(params: SuiteParams) -> PropertyResult:
     """Partial trace and a measurement on another qubit commute."""
-    worst = 0.0
-    cases = 0
-    for seed in range(seeds):
-        rng = np.random.default_rng(9000 + seed)
-        n = int(rng.integers(2, max_n + 1))
+    tally = _Tally()
+    for _, rng, n in _cases(9000, params.seeds, 2, params.max_n):
         rho = random_symmetric_density(n, rng)
         kraus = random_kraus_pair(rng)
         # compact: measure-then-lose vs lose-then-measure
         first = measure_mixed(rho, kraus)
         after = measure_mixed(lose_qubit(rho), kraus)
-        for o_a, o_b in zip(first, after):
-            worst = _worst(worst, abs(o_a.probability - o_b.probability))
+        residuals = [abs(o_a.probability - o_b.probability) for o_a, o_b in zip(first, after)]
         if n >= 3:
             label = _safe_label(first, rng)
             a = lose_qubit(first[label].require_post_state())
             b = after[label].require_post_state()
             # equal probabilities and equal reduced coefficient matrices
-            worst = _worst(worst, float(np.max(np.abs(a.alpha - b.alpha))))
-        cases += 1
+            residuals.append(float(np.max(np.abs(a.alpha - b.alpha))))
+        tally.add(*residuals)
         # dense identity tr_j(K_i rho K_i^dag) = K_i tr_j(rho) K_i^dag
         if n >= 2 and n <= 8:
             dense = expand_density(rho).matrix
             k = random_kraus_pair(rng)[0].matrix
             lhs = partial_trace_raw(_sandwich_at(dense, n, 2, k), n, {1})
             rhs = _sandwich_at(partial_trace_raw(dense, n, {1}), n - 1, 1, k)
-            worst = _worst(worst, float(np.max(np.abs(lhs - rhs))))
-            cases += 1
-    return PropertyResult("trace_povm_commutation", cases, worst, tol, worst <= tol)
+            tally.add(float(np.max(np.abs(lhs - rhs))))
+    return tally.result("trace_povm_commutation", params.tolerance)
 
 
-def check_loss_mechanism_irrelevance(max_n: int = 8, seeds: int = 30, tol: float = 1e-12) -> PropertyResult:
-    """A pre-loss channel on the lost qubit never changes the reduced state."""
-    worst = 0.0
-    cases = 0
-    for seed in range(seeds):
-        rng = np.random.default_rng(10_000 + seed)
-        n = int(rng.integers(2, max_n + 1))
+def check_loss_mechanism_irrelevance(params: SuiteParams) -> PropertyResult:
+    """A pre-loss channel on the lost qubit never changes the reduced state, n <= min(max_n, 8)."""
+    tally = _Tally()
+    for _, rng, n in _cases(10_000, params.seeds, 2, min(params.max_n, 8)):
         rho = expand_density(random_symmetric_density(n, rng))
         j = int(rng.integers(1, n + 1))
         mangled = apply_kraus_at(rho, j, random_kraus_pair(rng))
         a = partial_trace(mangled, {j})
         b = partial_trace(rho, {j})
-        worst = _worst(worst, float(np.max(np.abs(a.matrix - b.matrix))))
-        cases += 1
-    return PropertyResult("loss_mechanism_irrelevance", cases, worst, tol, worst <= tol)
+        tally.add(float(np.max(np.abs(a.matrix - b.matrix))))
+    return tally.result("loss_mechanism_irrelevance", IDENTITY_TOL)
 
 
-def check_permutation_group(max_n: int = 8, seeds: int = 30, tol: float = 0.0) -> PropertyResult:
-    """P is a unitary representation: group law, inverses, basis invariance.
+def check_permutation_group(params: SuiteParams) -> PropertyResult:
+    """P is a unitary representation: group law, inverses, basis invariance, n <= min(max_n, 8).
 
     Permutation operators are pure index relabelings, so these identities
     hold exactly, with zero tolerance.
     """
-    worst = 0.0
-    cases = 0
-    for seed in range(seeds):
-        rng = np.random.default_rng(11_000 + seed)
-        n = int(rng.integers(2, max_n + 1))
+    tally = _Tally()
+    for _, rng, n in _cases(11_000, params.seeds, 2, min(params.max_n, 8)):
         amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         ket = DenseKet(n, amps / np.linalg.norm(amps))
         p1, p2 = random_permutation(n, rng), random_permutation(n, rng)
         lhs = apply_permutation(ket, p1.compose(p2))
         rhs = apply_permutation(apply_permutation(ket, p2), p1)
-        worst = _worst(worst, float(np.max(np.abs(lhs.amps - rhs.amps))))
         back = apply_permutation(apply_permutation(ket, p1), p1.inverse())
-        worst = _worst(worst, float(np.max(np.abs(back.amps - ket.amps))))
         sym = expand(basis_state(n, int(rng.integers(0, n + 1))))
         moved = apply_permutation(sym, p1)
-        worst = _worst(worst, float(np.max(np.abs(moved.amps - sym.amps))))
-        cases += 3
-    return PropertyResult("permutation_group_law", cases, worst, tol, worst <= tol)
+        tally.add(float(np.max(np.abs(lhs.amps - rhs.amps))), float(np.max(np.abs(back.amps - ket.amps))),
+                  float(np.max(np.abs(moved.amps - sym.amps))), cases=3)
+    return tally.result("permutation_group_law", EXACT_TOL)
 
 
-def check_remark12_specialization(max_n: int = 8, seeds: int = 30, tol: float = 1e-12) -> PropertyResult:
-    """measure_mixed with projectors reproduces the PVM coefficient update."""
-    worst = 0.0
-    cases = 0
-    for seed in range(seeds):
-        rng = np.random.default_rng(12_000 + seed)
-        n = int(rng.integers(1, max_n + 1))
+def check_remark12_specialization(params: SuiteParams) -> PropertyResult:
+    """measure_mixed with projectors reproduces the PVM coefficient update, n <= min(max_n, 8)."""
+    tally = _Tally()
+    for _, rng, n in _cases(12_000, params.seeds, 1, min(params.max_n, 8)):
         rho = random_symmetric_density(n, rng)
         pvm = random_pvm(rng)
         got = measure_mixed(rho, pvm.kraus_pair())
         for ell in (0, 1):
             raw = _pvm_update_transcription(rho.alpha, n, pvm.kappa, ell)
             p = raw.trace().real
-            worst = _worst(worst, abs(p - got[ell].probability))
+            tally.add(abs(p - got[ell].probability))
             if got[ell].post_state is not None and p > 1e-12:
-                worst = _worst(worst, float(np.max(np.abs(raw / p - got[ell].post_state.alpha))))
-            cases += 1
+                tally.add(float(np.max(np.abs(raw / p - got[ell].post_state.alpha))), cases=0)
         pure = random_symmetric_ket(n, rng)
         a = [o.probability for o in measure_pure(pure, pvm)]
         b = [o.probability for o in measure_mixed(to_density(pure), pvm.kraus_pair())]
-        worst = _worst(worst, *(abs(x - y) for x, y in zip(a, b)))
-        cases += 1
-    return PropertyResult("pvm_update_specialization", cases, worst, tol, worst <= tol)
+        tally.add(*(abs(x - y) for x, y in zip(a, b)))
+    return tally.result("pvm_update_specialization", IDENTITY_TOL)
 
 
 def _pvm_update_transcription(alpha: np.ndarray, n: int, kappa: np.ndarray, ell: int) -> np.ndarray:
@@ -928,70 +902,38 @@ def _pvm_update_transcription(alpha: np.ndarray, n: int, kappa: np.ndarray, ell:
 # --- suite runner ---------------------------------------------------------------
 
 
-@dataclass
-class SuiteParams:
-    max_n: int = 8
-    seeds: int = 20
-    tolerance: float = 1e-10
-    corrupt_xi: bool = False
-
-
 PROPERTY_BUILDERS = {
-    "worked_example_split": lambda p: check_worked_example(),
-    "xi_completeness_and_support": lambda p: check_xi_completeness(max(p.max_n, 30)),
-    "split_reconstruction": lambda p: check_split_vs_oracle(
-        min(p.max_n + 2, 12), p.seeds, corrupt_xi=p.corrupt_xi
-    ),
-    "basis_characterization": lambda p: check_basis_characterization(min(p.max_n, 8), p.seeds),
-    "residual_symmetry_after_channels": lambda p: check_residual_symmetry(
-        min(p.max_n, 8), 4 * p.seeds, p.tolerance
-    ),
-    "measurement_oracle_equivalence": lambda p: check_measurement_oracle(
-        p.max_n, p.seeds, p.tolerance
-    ),
-    "loss_independence": lambda p: check_loss_independence(p.max_n, p.seeds, p.tolerance),
-    "pure_state_sufficiency": lambda p: check_pure_state_sufficiency(p.max_n, p.seeds, p.tolerance),
-    "ordering_independence": lambda p: check_ordering_independence(p.max_n, p.seeds, p.tolerance),
-    "trace_povm_commutation": lambda p: check_trace_povm_commutation(p.max_n, p.seeds, p.tolerance),
-    "loss_mechanism_irrelevance": lambda p: check_loss_mechanism_irrelevance(
-        min(p.max_n, 8), p.seeds
-    ),
-    "permutation_group_law": lambda p: check_permutation_group(min(p.max_n, 8), p.seeds),
-    "pvm_update_specialization": lambda p: check_remark12_specialization(min(p.max_n, 8), p.seeds),
-    "estimator_replay_equivalence": lambda p: check_estimator_replay(p.max_n, p.seeds, p.tolerance),
-    "batched_trial_equivalence": lambda p: check_batched_trials(p.max_n, p.seeds, p.tolerance),
-    "born_rule_sampling": lambda p: check_born_rule_sampling(p.max_n, -(-p.seeds // 2)),
+    "worked_example_split": check_worked_example,
+    "xi_completeness_and_support": check_xi_completeness,
+    "split_reconstruction": check_split_vs_oracle,
+    "basis_characterization": check_basis_characterization,
+    "residual_symmetry_after_channels": check_residual_symmetry,
+    "measurement_oracle_equivalence": check_measurement_oracle,
+    "loss_independence": check_loss_independence,
+    "pure_state_sufficiency": check_pure_state_sufficiency,
+    "ordering_independence": check_ordering_independence,
+    "trace_povm_commutation": check_trace_povm_commutation,
+    "loss_mechanism_irrelevance": check_loss_mechanism_irrelevance,
+    "permutation_group_law": check_permutation_group,
+    "pvm_update_specialization": check_remark12_specialization,
+    "estimator_replay_equivalence": check_estimator_replay,
+    "batched_trial_equivalence": check_batched_trials,
+    "born_rule_sampling": check_born_rule_sampling,
 }
 
 
-def run_suite(
-    max_n: int = 8,
-    seeds: int = 20,
-    tolerance: float = 1e-10,
-    corrupt_xi: bool = False,
-    workers: int = 1,
-) -> dict:
-    """Run every property; the report is JSON-ready.
-
-    `tolerance` applies to the oracle-comparison properties; identities the
-    theorems pin tighter (1e-12 sums, exact zeros) keep their own tolerance.
-    """
-    if max_n > density_cap():
-        raise ResourceLimitError(f"max_n {max_n} exceeds dense density cap {density_cap()}")
-    if max_n < 2 or min(seeds, workers) < 1:
-        raise DomainError(
-            f"max_n must be >= 2 and seeds and workers >= 1, got {max_n}, {seeds} and {workers}")
-    params = SuiteParams(max_n, seeds, tolerance, corrupt_xi)
+def run_suite(params: SuiteParams, workers: int) -> dict:
+    """Run every property; the report is JSON-ready."""
+    if params.max_n > density_cap():
+        raise ResourceLimitError(f"max_n {params.max_n} exceeds dense density cap {density_cap()}")
+    if params.max_n < 2 or min(params.seeds, workers) < 1:
+        raise DomainError(f"max_n must be >= 2 and seeds and workers >= 1, "
+                          f"got {params.max_n}, {params.seeds} and {workers}")
     results = list(_ordered_map(partial(_run_one_property, params=params), workers,
                                 list(PROPERTY_BUILDERS)))
     return {
-        "schema_version": 1,
-        "parameters": {
-            "max_n": max_n,
-            "seeds": seeds,
-            "tolerance": tolerance,
-            "corrupt_xi": corrupt_xi,
-        },
+        "schema_version": SCHEMA_VERSION,
+        "parameters": asdict(params),
         "properties": [r.to_dict() for r in results],
         "all_passed": all(r.passed for r in results),
     }

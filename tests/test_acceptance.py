@@ -12,6 +12,7 @@ from dicke_sim.harness import run_ensemble
 from dicke_sim.serialize import dumps_json
 from dicke_sim.states import general_split, xi_coefficient
 from dicke_sim.verify import (
+    SuiteParams,
     check_basis_characterization,
     check_loss_independence,
     check_measurement_oracle,
@@ -52,7 +53,7 @@ def _timed(fn) -> float:
 
 def test_criterion_2_measurement_oracle_equivalence():
     start = time.perf_counter()
-    result = check_measurement_oracle(max_n=10, seeds=50, tol=1e-10)
+    result = check_measurement_oracle(SuiteParams(max_n=10, seeds=50))
     elapsed = time.perf_counter() - start
     passed = result.passed and elapsed < 120.0
     _record(
@@ -66,7 +67,7 @@ def test_criterion_2_measurement_oracle_equivalence():
 
 
 def test_criterion_3_loss_independence():
-    result = check_loss_independence(max_n=10, seeds=50, tol=1e-10)
+    result = check_loss_independence(SuiteParams(max_n=10, seeds=50))
     _record(
         3,
         result.passed,
@@ -76,13 +77,13 @@ def test_criterion_3_loss_independence():
 
 
 def test_criterion_4_residual_symmetry():
-    result = check_residual_symmetry(max_n=8, cases=200, tol=1e-10)
+    result = check_residual_symmetry(SuiteParams(max_n=8, seeds=50))
     _record(4, result.passed, f"residual symmetry: {result.cases} random cases at 1e-10; {result.note or 'all symmetric'}")
     assert result.passed, result
 
 
 def test_criterion_5_basis_characterization():
-    result = check_basis_characterization(max_n=8, seeds=50, fwd_tol=1e-12, rev_residual=1e-6)
+    result = check_basis_characterization(SuiteParams(max_n=8, seeds=50))
     _record(
         5,
         result.passed,
@@ -93,7 +94,7 @@ def test_criterion_5_basis_characterization():
 
 
 def test_criterion_6_xi_completeness_and_support():
-    result = check_xi_completeness(max_n=30, tol=1e-12)
+    result = check_xi_completeness(SuiteParams(max_n=30))
     _record(
         6,
         result.passed,
@@ -104,7 +105,7 @@ def test_criterion_6_xi_completeness_and_support():
 
 
 def test_criterion_7_pure_state_sufficiency():
-    result = check_pure_state_sufficiency(max_n=10, seeds=50, tol=1e-10)
+    result = check_pure_state_sufficiency(SuiteParams(max_n=10, seeds=50))
     _record(
         7,
         result.passed,

@@ -3,11 +3,12 @@
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from dicke_sim.cli import main
+from dicke_sim.cli import build_parser, main
 from dicke_sim.errors import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
@@ -22,7 +23,7 @@ from dicke_sim.serialize import (_jsonable, _pairs, _pairs_template, dumps_json,
                                  rows_to_csv, state_to_json)
 from dicke_sim.spec import measurement_from_json, parse_config, state_from_json
 from dicke_sim.states import SymmetricDensity, SymmetricKet, basis_state, make_ket, to_density
-from dicke_sim.verify import random_kraus_pair, random_symmetric_density
+from dicke_sim.verify import SuiteParams, random_kraus_pair, random_symmetric_density
 
 
 class TestStateJson:
@@ -322,6 +323,14 @@ class TestMalformedInputs:
         argv = self._simulate(tmp_path, policy={"type": "round_robin", "bases": [1]})
         self._assert_config_error(argv, capsys)
 
+    @pytest.mark.parametrize("overrides", [
+        {"policy": {"type": "fixed", "delta": 0.8}},
+        {"input": {"type": "noon", "nu": 9}},
+        {"schema_version": 99},
+    ], ids=["fixed-policy-delta", "noon-input-nu", "schema-version-99"])
+    def test_foreign_field_or_schema_version(self, overrides, tmp_path, capsys):
+        self._assert_config_error(self._simulate(tmp_path, **overrides), capsys)
+
     def test_round_robin_basis_unknown_field(self, tmp_path, capsys):
         # "ph" is no basis field: refused, not run with phi = 0
         argv = self._simulate(tmp_path, policy={"type": "round_robin", "bases": [{"theta": 1.2, "ph": 0.3}]})
@@ -362,6 +371,9 @@ class TestMalformedInputs:
         ("--pvm", {"type": "pvm", "theta": "x"}),
         ("--pvm", {"type": "pvm_kappa"}),
         ("--pvm", {"type": "kraus", "matrices": 7}),
+        ("--pvm", {"type": "pvm", "theta": 1.57, "phii": 1.0}),  # refused, not measured at phi = 0
+        ("--state", {"n": 1, "amps": [[1, 0], [0, 0]], "alpha": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}),
+        ("--state", {"n": 1, "kind": "density", "amps": [[1, 0], [0, 0]]}),
     ])
     def test_malformed_document(self, flag, doc, tmp_path, capsys):
         path = tmp_path / "doc.json"
@@ -593,11 +605,6 @@ class TestCliVerify:
         assert all(p["passed"] is True for p in properties)
 
     def test_flag_defaults_are_suite_params(self):
-        from dataclasses import asdict
-
-        from dicke_sim.cli import build_parser
-        from dicke_sim.verify import SuiteParams
-
         args = vars(build_parser().parse_args(["verify"]))
         assert {key: args[key] for key in asdict(SuiteParams())} == asdict(SuiteParams())
 

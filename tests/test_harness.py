@@ -35,7 +35,7 @@ from dicke_sim.states import (SplitCoefficient, SymmetricDensity, SymmetricKet, 
 from dicke_sim.verify import (
     SuiteParams,
     _run_one_property,
-    _worst,
+    _Tally,
     check_batched_trials,
     check_born_rule_sampling,
     check_estimator_replay,
@@ -389,12 +389,12 @@ class TestBatchedTrials:
                 assert coefficients[0].tobytes() == coefficients[1].tobytes()
 
     def test_matches_stepwise_lossy_replay(self):
-        result = check_batched_trials(max_n=10, seeds=30, tol=1e-10)
+        result = check_batched_trials(SuiteParams(max_n=10, seeds=30))
         assert result.passed, result
 
     def test_exactly_hermitian_densities_at_twelve_qubits(self):
         # a block-dependent last bit in the final densities showed up only at this size
-        result = check_batched_trials(max_n=12, seeds=200, tol=1e-10)
+        result = check_batched_trials(SuiteParams(max_n=12, seeds=200))
         assert result.passed, result
 
 
@@ -445,9 +445,15 @@ class TestNanResiduals:
     """A NaN residual fails its property: max(worst, nan) would keep worst."""
 
     def test_reduction_is_nan_sticky(self):
-        assert math.isnan(_worst(0.0, 1.0, math.nan, 2.0))
-        assert math.isnan(_worst(math.nan, 3.0))
-        assert _worst(0.5, 0.25, 2.0) == 2.0
+        tally = _Tally()
+        tally.add(1.0, math.nan, 2.0)
+        assert math.isnan(tally.worst)
+        tally.add(3.0)
+        assert math.isnan(tally.worst) and tally.cases == 2
+        tally = _Tally()
+        tally.add(0.5, 0.25, cases=0)
+        tally.add(2.0)
+        assert tally.worst == 2.0 and tally.cases == 1
 
     def test_nan_split_coefficients_fail_completeness(self, monkeypatch):
         import dicke_sim.verify as verify
@@ -480,7 +486,7 @@ class TestBornRuleSampling:
     """verify's born_rule_sampling: label-string counts against the exact distribution by a G-test."""
 
     def test_fixed_seed_passes(self):
-        result = check_born_rule_sampling(max_n=6, cases=3)
+        result = check_born_rule_sampling(SuiteParams(max_n=6, seeds=5))
         assert result.passed and result.cases == 3, result
 
     def test_wrong_distribution_fails(self):
@@ -820,7 +826,7 @@ class TestMlEstimate:
                 replay()
 
     def test_grid_matches_stepwise_lossy_replay(self):
-        result = check_estimator_replay(max_n=12, seeds=40, tol=1e-10)
+        result = check_estimator_replay(SuiteParams(max_n=12, seeds=40))
         assert result.passed, result
 
     def test_deterministic(self):
