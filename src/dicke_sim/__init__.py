@@ -59,7 +59,6 @@ from .spec import (
     RoundRobinPolicy,
 )
 from .states import (
-    SplitCoefficient,
     SymmetricDensity,
     SymmetricKet,
     basis_state,

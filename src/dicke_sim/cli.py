@@ -50,8 +50,8 @@ def _emit(args, text: str) -> None:
 
 def cmd_split(args) -> int:
     coeffs = general_split(args.n, args.nu, args.k)
-    total = sum(c.value**2 for c in coeffs)
-    rows = [{"schema_version": SCHEMA_VERSION, "mu": c.mu, "xi": c.value} for c in coeffs]
+    total = sum(xi**2 for xi in coeffs.values())
+    rows = [{"schema_version": SCHEMA_VERSION, "mu": mu, "xi": xi} for mu, xi in coeffs.items()]
     if args.format == "csv":
         _emit(args, rows_to_csv(rows, ["schema_version", "mu", "xi"]))
     else:
@@ -63,7 +63,7 @@ def cmd_split(args) -> int:
                     "n": args.n,
                     "nu": args.nu,
                     "k": args.k,
-                    "rows": [{"mu": c.mu, "xi": c.value} for c in coeffs],
+                    "rows": [{"mu": mu, "xi": xi} for mu, xi in coeffs.items()],
                     "sum_squares": total,
                     "sum_squares_deviation": abs(total - 1.0),
                 }
@@ -122,6 +122,12 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _bench_row(n: int, representation: str, times: list[float], entries: int) -> dict:
+    """One bench row, keyed by BENCH_COLUMNS; a complex entry takes 16 bytes."""
+    values = (SCHEMA_VERSION, n, representation, statistics.median(times), len(times), entries, entries * 16)
+    return dict(zip(BENCH_COLUMNS, values))
+
+
 def bench_compact(n: int, repetitions: int, seed: int) -> dict:
     """Median wall time of a full n-measurement PVM cascade, compact path."""
     detector = pvm_from_bloch(math.pi / 2.0, 0.0)
@@ -138,15 +144,7 @@ def bench_compact(n: int, repetitions: int, seed: int) -> dict:
         if rep >= 0:
             times.append(elapsed)
         entries = result.state_entries
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n": n,
-        "representation": "compact",
-        "wall_time_s": statistics.median(times),
-        "repetitions": repetitions,
-        "state_complex_entries": entries,
-        "state_bytes": entries * 16,
-    }
+    return _bench_row(n, "compact", times, entries)
 
 
 def bench_dense(n: int, repetitions: int, seed: int) -> dict:
@@ -171,15 +169,7 @@ def bench_dense(n: int, repetitions: int, seed: int) -> dict:
             else:
                 rho = conditional
         times.append(time.perf_counter() - start)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "n": n,
-        "representation": "dense",
-        "wall_time_s": statistics.median(times),
-        "repetitions": repetitions,
-        "state_complex_entries": 4**n,
-        "state_bytes": 4**n * 16,
-    }
+    return _bench_row(n, "dense", times, 4**n)
 
 
 def _sizes(spec: str, flag: str) -> list[int]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidMeasurementError, ZeroProbabilityError
-from .states import (NORM_TOL, SymmetricDensity, SymmetricKet, _require_finite,
+from .states import (SymmetricDensity, SymmetricKet, _require_finite, require_kets,
                      split_last_qubit, squared_norm, to_density)
 
 ZERO_PROB_EPS = 1e-14
@@ -22,6 +22,16 @@ COMPLETENESS_TOL = 1e-10
 PVM_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 _IDENTITY = np.eye(2)
+
+
+def _frozen_2x2(matrix, what: str) -> np.ndarray:
+    """matrix as a read-only complex 2x2 array; any other shape, NaN and inf are refused."""
+    arr = np.asarray(matrix, dtype=complex)
+    if arr.shape != (2, 2):
+        raise DomainError(f"{what} must be 2x2, got shape {arr.shape}")
+    _require_finite(arr, what)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -32,12 +42,7 @@ class SingleQubitKraus:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.matrix, dtype=complex)
-        if arr.shape != (2, 2):
-            raise DomainError(f"Kraus matrix must be 2x2, got shape {arr.shape}")
-        _require_finite(arr, "Kraus matrix")
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", _frozen_2x2(self.matrix, "Kraus matrix"))
 
 
 @dataclass(frozen=True)
@@ -51,12 +56,8 @@ class SingleQubitPVM:
     kappa: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.kappa, dtype=complex)
-        if arr.shape != (2, 2):
-            raise DomainError(f"kappa must be 2x2, got shape {arr.shape}")
-        _require_finite(arr, "kappa")
+        arr = _frozen_2x2(self.kappa, "kappa")
         require_pvm_rows(arr)
-        arr.setflags(write=False)
         object.__setattr__(self, "kappa", arr)
 
     def basis_ket(self, ell: int) -> np.ndarray:
@@ -157,7 +158,8 @@ def measure_pure_batch(
     Each row keeps the branch that pick_labels' two-outcome rule draws with uniforms[T].
     Returns (labels, their probabilities, the renormalized kept kets).  The
     checks of SingleQubitPVM, require_post_state and
-    SymmetricKet run once over the batch, written so that NaN fails them.
+    SymmetricKet (require_kets) run once over the batch, written so that NaN
+    fails them.
     """
     require_pvm_rows(kappas)
     branches = pvm_branches(kets, kappas)
@@ -170,9 +172,7 @@ def measure_pure_batch(
             f"a drawn outcome has probability {np.min(kept):.3e} below {ZERO_PROB_EPS}"
         )
     kets = branches[rows, labels] / np.sqrt(kept)[:, None]
-    dev = np.abs(np.sqrt((kets.real**2 + kets.imag**2).sum(axis=-1)) - 1.0).max(initial=0.0)
-    if not dev <= NORM_TOL:
-        raise DomainError(f"ket is not normalized: |norm - 1| = {dev:.3e}")
+    require_kets(kets)
     return labels, kept, kets
 
 

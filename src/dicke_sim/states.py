@@ -69,11 +69,23 @@ class SymmetricKet:
         if self.n < 0:
             raise DomainError(f"qubit count must be >= 0, got {self.n}")
         arr = _as_complex_vector(self.amps, self.n + 1, "amps")
-        norm = math.sqrt(squared_norm(arr))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise DomainError(f"ket is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+        require_kets(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
+
+
+def require_kets(amps: np.ndarray) -> None:
+    """SymmetricKet's norm check on amps[..., nu], one ket or a stack of them.
+
+    Every norm must be 1 within NORM_TOL; NaN and inf fail.  A stack reports
+    its worst deviation.
+    """
+    with np.errstate(over="ignore"):  # an overflowing norm reads inf, which fails
+        dev = abs(np.sqrt((amps.real**2 + amps.imag**2).sum(axis=-1)) - 1.0)  # a scalar for one ket
+    if amps.ndim > 1:
+        dev = dev.max(initial=0.0)
+    if not dev <= NORM_TOL:
+        raise DomainError(f"ket is not normalized: |norm - 1| = {dev:.3e}")
 
 
 def require_densities(alpha: np.ndarray) -> None:
@@ -115,14 +127,6 @@ class SymmetricDensity:
         require_densities(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "alpha", arr)
-
-
-@dataclass(frozen=True)
-class SplitCoefficient:
-    """One branch of a k-qubit split: weight mu on the split-off block."""
-
-    mu: int
-    value: float
 
 
 def basis_state(n: int, nu: int) -> SymmetricKet:
@@ -205,10 +209,12 @@ def xi_coefficient(k: int, n: int, mu: int, nu: int) -> float:
     return math.sqrt(_xi_squared(k, n, mu, nu))
 
 
-def general_split(n: int, nu: int, k: int) -> list[SplitCoefficient]:
-    """All nonzero branch coefficients for splitting k qubits off |nu>.
+def general_split(n: int, nu: int, k: int) -> dict[int, float]:
+    """The branch coefficients {mu: Xi(k, n; mu, nu)} for splitting k qubits off |nu>.
 
-    The squared values sum to 1: they are the hypergeometric probabilities of
+    The keys are the support max(0, nu - (n - k)) ... min(k, nu) in
+    increasing order; a value in it may underflow to 0.0.  The squared values
+    sum to 1: they are the hypergeometric probabilities of
     finding mu of the nu one-bits inside a fixed block of k positions.
 
     Xi^2 is computed once, at the mode floor((k+1)(nu+1)/(n+2)), with the
@@ -241,7 +247,7 @@ def general_split(n: int, nu: int, k: int) -> list[SplitCoefficient]:
     for mu in range(mode, lo, -1):
         x *= mu * (n - k - nu + mu) / ((k - mu + 1) * (nu - mu + 1))
         sq[mu - 1 - lo] = x
-    return [SplitCoefficient(mu, math.sqrt(v)) for mu, v in zip(range(lo, hi + 1), sq)]
+    return dict(zip(range(lo, hi + 1), map(math.sqrt, sq)))
 
 
 @lru_cache(maxsize=1)
@@ -254,8 +260,8 @@ def _loss_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     table = np.zeros((k + 1, n + 1))
     for nu in range(n + 1):
-        for c in general_split(n, nu, k):
-            table[c.mu, nu] = c.value
+        for mu, value in general_split(n, nu, k).items():
+            table[mu, nu] = value
     nus = np.arange(k + 1)[:, None] + np.arange(n - k + 1)
     xi = np.take_along_axis(table, nus, axis=1)
     nus.setflags(write=False)

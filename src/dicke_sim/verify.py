@@ -155,12 +155,14 @@ def dense_pure_pvm_sequence(
     return joint, amps
 
 
-def compact_sequence_prob(state, steps) -> tuple[float, list[float], object]:
+def compact_sequence_prob(state, steps, channel: PhaseChannel) -> tuple[float, list[float], object]:
     """Forced labels on the compact representation, one step at a time.
 
-    steps: ("measure_pvm", pvm, label) | ("measure_kraus", kraus_set, label)
-    | ("lose",).  Each loss is applied where it occurs, so the state turns
-    mixed there; this is the reference for the deferred-loss replays.
+    steps: ("measure", (theta, phi), label) or ("lose",), as in
+    evaluate_sequence, whose referee this is; each detector is
+    combined_pvm(channel, pvm_from_bloch(theta, phi)).  Each loss is applied
+    where it occurs, so the state turns mixed there.  A forced label below
+    ZERO_PROB_EPS raises ZeroProbabilityError.
     Returns (joint probability, probability of each measurement, final state).
     """
     joint = 1.0
@@ -169,21 +171,12 @@ def compact_sequence_prob(state, steps) -> tuple[float, list[float], object]:
         if step[0] == "lose":
             state = lose_qubit(state if isinstance(state, SymmetricDensity) else to_density(state))
             continue
-        _, measurement, label = step
-        chosen = measure_state(state, measurement)[label]
+        _, angles, label = step
+        chosen = measure_state(state, combined_pvm(channel, pvm_from_bloch(*angles)))[label]
         joint *= chosen.probability
         probs.append(chosen.probability)
         state = chosen.require_post_state()
     return joint, probs, state
-
-
-def _reference_steps(steps, channel: PhaseChannel) -> list:
-    """compact_sequence_prob steps for evaluate_sequence / ExperimentTrace.steps() steps."""
-    return [
-        step if step[0] == "lose"
-        else ("measure_pvm", combined_pvm(channel, pvm_from_bloch(*step[1])), step[2])
-        for step in steps
-    ]
 
 
 def _coefficient_gap(a, b) -> float:
@@ -291,8 +284,8 @@ def check_worked_example(params: SuiteParams) -> PropertyResult:
     """The single-qubit split of |1> on three qubits: sqrt(2/3) and sqrt(1/3)."""
     coeffs = general_split(3, 1, 1)
     tally = _Tally()
-    tally.add(abs(coeffs[0].value - math.sqrt(2.0 / 3.0)),
-              abs(coeffs[1].value - math.sqrt(1.0 / 3.0)),
+    tally.add(abs(coeffs[0] - math.sqrt(2.0 / 3.0)),
+              abs(coeffs[1] - math.sqrt(1.0 / 3.0)),
               abs(xi_coefficient(1, 3, 1, 1) - math.sqrt(1.0 / 3.0)),
               abs(xi_coefficient(1, 3, 0, 1) - math.sqrt(2.0 / 3.0)), cases=4)
     return tally.result("worked_example_split", WORKED_EXAMPLE_TOL)
@@ -304,7 +297,7 @@ def check_xi_completeness(params: SuiteParams) -> PropertyResult:
     for n in range(1, max(params.max_n, 30) + 1):
         for k in range(n + 1):
             for nu in range(n + 1):
-                tally.add(abs(sum(c.value**2 for c in general_split(n, nu, k)) - 1.0))
+                tally.add(abs(sum(x**2 for x in general_split(n, nu, k).values()) - 1.0))
     support = [(5, 2, 2, 1), (5, 2, 0, 4), (8, 3, 3, 2), (8, 3, 0, 6), (30, 10, 9, 8)]
     tally.add(cases=len(support))
     support_ok = all(xi_coefficient(k, n, mu, nu) == 0.0 for n, k, mu, nu in support)
@@ -324,7 +317,7 @@ def check_split_vs_oracle(params: SuiteParams) -> PropertyResult:
         k = int(rng.integers(1, n))
         # coefficients vs dense bipartite inner products (block = low k qubits)
         dense = expand(basis_state(n, nu)).amps.reshape(2 ** (n - k), 2**k)
-        coeffs = {c.mu: c.value for c in general_split(n, nu, k)}
+        coeffs = general_split(n, nu, k)
         if params.corrupt_xi and coeffs:
             first = min(coeffs)
             coeffs[first] = -coeffs[first]
@@ -421,16 +414,15 @@ def check_measurement_oracle(params: SuiteParams) -> PropertyResult:
             # pure input, PVM sequence
             ket = random_symmetric_ket(n, rng)
             state = ket
-            compact_steps = []
+            p_compact = 1.0
             dense_steps = []
             for pos in positions:
                 pvm = random_pvm(rng)
                 outcomes = measure_pure(state, pvm)
                 label = _safe_label(outcomes, rng)
+                p_compact *= outcomes[label].probability
                 state = outcomes[label].require_post_state()
-                compact_steps.append(("measure_pvm", pvm, label))
                 dense_steps.append((pos, pvm, label))
-            p_compact, _, _ = compact_sequence_prob(ket, compact_steps)
             p_dense, _ = dense_pure_pvm_sequence(expand(ket), dense_steps)
             tally.add(abs(p_compact - p_dense))
             # mixed input, general Kraus sequence
@@ -486,7 +478,7 @@ def check_loss_independence(params: SuiteParams) -> PropertyResult:
             lossy.append(step)
         try:
             p_deferred, final_deferred = evaluate_sequence(ket, channel, lossy)
-            _, p_stepwise, final_stepwise = compact_sequence_prob(ket, _reference_steps(lossy, channel))
+            _, p_stepwise, final_stepwise = compact_sequence_prob(ket, lossy, channel)
         except ZeroProbabilityError:
             continue  # a forced label hit a zero-probability branch
         tally.add(*(abs(a - b) for a, b in zip(p_deferred, p_stepwise)))
@@ -580,11 +572,10 @@ def check_estimator_replay(params: SuiteParams) -> PropertyResult:
         channel = PhaseChannel(float(rng.uniform(0.0, 2.0 * math.pi)))
         trace = run_trial(ket, channel, policy, schedule, int(rng.integers(0, 2**31)))
         for ket, trace in ((ket, trace), unlikely_noon_trace(params.max_n, seed)):
-            got = grid_log_likelihoods(ket, trace, grid)
+            got, steps = grid_log_likelihoods(ket, trace, grid), trace.steps()
             for g in range(grid):
-                steps = _reference_steps(trace.steps(), PhaseChannel(2.0 * math.pi * g / grid))
                 try:
-                    want = math.log(compact_sequence_prob(ket, steps)[0])
+                    want = math.log(compact_sequence_prob(ket, steps, PhaseChannel(2.0 * math.pi * g / grid))[0])
                 except ZeroProbabilityError:
                     want = -math.inf  # a forced label below ZERO_PROB_EPS
                 tally.add(0.0 if want == got[g] else abs(want - got[g]))
@@ -644,7 +635,7 @@ def check_batched_trials(params: SuiteParams) -> PropertyResult:
             replayed, replay_final = evaluate_sequence(ket, channel, trace.steps())
             not_replayed += replayed != recorded or _coefficient_gap(replay_final, trace.final_state) != 0.0
             try:
-                _, probs, final = compact_sequence_prob(ket, _reference_steps(trace.steps(), channel))
+                _, probs, final = compact_sequence_prob(ket, trace.steps(), channel)
             except ZeroProbabilityError:  # a drawn label the reference cannot condition on
                 probs, final = [math.inf], None
             tally.add(*(abs(p - q) for p, q in zip(probs, recorded)))
@@ -725,7 +716,7 @@ def exact_label_distribution(parsed: dict) -> dict:
                          for (theta, phi), label in zip(detectors, string)])
         steps = [("lose",) if ev == "lose" else next(measured) for ev in schedule.events]
         try:
-            p = compact_sequence_prob(parsed["input"], _reference_steps(steps, parsed["channel"]))[0]
+            p = compact_sequence_prob(parsed["input"], steps, parsed["channel"])[0]
         except ZeroProbabilityError:
             p = 0.0
         probs["".join(map(str, string))] = p

@@ -30,8 +30,8 @@ def _record(number: int, passed: bool, detail: str) -> None:
 def test_criterion_1_worked_example_reproduction():
     coeffs = general_split(3, 1, 1)
     worst = max(
-        abs(coeffs[0].value - math.sqrt(2 / 3)),
-        abs(coeffs[1].value - math.sqrt(1 / 3)),
+        abs(coeffs[0] - math.sqrt(2 / 3)),
+        abs(coeffs[1] - math.sqrt(1 / 3)),
         abs(xi_coefficient(1, 3, 1, 1) - math.sqrt(1 / 3)),
         abs(xi_coefficient(1, 3, 0, 1) - math.sqrt(2 / 3)),
     )

@@ -30,15 +30,17 @@ from dicke_sim.spec import (
     input_from_config,
     parse_config,
 )
-from dicke_sim.states import (SplitCoefficient, SymmetricDensity, SymmetricKet, basis_state, general_split,
-                              make_ket, to_density)
+from dicke_sim.states import SymmetricDensity, SymmetricKet, basis_state, general_split, make_ket, to_density
 from dicke_sim.verify import (
+    IDENTITY_TOL,
     SuiteParams,
+    _coefficient_gap,
     _run_one_property,
     _Tally,
     check_batched_trials,
     check_born_rule_sampling,
     check_estimator_replay,
+    compact_sequence_prob,
     exact_label_distribution,
     g_test_ratio,
     random_symmetric_ket,
@@ -335,7 +337,7 @@ class TestBatchedTrials:
         assert not nus.flags.writeable and not xi.flags.writeable
         for j in range(4):
             for mu in range(7):
-                want = {c.mu: c.value for c in general_split(9, mu + j, 3)}.get(j, 0.0)
+                want = general_split(9, mu + j, 3).get(j, 0.0)
                 assert nus[j, mu] == mu + j and xi[j, mu] == want
 
     def test_trial_does_not_depend_on_its_block(self):
@@ -412,6 +414,37 @@ class TestLossTransparency:
         assert isinstance(final_clean, SymmetricKet)
         assert isinstance(final_lossy, SymmetricDensity)
 
+    def test_stepwise_referee_reads_the_replay_steps(self):
+        # the referee takes evaluate_sequence's own steps and channel, and
+        # loses each qubit where the loss occurs instead of at the end
+        losses = 0
+        for seed in range(12):
+            rng = np.random.default_rng(90_000 + seed)
+            n = int(rng.integers(3, 13))
+            ket = random_symmetric_ket(n, rng)
+            schedule = LossSchedule.random(n - 1, 0.4, int(rng.integers(0, 2**31)))
+            policy = FeedbackPolicy(*(float(x) for x in rng.uniform(0.0, math.pi, 3)))
+            channel = PhaseChannel(float(rng.uniform(0.0, 2.0 * math.pi)))
+            steps = run_trial(ket, channel, policy, schedule, seed).steps()
+            probs, final = evaluate_sequence(ket, channel, steps)
+            joint, stepwise, stepwise_final = compact_sequence_prob(ket, steps, channel)
+            assert len(stepwise) == len(probs)
+            assert max(abs(p - q) for p, q in zip(probs, stepwise)) <= 1e-12
+            assert joint == math.prod(stepwise)
+            assert _coefficient_gap(final, stepwise_final) <= IDENTITY_TOL
+            losses += schedule.events.count("lose")
+        assert losses > 0
+
+    def test_stepwise_referee_refuses_a_label_below_eps(self):
+        # |0..0> read by a detector 1e-7 from theta = 0: label 1 has probability 2.5e-15
+        steps = [("lose",), ("measure", (1e-7, 0.3), 1)]
+        channel = PhaseChannel(0.4)
+        assert 0.0 < math.sin(0.5e-7) ** 2 < ZERO_PROB_EPS
+        with pytest.raises(ZeroProbabilityError):
+            compact_sequence_prob(basis_state(3, 0), steps, channel)
+        with pytest.raises(ZeroProbabilityError):
+            evaluate_sequence(basis_state(3, 0), channel, steps)
+
 
 _CORRUPTIONS = pytest.mark.parametrize("corrupt", [
     lambda a: 1.01 * a,  # trace 1.01: the density constructor refuses it
@@ -460,7 +493,7 @@ class TestNanResiduals:
 
         def nan_above_25(n, nu, k):
             coeffs = general_split(n, nu, k)
-            return coeffs if n <= 25 else [SplitCoefficient(c.mu, math.nan) for c in coeffs]
+            return coeffs if n <= 25 else dict.fromkeys(coeffs, math.nan)
 
         monkeypatch.setattr(verify, "general_split", nan_above_25)
         result = _run_one_property("xi_completeness_and_support", SuiteParams())

@@ -173,7 +173,7 @@ class TestXiCoefficient:
 
     def test_large_n_completeness(self):
         n = 10**6
-        total = sum(c.value**2 for c in general_split(n, n // 2, 2))
+        total = sum(x**2 for x in general_split(n, n // 2, 2).values())
         assert abs(total - 1.0) <= 5e-12
 
     def test_support_zeros_are_exact(self):
@@ -193,58 +193,63 @@ class TestXiCoefficient:
     def test_completeness_property(self, n, data):
         k = data.draw(st.integers(0, n))
         nu = data.draw(st.integers(0, n))
-        total = sum(c.value**2 for c in general_split(n, nu, k))
+        total = sum(x**2 for x in general_split(n, nu, k).values())
         assert abs(total - 1.0) <= 1e-12
 
 
 class TestGeneralSplit:
     def test_paper_worked_example(self):
         coeffs = general_split(3, 1, 1)
-        assert [c.mu for c in coeffs] == [0, 1]
-        assert coeffs[0].value == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
-        assert coeffs[1].value == pytest.approx(math.sqrt(1 / 3), abs=1e-15)
+        assert list(coeffs) == [0, 1]
+        assert coeffs[0] == pytest.approx(math.sqrt(2 / 3), abs=1e-15)
+        assert coeffs[1] == pytest.approx(math.sqrt(1 / 3), abs=1e-15)
 
     def test_vacuum_is_trivial(self):
-        coeffs = general_split(5, 0, 2)
-        assert len(coeffs) == 1
-        assert coeffs[0].mu == 0
-        assert coeffs[0].value == 1.0
+        assert general_split(5, 0, 2) == {0: 1.0}
 
     def test_against_dense_oracle(self):
         from dicke_sim.oracle import expand
 
         n, nu, k = 8, 4, 3
         dense = expand(basis_state(n, nu)).amps.reshape(2 ** (n - k), 2**k)
-        for c in general_split(n, nu, k):
-            lhs = expand(basis_state(n - k, nu - c.mu)).amps
-            rhs = expand(basis_state(k, c.mu)).amps
-            assert float(np.real(lhs @ dense @ rhs)) == pytest.approx(c.value, abs=1e-13)
+        for mu, xi in general_split(n, nu, k).items():
+            lhs = expand(basis_state(n - k, nu - mu)).amps
+            rhs = expand(basis_state(k, mu)).amps
+            assert float(np.real(lhs @ dense @ rhs)) == pytest.approx(xi, abs=1e-13)
 
     def test_recurrence_matches_per_mu_product(self):
         for n in range(1, 41):
             for nu in range(n + 1):
                 for k in range(n + 1):
                     coeffs = general_split(n, nu, k)
-                    assert [c.mu for c in coeffs] == list(range(max(0, nu - n + k), min(k, nu) + 1))
-                    for c in coeffs:
-                        assert abs(c.value - xi_coefficient(k, n, c.mu, nu)) <= 1e-15
+                    assert list(coeffs) == list(range(max(0, nu - n + k), min(k, nu) + 1))
+                    for mu, xi in coeffs.items():
+                        assert abs(xi - xi_coefficient(k, n, mu, nu)) <= 1e-15
 
     @pytest.mark.parametrize("n, nu, k", [(1000, 500, 500), (10**5, 3 * 10**4, 2 * 10**4), (10**6, 5 * 10**5, 2)])
     def test_large_completeness(self, n, nu, k):
-        total = sum(c.value**2 for c in general_split(n, nu, k))
+        total = sum(x**2 for x in general_split(n, nu, k).values())
         assert abs(total - 1.0) <= 1e-12
 
     def test_large_split_against_exact_rationals(self):
         # counted from the block's side, C(nu, mu) C(n-nu, k-mu) / C(n, k), the
         # same hypergeometric probability needs only small integers
         n, nu, k = 10**6, 5 * 10**5, 2
-        for c in general_split(n, nu, k):
-            exact = Fraction(math.comb(nu, c.mu) * math.comb(n - nu, k - c.mu), math.comb(n, k))
-            assert abs(c.value**2 - exact) <= 1e-15 * exact
+        for mu, xi in general_split(n, nu, k).items():
+            exact = Fraction(math.comb(nu, mu) * math.comb(n - nu, k - mu), math.comb(n, k))
+            assert abs(xi**2 - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("n, nu, k", [(2000, 1000, 1000), (10**6, 5 * 10**5, 2)])
+    def test_keys_are_the_support_in_order(self, n, nu, k):
+        # n <= 40 is covered by test_recurrence_matches_per_mu_product
+        coeffs = general_split(n, nu, k)
+        assert list(coeffs) == list(range(max(0, nu - (n - k)), min(k, nu) + 1))
+        if n == 2000:  # the tails underflow to 0.0 inside the support and keep their keys
+            assert coeffs[0] == coeffs[1000] == 0.0 and coeffs[500] > 0.0
 
     def test_matches_split_last_qubit_on_basis_states(self):
         for n, nu in [(4, 0), (4, 2), (7, 7), (9, 3)]:
-            coeffs = {c.mu: c.value for c in general_split(n, nu, 1)}
+            coeffs = general_split(n, nu, 1)
             c0, c1 = split_last_qubit(basis_state(n, nu).amps)
             if nu <= n - 1:
                 assert coeffs.get(0, 0.0) == pytest.approx(abs(c0[nu]), abs=1e-14)
