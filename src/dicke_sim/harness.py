@@ -62,7 +62,7 @@ from .measure import (
 )
 from .serialize import SCHEMA_VERSION, trace_lines
 from .spec import ESTIMATE_GRID, LossSchedule, PhaseChannel, Policy, parse_config
-from .states import SymmetricDensity, SymmetricKet, _final_states
+from .states import SymmetricDensity, SymmetricKet, _final_states, require_kets
 
 BLOCK_BYTES = 1 << 22  # memory budget of a trial block's arrays (_trial_bytes)
 TIE_TOL = 1e-10  # log-likelihood slack of a tie; below the 1e-9 of perfbench's grid-maximum check
@@ -113,8 +113,8 @@ def _trial_block(input_state: SymmetricKet, channel: PhaseChannel, policy: Polic
     """run_trials' arithmetic, returning arrays instead of traces.
 
     Returns thetas, phis, labels and probs of shape (T, m), one column per
-    measurement in schedule order, and the final kets (T, n+1-m) before the
-    schedule's losses: no density (_final_states) is built here.
+    measurement in schedule order, and the final kets (T, n+1-m), checked once
+    (require_kets), before the losses: no density (_final_states) is built.
     """
     if len(schedule.events) > input_state.n:
         raise DomainError(
@@ -129,8 +129,10 @@ def _trial_block(input_state: SymmetricKet, channel: PhaseChannel, policy: Polic
     settings = None
     for j in range(m):  # the j-th measurement; losses wait for the end
         settings = thetas[:, j], phis[:, j] = policy.next_settings(labels[:, :j], settings)
-        kappas = bloch_kappas(*settings) * fold
+        kappas = bloch_kappas(*settings)
+        kappas *= fold
         labels[:, j], probs[:, j], kets = measure_pure_batch(kets, kappas, uniforms[:, j])
+    require_kets(kets)
     return thetas, phis, labels, probs, kets
 
 
@@ -160,8 +162,8 @@ def run_trials(
     default_rng's stream, one per measurement in schedule order.  The kets
     advance as one (T, n+1) array: each `measure` event steps the policy once
     from its previous settings, folds the channel into every trial's detector
-    and takes one measure_pure_batch step.  `lose` events are only recorded; the lost
-    qubits are traced out of the block's final kets once (_final_states).
+    and takes one measure_pure_batch step; the final kets are checked once.  `lose`
+    events are only recorded; the lost qubits are traced out of them once (_final_states).
     The block runs as arrays (_trial_block); only then is each trial wrapped
     as an ExperimentTrace with a SymmetricKet / SymmetricDensity final state.
     """

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidMeasurementError, ZeroProbabilityError
-from .states import (SymmetricDensity, SymmetricKet, _require_finite, require_kets,
-                     split_last_qubit, squared_norm, to_density)
+from .states import (SymmetricDensity, SymmetricKet, _require_finite, split_last_qubit,
+                     squared_norm, to_density)
 
 ZERO_PROB_EPS = 1e-14
 COMPLETENESS_TOL = 1e-10
@@ -156,12 +156,11 @@ def measure_pure_batch(
     """Measure one qubit of each ket in kets[T, nu] with its own PVM kappas[T].
 
     Each row keeps the branch that pick_labels' two-outcome rule draws with uniforms[T].
-    Returns (labels, their probabilities, the renormalized kept kets).  The
-    checks of SingleQubitPVM, require_post_state and
-    SymmetricKet (require_kets) run once over the batch, written so that NaN
-    fails them.
+    Returns (labels, their probabilities, the renormalized kept kets).  A step
+    checks pick_labels' sum rule (NaN, inf and errors that show in the
+    probabilities fail it) and the drawn branch's ZERO_PROB_EPS.  Detector
+    unitarity and ket norms hold by construction; _trial_block checks its final kets.
     """
-    require_pvm_rows(kappas)
     branches = pvm_branches(kets, kappas)
     probs = (branches.real**2 + branches.imag**2).sum(axis=-1)
     labels = pick_labels(probs, uniforms)
@@ -171,9 +170,7 @@ def measure_pure_batch(
         raise ZeroProbabilityError(
             f"a drawn outcome has probability {np.min(kept):.3e} below {ZERO_PROB_EPS}"
         )
-    kets = branches[rows, labels] / np.sqrt(kept)[:, None]
-    require_kets(kets)
-    return labels, kept, kets
+    return labels, kept, branches[rows, labels] / np.sqrt(kept)[:, None]
 
 
 def _check_complete(kraus_set: list[SingleQubitKraus]) -> None:

@@ -277,8 +277,8 @@ def _final_states(kets: np.ndarray, k: int) -> np.ndarray:
     c_j[mu] = psi[mu + j] Xi(k, N; j, mu + j), gathered through _loss_table.
     Returns the densities alpha[T, N-k+1, N-k+1], checked once over the
     block as SymmetricDensity checks each (require_densities).  k = 0
-    returns the kets as they are (each from measure_pure_batch or a
-    SymmetricKet, whose norm checks are the same).  Ensembles never call it.
+    returns the kets as they are (from _trial_block, which checks them once
+    with SymmetricKet's require_kets, or a SymmetricKet).  Ensembles never call it.
     A loss table or final density above MAX_STATE_ENTRIES is refused first.
 
     With c_j = x + iy, the real part x_a x_b + y_a y_b and the imaginary part

@@ -19,8 +19,7 @@ from dicke_sim.harness import (
     run_trial,
     run_trials,
 )
-from dicke_sim.measure import (ZERO_PROB_EPS, lose_qubit, measure_mixed, measure_pure, measure_pure_batch,
-                               pvm_from_bloch)
+from dicke_sim.measure import ZERO_PROB_EPS, bloch_kappas, measure_pure, measure_pure_batch, pvm_from_bloch
 from dicke_sim.spec import (
     FeedbackPolicy,
     FixedPolicy,
@@ -30,7 +29,7 @@ from dicke_sim.spec import (
     input_from_config,
     parse_config,
 )
-from dicke_sim.states import SymmetricDensity, SymmetricKet, basis_state, general_split, make_ket, to_density
+from dicke_sim.states import SymmetricDensity, SymmetricKet, basis_state, general_split, make_ket
 from dicke_sim.verify import (
     IDENTITY_TOL,
     SuiteParams,
@@ -219,29 +218,18 @@ class TestRunTrial:
         assert len(trace.events) == 3
 
     def test_final_state_matches_stepwise_mixed_replay(self):
-        # losses are deferred to the end; the reference loses each qubit where
-        # the schedule says and measures the mixed state from then on
+        # losses are deferred to the end; the stepwise referee loses each qubit
+        # where the schedule says and measures the mixed state from then on
         rng = np.random.default_rng(41)
         ket = random_symmetric_ket(10, rng)
         channel, policy = PhaseChannel(0.9), FeedbackPolicy(0.7, 1.2, 0.4)
         schedule = LossSchedule.random(10, 0.4, seed=8)
         assert 0 < schedule.events.count("lose") < 10
         trace = run_trial(ket, channel, policy, schedule, seed=17)
-        state = ket
-        for ev in trace.events:
-            if isinstance(state, SymmetricKet) and ev.kind == "lose":
-                state = to_density(state)
-            if ev.kind == "lose":
-                state = lose_qubit(state)
-                continue
-            pvm = combined_pvm(channel, pvm_from_bloch(ev.theta, ev.phi))
-            if isinstance(state, SymmetricKet):
-                chosen = measure_pure(state, pvm)[ev.label]
-            else:
-                chosen = measure_mixed(state, pvm.kraus_pair())[ev.label]
-            assert chosen.probability == pytest.approx(ev.probability, abs=1e-12)
-            state = chosen.require_post_state()
-        assert isinstance(trace.final_state, SymmetricDensity)
+        _, probs, state = compact_sequence_prob(ket, trace.steps(), channel)
+        recorded = [ev.probability for ev in trace.events if ev.kind == "measure"]
+        assert probs == pytest.approx(recorded, abs=1e-12)
+        assert isinstance(trace.final_state, SymmetricDensity) and isinstance(state, SymmetricDensity)
         assert np.max(np.abs(trace.final_state.alpha - state.alpha)) < 1e-12
 
     def test_schedule_too_long(self):
@@ -277,12 +265,49 @@ class TestBatchedTrials:
             return measure_pure_batch(kets, kappas, uniforms)
 
         monkeypatch.setattr(harness, "measure_pure_batch", recording)
-        seeds = [0, 2**31 - 1, 2**40]
+        # config seeds have no upper bound
+        seeds = [0, 1, 2**31 - 1, 2**40, 2**63, 2**64 - 1, 2**100, 12345678901234567890123]
         ket = random_symmetric_ket(7, np.random.default_rng(2))
         schedule = LossSchedule(("measure", "lose") * 3)
         harness._trial_block(ket, PhaseChannel(0.4), FeedbackPolicy(0.5), schedule, seeds)
         want = [np.random.default_rng(seed).random(3) for seed in seeds]
         assert np.array_equal(np.transpose(drawn), want)
+
+    def test_final_kets_norm_checked_once(self, monkeypatch):
+        # the steps leave the kets' norms to construction; the block checks its
+        # final kets once, with the message SymmetricKet gives for the bad one alone
+        import dicke_sim.harness as harness
+
+        returned = []
+
+        def stretching(kets, kappas, uniforms):
+            labels, probs, kets = measure_pure_batch(kets, kappas, uniforms)
+            kets[1] *= 1.0 + 1e-11  # the next step's probabilities still sum to 1 within PROB_SUM_TOL
+            returned.append(kets)
+            return labels, probs, kets
+
+        monkeypatch.setattr(harness, "measure_pure_batch", stretching)
+        ket = random_symmetric_ket(6, np.random.default_rng(4))
+        with pytest.raises(DomainError) as whole:
+            harness._trial_block(ket, PhaseChannel(0.4), FeedbackPolicy(0.5), LossSchedule.lossless(3), [5, 6, 7])
+        assert len(returned) == 3  # no step refused the stretched ket
+        with pytest.raises(DomainError) as alone:
+            SymmetricKet(3, returned[-1][1])
+        assert str(whole.value) == str(alone.value) == "ket is not normalized: |norm - 1| = 1.000e-11"
+
+    def test_detectors_off_unitarity_refused_by_the_sum_rule(self, monkeypatch):
+        # no step re-derives the detectors' orthonormality; one 1e-6 off shows in p0 + p1
+        import dicke_sim.harness as harness
+
+        def skewed(theta, phi):
+            kappas = bloch_kappas(theta, phi)
+            kappas[..., 1, 0] *= 1.0 + 1e-6
+            return kappas
+
+        monkeypatch.setattr(harness, "bloch_kappas", skewed)
+        ket = random_symmetric_ket(6, np.random.default_rng(5))
+        with pytest.raises(DomainError, match="outcome probabilities do not sum to 1"):
+            harness._trial_block(ket, PhaseChannel(0.4), FixedPolicy(0.7, 0.3), LossSchedule.lossless(3), [1, 2])
 
     def test_blocks_match_trial_by_trial(self, monkeypatch):
         import dicke_sim.harness as harness
