@@ -58,7 +58,6 @@ from .measure import (
     bloch_kappas,
     measure_pure_batch,
     pvm_branches,
-    require_pvm_rows,
 )
 from .serialize import SCHEMA_VERSION, trace_lines
 from .spec import ESTIMATE_GRID, LossSchedule, PhaseChannel, Policy, parse_config
@@ -182,14 +181,13 @@ def _forced_rows(n: int, steps: list) -> np.ndarray:
 
     steps: ("lose",) or ("measure", (theta, phi), label), as in
     ExperimentTrace.steps(); losses are skipped, since they are deferred.
-    Every detector is built and checked once.  The (1, 2) row is a one-label
+    Every detector is built once.  The (1, 2) row is a one-label
     PVM for pvm_branches, which then forms the forced branch alone.
     """
     measured = [step[1:] for step in steps if step[0] != "lose"]
     if len(measured) > n:
         raise DomainError(f"{len(measured)} measurements but only {n} qubits")
     detectors = bloch_kappas(*np.reshape([angles for angles, _ in measured], (-1, 2)).T)
-    require_pvm_rows(detectors)
     return detectors[np.arange(len(measured)), [label for _, label in measured], None]
 
 

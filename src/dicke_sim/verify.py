@@ -1,8 +1,9 @@
 """Property suite cross-checking the compact modules against the dense oracle.
 
-Each property draws randomized cases, records its worst residual, and passes
-iff that residual stays within the property's tolerance.  Every property
-reads one SuiteParams and derives its sizes from it.  The CLI `verify`
+Each property draws randomized cases and reports through one _Tally: it
+passes iff its worst residual, over every residual it measures, is within
+its tolerance and every requirement it states held.  Every property reads
+one SuiteParams and derives its sizes from it.  The CLI `verify`
 subcommand runs the whole suite and emits a JSON report; the acceptance tests
 call the same functions with SuiteParams of their own.
 """
@@ -230,13 +231,6 @@ class PropertyResult:
     passed: bool
     note: str = ""
 
-    def __post_init__(self):
-        # numpy scalars sneak in through reductions; keep the report plain
-        self.cases = int(self.cases)
-        self.worst_residual = float(self.worst_residual)
-        self.tolerance = float(self.tolerance)
-        self.passed = bool(self.passed)
-
     def to_dict(self) -> dict:
         """The report entry; JSON has no token for a NaN or infinite worst_residual, so it is None."""
         finite = math.isfinite(self.worst_residual)
@@ -244,15 +238,19 @@ class PropertyResult:
 
 
 class _Tally:
-    """A property's case count and worst residual, NaN once any residual is NaN.
+    """A property's case count, worst residual and failed requirements.
 
-    max(worst, x) keeps worst when x is NaN, so a NaN residual would pass
-    its property.
+    The property passes iff its worst residual is within its tolerance and
+    every requirement held; its note is the failed requirements' notes, in
+    order, joined by "; ".  The worst residual is NaN once any residual is
+    NaN: max(worst, x) keeps worst when x is NaN, so a NaN residual would
+    pass its property.
     """
 
     def __init__(self):
         self.cases = 0
         self.worst = 0.0
+        self.failed: list[str] = []
 
     def add(self, *residuals: float, cases: int = 1) -> None:
         for x in residuals:
@@ -260,9 +258,15 @@ class _Tally:
                 self.worst = x
         self.cases += cases
 
-    def result(self, name: str, tol: float, note: str = "") -> PropertyResult:
-        """Passed iff the worst residual is within tol and there is no failure note."""
-        return PropertyResult(name, self.cases, self.worst, tol, self.worst <= tol and not note, note)
+    def require(self, ok: bool, note: str) -> None:
+        if not ok:
+            self.failed.append(note)
+
+    def result(self, name: str, tol: float) -> PropertyResult:
+        """The property's report, in plain Python values: numpy scalars come in through reductions."""
+        worst = float(self.worst)
+        return PropertyResult(name, int(self.cases), worst, float(tol), bool(worst <= tol and not self.failed),
+                              "; ".join(self.failed))
 
 
 def _cases(base: int, count: int, lo: int, hi: int):
@@ -300,9 +304,9 @@ def check_xi_completeness(params: SuiteParams) -> PropertyResult:
                 tally.add(abs(sum(x**2 for x in general_split(n, nu, k).values()) - 1.0))
     support = [(5, 2, 2, 1), (5, 2, 0, 4), (8, 3, 3, 2), (8, 3, 0, 6), (30, 10, 9, 8)]
     tally.add(cases=len(support))
-    support_ok = all(xi_coefficient(k, n, mu, nu) == 0.0 for n, k, mu, nu in support)
-    return tally.result("xi_completeness_and_support", IDENTITY_TOL,
-                        "" if support_ok else "nonzero value outside Theta support")
+    tally.require(all(xi_coefficient(k, n, mu, nu) == 0.0 for n, k, mu, nu in support),
+                  "nonzero value outside Theta support")
+    return tally.result("xi_completeness_and_support", IDENTITY_TOL)
 
 
 def check_split_vs_oracle(params: SuiteParams) -> PropertyResult:
@@ -357,23 +361,22 @@ def check_basis_characterization(params: SuiteParams) -> PropertyResult:
     """
     max_n = min(params.max_n, 8)
     tally = _Tally()
-    fail = ""
     for seed, rng, n in _cases(2000, params.seeds, 2, max_n):
         rho = random_symmetric_density(n, rng)
         dense = expand_density(rho)
-        if not is_symmetric_over(dense, range(1, n + 1), IDENTITY_TOL):
-            fail = f"expanded symmetric density failed invariance (seed {seed})"
+        tally.require(is_symmetric_over(dense, range(1, n + 1), IDENTITY_TOL),
+                      f"expanded symmetric density failed invariance (seed {seed})")
         back = compress(dense, tol=1e-10)
         tally.add(float(np.max(np.abs(back.alpha - rho.alpha))))
     for seed, rng, n in _cases(3000, 2 * params.seeds, 2, max_n):
         try:
             compress(random_dense_density(n, rng), tol=1e-10)
-            fail = f"random non-symmetric density compressed (seed {seed})"
+            tally.require(False, f"random non-symmetric density compressed (seed {seed})")
         except NotSymmetricError as exc:
-            if exc.residual <= REV_RESIDUAL:
-                fail = f"non-symmetric residual only {exc.residual:.3e} (seed {seed})"
+            tally.require(exc.residual > REV_RESIDUAL,
+                          f"non-symmetric residual only {exc.residual:.3e} (seed {seed})")
         tally.add()
-    return tally.result("basis_characterization", IDENTITY_TOL, fail)
+    return tally.result("basis_characterization", IDENTITY_TOL)
 
 
 def check_residual_symmetry(params: SuiteParams) -> PropertyResult:
@@ -382,7 +385,6 @@ def check_residual_symmetry(params: SuiteParams) -> PropertyResult:
     4 * seeds cases on n = 3 to max(min(max_n, 8), 3) qubits; the residual is always 0.0.
     """
     tally = _Tally()
-    fail = ""
     # n >= 3: a nonempty subset and a nontrivial complement
     for seed, rng, n in _cases(4000, 4 * params.seeds, 3, max(min(params.max_n, 8), 3)):
         rho = expand_density(random_symmetric_density(n, rng))
@@ -391,10 +393,10 @@ def check_residual_symmetry(params: SuiteParams) -> PropertyResult:
         for position in touched:
             rho = apply_kraus_at(rho, position, random_kraus_pair(rng))
         complement = sorted(set(range(1, n + 1)) - set(touched))
-        if not is_symmetric_over(rho, complement, params.tolerance):
-            fail = f"complement symmetry broken (seed {seed}, touched {sorted(touched)})"
+        tally.require(is_symmetric_over(rho, complement, params.tolerance),
+                      f"complement symmetry broken (seed {seed}, touched {sorted(touched)})")
         tally.add()
-    return tally.result("residual_symmetry_after_channels", params.tolerance, fail)
+    return tally.result("residual_symmetry_after_channels", params.tolerance)
 
 
 def check_measurement_oracle(params: SuiteParams) -> PropertyResult:
@@ -448,7 +450,7 @@ def check_loss_independence(params: SuiteParams) -> PropertyResult:
     (a) compact probabilities after k losses equal the original state's;
     (b) the deferred-loss evaluate_sequence vs compact_sequence_prob, which
         loses each qubit where the loss occurs: probabilities at `tolerance`,
-        the final state at IDENTITY_TOL;
+        the final state at min(IDENTITY_TOL, `tolerance`);
     (c) dense interleavings that also trace out already-measured qubits.
     """
     tally, states = _Tally(), _Tally()
@@ -513,10 +515,9 @@ def check_loss_independence(params: SuiteParams) -> PropertyResult:
                 p_dense *= runner.measure(pos, pvm.kraus_pair(), label)
                 measured_done.append(pos)
             tally.add(abs(p_dense - p_ref))
-    passed = tally.worst <= params.tolerance and states.worst <= IDENTITY_TOL
-    note = "" if states.worst <= IDENTITY_TOL else f"final states differ by {states.worst:.3e}"
+    tally.require(states.worst <= IDENTITY_TOL, f"final states differ by {states.worst:.3e}")
     tally.add(states.worst, cases=0)
-    return PropertyResult("loss_independence", tally.cases, tally.worst, params.tolerance, passed, note)
+    return tally.result("loss_independence", params.tolerance)
 
 
 def unlikely_noon_trace(max_n: int, seed: int) -> tuple[SymmetricKet, ExperimentTrace]:
@@ -583,8 +584,8 @@ def check_estimator_replay(params: SuiteParams) -> PropertyResult:
             for size, ll in ((grid, got), (folded, grid_log_likelihoods(ket, trace, folded))):
                 tie_rule = 2.0 * math.pi * int(np.argmax(ll >= ll.max() - TIE_TOL)) / size
                 moved += ml_phase_estimate(ket, trace, size) != tie_rule
-    note = f"{moved} estimates differ from the grid's tie-rule argmax" if moved else ""
-    return tally.result("estimator_replay_equivalence", params.tolerance, note)
+    tally.require(not moved, f"{moved} estimates differ from the grid's tie-rule argmax")
+    return tally.result("estimator_replay_equivalence", params.tolerance)
 
 
 def _exactly_hermitian(alpha: np.ndarray) -> bool:
@@ -608,7 +609,7 @@ def check_batched_trials(params: SuiteParams) -> PropertyResult:
     step is one kernel;
     compact_sequence_prob, replaying the trial with each loss applied where it
     occurs, must give the same probabilities at `tolerance` and the same final
-    state at IDENTITY_TOL.
+    state at min(IDENTITY_TOL, `tolerance`).
     """
     tally, states = _Tally(), _Tally()
     mismatched = 0
@@ -640,20 +641,12 @@ def check_batched_trials(params: SuiteParams) -> PropertyResult:
                 probs, final = [math.inf], None
             tally.add(*(abs(p - q) for p, q in zip(probs, recorded)))
             states.add(_coefficient_gap(trace.final_state, final), cases=0)
-    passed = (not (mismatched or not_hermitian or not_replayed) and tally.worst <= params.tolerance
-              and states.worst <= IDENTITY_TOL)
-    notes = []
-    if mismatched:
-        notes.append(f"{mismatched} trials differ from run_trial alone or from their trace line")
-    if not_replayed:
-        notes.append(f"{not_replayed} trials differ from their forced evaluate_sequence replay")
-    if not_hermitian:
-        notes.append(f"{not_hermitian} final densities not exactly Hermitian")
-    if not states.worst <= IDENTITY_TOL:
-        notes.append(f"final states differ by {states.worst:.3e}")
+    tally.require(not mismatched, f"{mismatched} trials differ from run_trial alone or from their trace line")
+    tally.require(not not_replayed, f"{not_replayed} trials differ from their forced evaluate_sequence replay")
+    tally.require(not not_hermitian, f"{not_hermitian} final densities not exactly Hermitian")
+    tally.require(states.worst <= IDENTITY_TOL, f"final states differ by {states.worst:.3e}")
     tally.add(states.worst, cases=0)
-    return PropertyResult("batched_trial_equivalence", tally.cases, tally.worst, params.tolerance, passed,
-                          "; ".join(notes))
+    return tally.result("batched_trial_equivalence", params.tolerance)
 
 
 def g_test_ratio(counts: dict, probs: dict) -> float:

@@ -32,6 +32,7 @@ from dicke_sim.spec import (
 from dicke_sim.states import SymmetricDensity, SymmetricKet, basis_state, general_split, make_ket
 from dicke_sim.verify import (
     IDENTITY_TOL,
+    PROPERTY_BUILDERS,
     SuiteParams,
     _coefficient_gap,
     _run_one_property,
@@ -538,6 +539,69 @@ class TestNanResiduals:
         monkeypatch.setattr(oracle, "_channel_at", nan_coherence)
         result = _run_one_property(name, SuiteParams())
         assert not result.passed, result
+
+
+class TestTally:
+    """A property passes iff its worst residual is within tolerance and every requirement held."""
+
+    def test_failed_requirement_fails_a_zero_residual(self):
+        tally = _Tally()
+        tally.add(0.0)
+        tally.require(False, "broken")
+        result = tally.result("p", 1.0)
+        assert result.worst_residual == 0.0 and result.passed is False and result.note == "broken"
+
+    def test_notes_join_in_order(self):
+        tally = _Tally()
+        tally.require(False, "first")
+        tally.require(True, "held")
+        tally.require(False, "second")
+        assert tally.result("p", 1.0).note == "first; second"
+        held = _Tally()
+        held.require(True, "held")
+        assert held.result("p", 1.0).note == "" and held.result("p", 1.0).passed is True
+
+    def test_nan_stays_sticky(self):
+        tally = _Tally()
+        tally.add(math.nan)
+        tally.add(0.5, 2.0)
+        tally.require(True, "held")
+        result = tally.result("p", math.inf)
+        assert math.isnan(result.worst_residual) and result.passed is False and result.note == ""
+
+    def test_result_is_plain_python(self):
+        tally = _Tally()
+        tally.add(np.float64(0.25), cases=np.int64(3))
+        result = tally.result("p", np.float64(0.5))
+        assert (type(result.cases), type(result.worst_residual), type(result.tolerance), type(result.passed)) \
+            == (int, float, float, bool)
+
+
+class TestSuiteVerdicts:
+    """Every property reports plain values and passes only within its tolerance."""
+
+    @pytest.mark.parametrize("params", [SuiteParams(max_n=3, seeds=2), SuiteParams(max_n=3, seeds=2, tolerance=4e-16)],
+                             ids=["smoke", "tight"])
+    def test_every_property(self, params):
+        for name, builder in PROPERTY_BUILDERS.items():
+            self._check(name, builder(params))
+
+    @pytest.mark.parametrize("name", ["loss_independence", "batched_trial_equivalence"])
+    def test_final_states_within_a_tight_tolerance(self, name):
+        # their final states are held to IDENTITY_TOL and count toward the worst residual too
+        self._check(name, PROPERTY_BUILDERS[name](SuiteParams(tolerance=4e-16)))
+
+    @staticmethod
+    def _check(name, r):
+        assert (type(r.passed), type(r.cases), type(r.worst_residual)) == (bool, int, float), r
+        assert not r.passed or r.worst_residual <= r.tolerance, r
+        assert r.name == name
+
+    def test_every_check_is_registered(self):
+        import dicke_sim.verify as verify
+
+        checks = {f for name, f in vars(verify).items() if name.startswith("check_") and callable(f)}
+        assert checks and checks <= set(PROPERTY_BUILDERS.values())
 
 
 class TestBornRuleSampling:
