@@ -83,10 +83,10 @@ def random_symmetric_density(n: int, rng: np.random.Generator, rank: int = 3) ->
 
 
 def random_dense_density(n: int, rng: np.random.Generator) -> DenseDensity:
-    d = 2**n
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    """rho = g g^dag / tr, g of shape (2^n, 3): rank 3, as random_symmetric_density, but not symmetric."""
+    g = rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3))
     m = g @ g.conj().T
-    return DenseDensity(n, m / m.trace())
+    return DenseDensity(n, m / m.trace().real)
 
 
 def random_pvm(rng: np.random.Generator) -> SingleQubitPVM:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dicke_sim.oracle import (
     DenseDensity,
     DenseKet,
     Permutation,
+    _basis_matrix,
     _sandwich_at,
     apply_kraus_at,
     apply_kraus_outcomes_at,
@@ -26,8 +28,10 @@ from dicke_sim.oracle import (
     partial_trace_raw,
     transposition,
 )
-from dicke_sim.states import SymmetricKet, basis_state, make_ket, to_density
+from dicke_sim.states import NORM_TOL, SymmetricKet, basis_state, make_ket, to_density
 from dicke_sim.verify import (
+    REV_RESIDUAL,
+    _cases,
     random_dense_density,
     random_kraus_pair,
     random_permutation,
@@ -68,6 +72,29 @@ class TestExpand:
 
         with pytest.raises(ResourceLimitError):
             expand_density(SymmetricDensity(n, alpha))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_gathers_equal_the_basis_matrix_definition(self, n):
+        """The gathers give, bit for bit, B^T psi and B^T alpha B with B the weight-basis matrix."""
+        rng = np.random.default_rng(600 + n)
+        b = _basis_matrix(n)
+        kets = [random_symmetric_ket(n, rng), basis_state(n, n // 2),
+                make_ket(n, [1.0] + [0.0] * (n - 1) + [1.0])]
+        for ket in kets:
+            assert np.array_equal(expand(ket).amps, b.T @ ket.amps)
+        for rho in [random_symmetric_density(n, rng) for _ in range(3)] + [to_density(k) for k in kets]:
+            assert np.array_equal(expand_density(rho).matrix, b.T @ rho.alpha @ b)
+
+    def test_memory_at_the_ket_cap(self):
+        ket = random_symmetric_ket(ket_cap(), np.random.default_rng(37))
+        tracemalloc.start()
+        try:
+            dense = expand(ket)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dense.amps.shape == (2**ket_cap(),)
+        assert peak <= 64 * 2**20
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("DICKE_SIM_DENSE_CAP", "5")
@@ -357,6 +384,21 @@ class TestCompress:
         with pytest.raises(NotSymmetricError) as err:
             compress(DenseDensity(4, m / m.trace()))
         assert err.value.residual > 1e-6
+
+
+class TestRandomDenseDensity:
+    """What basis_characterization's reverse half needs from its random dense densities."""
+
+    def test_the_40_default_cases(self):
+        for seed, rng, n in _cases(3000, 40, 2, 8):
+            rho = random_dense_density(n, rng).matrix
+            assert np.max(np.abs(rho - rho.conj().T)) <= NORM_TOL, seed
+            assert abs(rho.trace() - 1.0) <= NORM_TOL, seed
+            assert np.linalg.eigvalsh(rho).min() >= -1e-12, seed
+            assert np.linalg.matrix_rank(rho) <= 3, seed
+            with pytest.raises(NotSymmetricError) as err:
+                compress(DenseDensity(n, rho), tol=1e-10)
+            assert err.value.residual > REV_RESIDUAL, seed
 
 
 class TestDenseConstructors:
