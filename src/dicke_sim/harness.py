@@ -131,7 +131,7 @@ def _trial_block(input_state: SymmetricKet, channel: PhaseChannel, policy: Polic
         kappas = bloch_kappas(*settings)
         kappas *= fold
         labels[:, j], probs[:, j], kets = measure_pure_batch(kets, kappas, uniforms[:, j])
-    require_kets(kets)
+    require_kets(kets, "ket")
     return thetas, phis, labels, probs, kets
 
 
@@ -180,13 +180,13 @@ def _forced_rows(n: int, steps: list) -> np.ndarray:
     """The forced row kappa[label] of each measurement, as rows[m, 1, 2].
 
     steps: ("lose",) or ("measure", (theta, phi), label), as in
-    ExperimentTrace.steps(); losses are skipped, since they are deferred.
-    Every detector is built once.  The (1, 2) row is a one-label
-    PVM for pvm_branches, which then forms the forced branch alone.
+    ExperimentTrace.steps(); each consumes a qubit, but losses are skipped,
+    since they are deferred.  Every detector is built once.  The (1, 2) row
+    is a one-label PVM for pvm_branches, which then forms the forced branch alone.
     """
+    if len(steps) > n:
+        raise DomainError(f"{len(steps)} events but only {n} qubits")
     measured = [step[1:] for step in steps if step[0] != "lose"]
-    if len(measured) > n:
-        raise DomainError(f"{len(measured)} measurements but only {n} qubits")
     detectors = bloch_kappas(*np.reshape([angles for angles, _ in measured], (-1, 2)).T)
     return detectors[np.arange(len(measured)), [label for _, label in measured], None]
 

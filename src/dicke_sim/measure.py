@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidMeasurementError, ZeroProbabilityError
-from .states import (SymmetricDensity, SymmetricKet, _require_finite, split_last_qubit,
+from .states import (SymmetricDensity, SymmetricKet, _complex_array, _require_finite, split_last_qubit,
                      squared_norm, to_density)
 
 ZERO_PROB_EPS = 1e-14
@@ -22,16 +22,6 @@ COMPLETENESS_TOL = 1e-10
 PVM_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 _IDENTITY = np.eye(2)
-
-
-def _frozen_2x2(matrix, what: str) -> np.ndarray:
-    """matrix as a read-only complex 2x2 array; any other shape, NaN and inf are refused."""
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.shape != (2, 2):
-        raise DomainError(f"{what} must be 2x2, got shape {arr.shape}")
-    _require_finite(arr, what)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -42,7 +32,10 @@ class SingleQubitKraus:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen_2x2(self.matrix, "Kraus matrix"))
+        arr = _complex_array(self.matrix, (2, 2), "Kraus matrix")
+        _require_finite(arr, "Kraus matrix")  # no value check of its own
+        arr.setflags(write=False)
+        object.__setattr__(self, "matrix", arr)
 
 
 @dataclass(frozen=True)
@@ -56,8 +49,10 @@ class SingleQubitPVM:
     kappa: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_2x2(self.kappa, "kappa")
+        arr = _complex_array(self.kappa, (2, 2), "kappa")
+        _require_finite(arr, "kappa")  # else require_pvm_rows would call NaN "not orthonormal"
         require_pvm_rows(arr)
+        arr.setflags(write=False)
         object.__setattr__(self, "kappa", arr)
 
     def basis_ket(self, ell: int) -> np.ndarray:

@@ -16,9 +16,9 @@ position.
 Dense work is capped (kets at 20 qubits, densities at 12 by default); the
 DICKE_SIM_DENSE_CAP environment variable overrides the density cap.  `expand`
 and `expand_density` gather the compact entries by Hamming weight, with no
-weight-basis product: a 20-qubit `expand` peaks at 24 MiB (the 16 MiB ket and
-its 8 MiB of weights); a 12-qubit density is 256 MiB, and its Hermiticity
-check holds two more arrays of that size.
+weight-basis product.  A 20-qubit `expand` peaks at 32 MiB: the 16 MiB ket
+and as much again while its norm is checked.  A 12-qubit density is 256 MiB,
+and its Hermiticity check (states.hermitian_deviation) adds about 3 MiB.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NotSymmetricError, ResourceLimitError
 from .measure import ZERO_PROB_EPS, SingleQubitKraus, _check_complete
-from .states import NORM_TOL, SymmetricDensity, SymmetricKet
+from .states import SymmetricDensity, SymmetricKet, _complex_array, require_densities, require_kets
 
 DEFAULT_KET_CAP = 20
 DEFAULT_DENSITY_CAP = 12
+COMPRESS_TOL = 1e-10
 
 
 def density_cap() -> int:
@@ -59,12 +60,10 @@ class DenseKet:
     amps: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.amps, dtype=complex)
-        if self.n < 1 or arr.shape != (2**self.n,):
-            raise DomainError(f"expected 2^{self.n} amplitudes, got shape {arr.shape}")
-        norm = np.linalg.norm(arr)
-        if not abs(norm - 1.0) <= NORM_TOL:  # written so that NaN fails it
-            raise DomainError(f"dense ket not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+        if self.n < 1:
+            raise DomainError(f"a dense state needs n >= 1, got {self.n}")
+        arr = _complex_array(self.amps, (2**self.n,), "dense ket")
+        require_kets(arr, "dense ket")
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
 
@@ -81,14 +80,10 @@ class DenseDensity:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.matrix, dtype=complex)
-        d = 2**self.n
-        if self.n < 1 or arr.shape != (d, d):
-            raise DomainError(f"expected {d}x{d} matrix, got shape {arr.shape}")
-        if not np.max(np.abs(arr - arr.conj().T)) <= NORM_TOL:  # written so that NaN fails it
-            raise DomainError("dense density is not Hermitian")
-        if not abs(arr.trace() - 1.0) <= NORM_TOL:
-            raise DomainError("dense density has trace != 1")
+        if self.n < 1:
+            raise DomainError(f"a dense state needs n >= 1, got {self.n}")
+        arr = _complex_array(self.matrix, (2**self.n, 2**self.n), "dense density")
+        require_densities(arr, "dense density")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -159,8 +154,6 @@ def _basis_matrix(n: int) -> np.ndarray:
 def expand(ket: SymmetricKet) -> DenseKet:
     """Dense amplitudes: psi_{w(a)} / sqrt(C(n, w(a))) at every bit pattern a."""
     n = ket.n
-    if n < 1:
-        raise DomainError("cannot expand an empty string")
     if n > ket_cap():
         raise ResourceLimitError(f"dense ket of {n} qubits exceeds cap {ket_cap()}")
     return DenseKet(n, (_scales(n) * ket.amps)[_weights(n)])
@@ -169,16 +162,14 @@ def expand(ket: SymmetricKet) -> DenseKet:
 def expand_density(rho: SymmetricDensity) -> DenseDensity:
     """Dense entries alpha_{w(a), w(b)} / sqrt(C(n, w(a)) C(n, w(b))); rows scaled first, as B^T alpha B rounds."""
     n = rho.n
-    if n < 1:
-        raise DomainError("cannot expand an empty string")
     if n > density_cap():
         raise ResourceLimitError(f"dense density of {n} qubits exceeds cap {density_cap()}")
     w, s = _weights(n), _scales(n)
     return DenseDensity(n, (s[:, None] * rho.alpha * s)[w][:, w])
 
 
-def compress(state: DenseKet | DenseDensity, tol: float = 1e-10):
-    """Project onto the symmetric subspace; error out if weight is lost.
+def compress(state: DenseKet | DenseDensity):
+    """Project onto the symmetric subspace; error out if more than COMPRESS_TOL of weight is lost.
 
     The reported residual is the probability weight outside the symmetric
     subspace (1 - <psi|P|psi> for kets, tr(rho) - tr(P rho P) for densities).
@@ -189,7 +180,7 @@ def compress(state: DenseKet | DenseDensity, tol: float = 1e-10):
         psi = b @ state.amps
         inside = float(np.linalg.norm(psi) ** 2)
         residual = max(0.0, 1.0 - inside)
-        if residual > tol:
+        if residual > COMPRESS_TOL:
             raise NotSymmetricError(
                 f"ket has weight {residual:.3e} outside the symmetric subspace", residual
             )
@@ -197,7 +188,7 @@ def compress(state: DenseKet | DenseDensity, tol: float = 1e-10):
     alpha = b @ state.matrix @ b.T
     inside = float(alpha.trace().real)
     residual = max(0.0, 1.0 - inside)
-    if residual > tol:
+    if residual > COMPRESS_TOL:
         raise NotSymmetricError(
             f"density has weight {residual:.3e} outside the symmetric subspace", residual
         )

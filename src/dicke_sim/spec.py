@@ -20,14 +20,10 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .measure import SingleQubitKraus, SingleQubitPVM, pvm_from_bloch
 from .serialize import SCHEMA_VERSION
-from .states import SymmetricDensity, SymmetricKet, _final_states, basis_state, make_ket, require_state_entries
+from .states import (SymmetricDensity, SymmetricKet, _final_states, _require_finite, basis_state, make_ket,
+                     require_state_entries)
 
 ESTIMATE_GRID = 1024  # candidate phases of harness.ml_phase_estimate
-
-
-def _require_finite(what: str, *values: float) -> None:
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"{what} must be finite, got {', '.join(map(str, values))}")
 
 
 @dataclass(frozen=True)
@@ -37,7 +33,7 @@ class PhaseChannel:
     phi: float
 
     def __post_init__(self):
-        _require_finite("channel phase", self.phi)
+        _require_finite(self.phi, "channel phase")
 
     def unitary(self) -> np.ndarray:
         return np.array([[1.0, 0.0], [0.0, np.exp(1j * self.phi)]], dtype=complex)
@@ -61,7 +57,7 @@ class FixedPolicy(Policy):
     phi: float = 0.0
 
     def __post_init__(self):
-        _require_finite("fixed policy angles", self.theta, self.phi)
+        _require_finite((self.theta, self.phi), "fixed policy angles")
 
     def next_settings(self, labels, previous):
         return np.full(len(labels), self.theta), np.full(len(labels), self.phi)
@@ -74,7 +70,7 @@ class RoundRobinPolicy(Policy):
     def __post_init__(self):
         if not self.settings:
             raise ConfigError("round-robin policy needs at least one basis")
-        _require_finite("round-robin policy angles", *(angle for basis in self.settings for angle in basis))
+        _require_finite(self.settings, "round-robin policy angles")
 
     def next_settings(self, labels, previous):
         theta, phi = self.settings[labels.shape[1] % len(self.settings)]
@@ -93,7 +89,7 @@ class FeedbackPolicy(Policy):
     initial_phi: float = 0.0
 
     def __post_init__(self):
-        _require_finite("feedback policy settings", self.delta, self.theta, self.initial_phi)
+        _require_finite((self.delta, self.theta, self.initial_phi), "feedback policy settings")
 
     def next_settings(self, labels, previous):
         trials, j = labels.shape
@@ -103,7 +99,7 @@ class FeedbackPolicy(Policy):
             raise DomainError(f"feedback policy needs its settings after {j - 1} outcomes to step after {j}")
         with np.errstate(over="ignore"):  # an overflow is refused below, in one line
             phase = previous[1] + np.where(labels[:, -1] == 0, self.delta / j, -(self.delta / j))
-        _require_finite(f"feedback policy phase after {j} outcomes", float(np.abs(phase).max(initial=0.0)))
+        _require_finite(phase, f"feedback policy phase after {j} outcomes")
         return np.full(trials, self.theta), phase
 
 

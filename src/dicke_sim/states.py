@@ -31,9 +31,9 @@ def require_state_entries(entries: int, what: str) -> None:
             f"{what} needs {entries} complex entries, above the cap {MAX_STATE_ENTRIES}")
 
 
-def _require_finite(arr: np.ndarray, what: str) -> None:
-    """NaN and inf pass every `deviation > tol` check, so they are refused first."""
-    if not np.isfinite(arr).all():
+def _require_finite(values, what: str) -> None:
+    """Refuse NaN and inf in values, an array or numbers; value checks call it once a deviation fails."""
+    if not np.isfinite(values).all():
         raise DomainError(f"{what} must be finite")
 
 
@@ -46,11 +46,11 @@ def squared_norm(arr: np.ndarray) -> float:
         return float(np.sum(arr.real**2 + arr.imag**2))
 
 
-def _as_complex_vector(values, length: int, what: str) -> np.ndarray:
+def _complex_array(values, shape: tuple, what: str) -> np.ndarray:
+    """values as a complex array of the given shape; the value check that follows refuses NaN and inf."""
     arr = np.asarray(values, dtype=complex)
-    if arr.shape != (length,):
-        raise DomainError(f"{what} must have length {length}, got shape {arr.shape}")
-    _require_finite(arr, what)
+    if arr.shape != shape:
+        raise DomainError(f"{what} must have shape {shape}, got shape {arr.shape}")
     return arr
 
 
@@ -68,42 +68,52 @@ class SymmetricKet:
     def __post_init__(self):
         if self.n < 0:
             raise DomainError(f"qubit count must be >= 0, got {self.n}")
-        arr = _as_complex_vector(self.amps, self.n + 1, "amps")
-        require_kets(arr)
+        arr = _complex_array(self.amps, (self.n + 1,), "ket")
+        require_kets(arr, "ket")
         arr.setflags(write=False)
         object.__setattr__(self, "amps", arr)
 
 
-def require_kets(amps: np.ndarray) -> None:
-    """SymmetricKet's norm check on amps[..., nu], one ket or a stack of them.
+def require_kets(amps: np.ndarray, what: str) -> None:
+    """The norm check of kets amps[..., i], one or a stack, compact or dense: each norm is 1 within NORM_TOL.
 
-    Every norm must be 1 within NORM_TOL; NaN and inf fail.  A stack reports
-    its worst deviation.
+    NaN and inf fail as "must be finite"; a stack reports its worst deviation.
     """
     with np.errstate(over="ignore"):  # an overflowing norm reads inf, which fails
         dev = abs(np.sqrt((amps.real**2 + amps.imag**2).sum(axis=-1)) - 1.0)  # a scalar for one ket
     if amps.ndim > 1:
         dev = dev.max(initial=0.0)
     if not dev <= NORM_TOL:
-        raise DomainError(f"ket is not normalized: |norm - 1| = {dev:.3e}")
+        _require_finite(amps, what)
+        raise DomainError(f"{what} is not normalized: |norm - 1| = {dev:.3e}")
 
 
-def require_densities(alpha: np.ndarray) -> None:
-    """SymmetricDensity's value checks on alpha[..., d, d], one matrix or a stack of them.
+def hermitian_deviation(alpha: np.ndarray) -> float:
+    """np.abs(alpha - alpha^dag).max() over alpha[..., d, d], bit for bit, by bands of about 2^16 entries per matrix."""
+    d = alpha.shape[-1]
+    rows = max(1, 2**16 // d)
+    dev = 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails every check
+        for i in range(0, d, rows):  # initial=dev keeps a NaN from an earlier band; max() would drop it
+            dev = np.abs(alpha[..., i:i + rows, :] - alpha[..., :, i:i + rows].conj().swapaxes(-1, -2)).max(initial=dev)
+    return float(dev)
 
-    Every matrix must be finite, Hermitian and of unit trace, each within
-    NORM_TOL.  A stack reports its worst deviation, which is that of its one
-    bad matrix when it has only one.
+
+def require_densities(alpha: np.ndarray, what: str) -> None:
+    """The value checks of densities alpha[..., d, d], one or a stack, compact or dense: Hermitian, of unit trace.
+
+    Each within NORM_TOL; NaN and inf fail as "must be finite".  A stack reports its worst deviation, which is
+    that of its one bad matrix when it has only one.
     """
-    _require_finite(alpha, "alpha")
-    herm_dev = np.abs(alpha - alpha.conj().swapaxes(-1, -2)).max(initial=0.0)
-    if herm_dev > NORM_TOL:
-        raise DomainError(f"alpha is not Hermitian: max deviation {herm_dev:.3e}")
+    herm_dev = hermitian_deviation(alpha)
+    if not herm_dev <= NORM_TOL:  # NaN and inf always fail here
+        _require_finite(alpha, what)
+        raise DomainError(f"{what} is not Hermitian: max deviation {herm_dev:.3e}")
     tr_dev = abs(alpha.trace(axis1=-2, axis2=-1) - 1.0)  # a scalar for one matrix
     if alpha.ndim > 2:
         tr_dev = tr_dev.max(initial=0.0)
     if tr_dev > NORM_TOL:
-        raise DomainError(f"alpha has trace != 1: deviation {tr_dev:.3e}")
+        raise DomainError(f"{what} has trace != 1: deviation {tr_dev:.3e}")
 
 
 @dataclass(frozen=True)
@@ -120,11 +130,8 @@ class SymmetricDensity:
     def __post_init__(self):
         if self.n < 0:
             raise DomainError(f"qubit count must be >= 0, got {self.n}")
-        arr = np.asarray(self.alpha, dtype=complex)
-        d = self.n + 1
-        if arr.shape != (d, d):
-            raise DomainError(f"alpha must be {d}x{d}, got shape {arr.shape}")
-        require_densities(arr)
+        arr = _complex_array(self.alpha, (self.n + 1, self.n + 1), "alpha")
+        require_densities(arr, "alpha")
         arr.setflags(write=False)
         object.__setattr__(self, "alpha", arr)
 
@@ -144,7 +151,8 @@ def make_ket(n: int, amps) -> SymmetricKet:
     """Normalize the given n+1 amplitudes into a SymmetricKet."""
     if n < 1:
         raise DomainError(f"make_ket needs n >= 1, got {n}")
-    arr = _as_complex_vector(amps, n + 1, "amps")
+    arr = _complex_array(amps, (n + 1,), "ket")
+    _require_finite(arr, "ket")  # before the division by the norm
     norm = math.sqrt(squared_norm(arr))
     if norm == 0.0:
         raise DegenerateStateError("cannot normalize an all-zero amplitude vector")
@@ -305,7 +313,7 @@ def _final_states(kets: np.ndarray, k: int) -> np.ndarray:
         np.multiply(a.imag, b.real, out=term)
         term -= np.multiply(a.real, b.imag, out=product)
         alpha.imag += term
-    require_densities(alpha)
+    require_densities(alpha, "alpha")
     return alpha
 
 

@@ -72,8 +72,8 @@ def random_symmetric_ket(n: int, rng: np.random.Generator) -> SymmetricKet:
     return make_ket(n, amps)
 
 
-def random_symmetric_density(n: int, rng: np.random.Generator, rank: int = 3) -> SymmetricDensity:
-    weights = rng.random(rank) + 0.1
+def random_symmetric_density(n: int, rng: np.random.Generator) -> SymmetricDensity:
+    weights = rng.random(3) + 0.1
     weights /= weights.sum()
     alpha = np.zeros((n + 1, n + 1), dtype=complex)
     for w in weights:
@@ -366,11 +366,11 @@ def check_basis_characterization(params: SuiteParams) -> PropertyResult:
         dense = expand_density(rho)
         tally.require(is_symmetric_over(dense, range(1, n + 1), IDENTITY_TOL),
                       f"expanded symmetric density failed invariance (seed {seed})")
-        back = compress(dense, tol=1e-10)
+        back = compress(dense)
         tally.add(float(np.max(np.abs(back.alpha - rho.alpha))))
     for seed, rng, n in _cases(3000, 2 * params.seeds, 2, max_n):
         try:
-            compress(random_dense_density(n, rng), tol=1e-10)
+            compress(random_dense_density(n, rng))
             tally.require(False, f"random non-symmetric density compressed (seed {seed})")
         except NotSymmetricError as exc:
             tally.require(exc.residual > REV_RESIDUAL,

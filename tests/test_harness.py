@@ -937,14 +937,17 @@ class TestMlEstimate:
         assert ll[511] == math.log(probs[0])
         assert isinstance(final, SymmetricDensity) and final.n == 0
 
-    @pytest.mark.parametrize("count", [3, 4])
-    def test_more_measurements_than_qubits_rejected(self, count):
+    @pytest.mark.parametrize("kinds", [("measure",) * 3, ("measure",) * 4, ("measure", "lose", "lose")],
+                             ids=["3", "4", "1-and-2-losses"])
+    def test_more_measurements_than_qubits_rejected(self, kinds):
+        # a loss consumes a qubit too, so one measurement and two losses overrun 2 qubits
         ket = basis_state(2, 1)
-        events = tuple(TraceEvent(j, "measure", 0.5, 0.1, 0, 0.5) for j in range(count))
+        events = tuple(TraceEvent(j, "lose") if kind == "lose" else TraceEvent(j, kind, 0.5, 0.1, 0, 0.5)
+                       for j, kind in enumerate(kinds))
         trace = ExperimentTrace(0, events, ket)
         for replay in (lambda: evaluate_sequence(ket, PhaseChannel(0.3), trace.steps()),
                        lambda: grid_log_likelihoods(ket, trace), lambda: ml_phase_estimate(ket, trace)):
-            with pytest.raises(DomainError, match="only 2 qubits"):
+            with pytest.raises(DomainError, match=f"^{len(kinds)} events but only 2 qubits$"):
                 replay()
 
     def test_grid_matches_stepwise_lossy_replay(self):

@@ -349,7 +349,7 @@ class TestBatchedMeasurement:
             with pytest.raises(DomainError) as alone:
                 SymmetricDensity(3, block[1])
             with pytest.raises(DomainError) as whole:
-                require_densities(block)
+                require_densities(block, "alpha")
             assert str(whole.value) == str(alone.value) == message
         long_kets = kets.copy()
         long_kets[1] *= 1.0 + 5e-12  # its density's trace is off by 1e-11

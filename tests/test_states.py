@@ -14,6 +14,7 @@ from dicke_sim.states import (
     SymmetricKet,
     basis_state,
     general_split,
+    hermitian_deviation,
     make_ket,
     split_last_qubit,
     to_density,
@@ -105,13 +106,29 @@ class TestConstructors:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):
-        # NaN slips past every `deviation > tol` check, so finiteness comes first
-        with pytest.raises(DomainError, match="finite"):
-            SymmetricKet(1, np.array([1.0, bad]))
-        with pytest.raises(DomainError, match="finite"):
-            make_ket(1, [1.0, bad])
-        with pytest.raises(DomainError, match="finite"):
-            SymmetricDensity(1, np.array([[1.0, 0.0], [0.0, bad]], dtype=complex))
+        # every state and detector type refuses NaN and inf through the checks in states
+        from dicke_sim.measure import SingleQubitKraus, SingleQubitPVM
+        from dicke_sim.oracle import DenseDensity, DenseKet
+
+        off_diagonal, on_diagonal = np.eye(4, dtype=complex) / 4.0, np.eye(4, dtype=complex) / 4.0
+        off_diagonal[0, 1] = on_diagonal[2, 2] = bad
+        for build in (lambda: SymmetricKet(1, np.array([1.0, bad])), lambda: make_ket(1, [1.0, bad]),
+                      lambda: SymmetricDensity(1, np.array([[1.0, 0.0], [0.0, bad]], dtype=complex)),
+                      lambda: DenseKet(2, np.array([0.5, 0.5, 0.5, bad])),
+                      lambda: DenseDensity(2, off_diagonal), lambda: DenseDensity(2, on_diagonal),
+                      lambda: SingleQubitPVM(np.array([[1.0, 0.0], [0.0, bad]])),
+                      lambda: SingleQubitKraus(0, np.array([[bad, 0.0], [0.0, 1.0]]))):
+            with pytest.raises(DomainError, match="finite"):
+                build()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (7, 7), (256, 256), (257, 257), (300, 300),
+                                       (3, 5, 5), (2, 300, 300), (4, 1, 1)])
+    def test_banded_hermitian_deviation_is_the_whole_matrix_one(self, shape):
+        # d > 256 spans more than one band of 2^16 entries
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a = a + a.conj().swapaxes(-1, -2) + 1e-9 * rng.standard_normal(shape)
+        assert hermitian_deviation(a) == np.abs(a - a.conj().swapaxes(-1, -2)).max()
 
     def test_amps_are_read_only(self):
         ket = basis_state(2, 0)
@@ -298,7 +315,7 @@ class TestSplitLastQubit:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: SymmetricDensity(2, np.eye(2) / 2.0), "alpha must be 3x3, got shape (2, 2)"),
+    (lambda: SymmetricDensity(2, np.eye(2) / 2.0), "alpha must have shape (3, 3), got shape (2, 2)"),
     (lambda: SymmetricDensity(-1, np.eye(1)), "qubit count must be >= 0, got -1"),
 ], ids=["density-shape", "density-negative-n"])
 def test_malformed_arguments_rejected(call, message):
