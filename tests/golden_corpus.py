@@ -3,10 +3,11 @@
 golden_corpus.json holds the data.  Each entry of "configs" is a config
 document with a worker count and the SHA-256 of its `dumps_json` report, of
 its `--trace-out` text, and of that text as it read when a lossy line's final
-state was its density (`density_lines`).  "ml_estimates" is the recipe of a
-seeded set of traces (`estimate_traces`), the SHA-256 of their
-`ml_phase_estimate` results and how many of those read the stepwise grid
-because the joint replay's best probability fell below e ZERO_PROB_EPS.  tests/test_golden_corpus.py
+state was its density (`density_lines`).  "ml_estimates" and
+"ml_estimates_wide" each hold the recipe of a seeded set of traces
+(`estimate_traces`), the SHA-256 of their `ml_phase_estimate` results and
+how many of those read the stepwise grid because the joint probability's
+maximum fell below e ZERO_PROB_EPS.  tests/test_golden_corpus.py
 recomputes every digest.  A change that moves an output on purpose rewrites
 them with
 
@@ -99,17 +100,20 @@ def _near_impossible(n: int, rng) -> tuple:
 
 
 def estimate_traces(recipe: dict):
-    """(input, trace) pairs from the recipe's seed, in a fixed order.
+    """(input, trace) pairs from the recipe's seed, in a fixed order; a group the recipe does not name has none.
 
     "blocks" run_trials blocks of "block_trials" lossy trials each, n from 2
     to "max_n", over random, NOON, Dicke and uniform inputs and fixed,
     round-robin and feedback policies; "long" lossless feedback trials with n
     from 56 to 64 and at least 54 measurements, whose joint probability falls
     below e ZERO_PROB_EPS; and "near_impossible" two-label traces on n from 2
-    to 8 (_near_impossible).
+    to 8 (_near_impossible); and "wide" feedback trials with n from 100 to
+    256 and 20 to 40 measurements, every other one with up to 20 losses
+    mixed in, on random and uniform inputs: wide blocks of unmeasured qubits,
+    above the floor.
     """
     seed = recipe["seed"]
-    for i in range(recipe["blocks"]):
+    for i in range(recipe.get("blocks", 0)):
         rng = np.random.default_rng([seed, 0, i])
         n = int(rng.integers(2, recipe["max_n"] + 1))
         ket = _input(i % 4, n, rng)
@@ -118,16 +122,23 @@ def estimate_traces(recipe: dict):
         seeds = [int(s) for s in rng.integers(0, 2**31, recipe["block_trials"])]
         for trace in run_trials(ket, channel, _policy(i % 3, rng), schedule, seeds):
             yield ket, trace
-    for i in range(recipe["long"]):
+    for i in range(recipe.get("long", 0)):
         rng = np.random.default_rng([seed, 1, i])
         n = int(rng.integers(56, 65))
         ket = _input(0, n, rng)
         schedule = LossSchedule.lossless(int(rng.integers(54, n + 1)))
         channel = PhaseChannel(float(rng.uniform(0.0, 2.0 * math.pi)))
         yield ket, run_trials(ket, channel, _policy(2, rng), schedule, [i])[0]
-    for i in range(recipe["near_impossible"]):
+    for i in range(recipe.get("near_impossible", 0)):
         rng = np.random.default_rng([seed, 2, i])
         yield _near_impossible(int(rng.integers(2, 9)), rng)
+    for i in range(recipe.get("wide", 0)):
+        rng = np.random.default_rng([seed, 3, i])
+        n, m = int(rng.integers(100, 257)), int(rng.integers(20, 41))
+        ket = _input(3 * (i % 4 // 2), n, rng)
+        events = ["measure"] * m + ["lose"] * (int(rng.integers(1, 21)) if i % 2 else 0)
+        channel = PhaseChannel(float(rng.uniform(0.0, 2.0 * math.pi)))
+        yield ket, run_trials(ket, channel, _policy(2, rng), LossSchedule(tuple(rng.permutation(events))), [i])[0]
 
 
 def estimate_digest(recipe: dict) -> dict:
@@ -156,7 +167,8 @@ def main() -> None:
     corpus = load()
     for entry in corpus["configs"]:
         entry.update(config_digests(entry))
-    corpus["ml_estimates"].update(estimate_digest(corpus["ml_estimates"]["recipe"]))
+    for group in ("ml_estimates", "ml_estimates_wide"):
+        corpus[group].update(estimate_digest(corpus[group]["recipe"]))
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
 
 

@@ -23,6 +23,14 @@ def test_ml_estimate_digest():
     assert got["traces"] >= 800 and got["fallbacks"] >= 20
 
 
+def test_wide_estimate_digest():
+    # pinned by the step-by-step joint replay, before the estimator took its closed form
+    pinned = CORPUS["ml_estimates_wide"]
+    got = golden_corpus.estimate_digest(pinned["recipe"])
+    assert got == {"traces": pinned["traces"], "fallbacks": pinned["fallbacks"], "sha256": pinned["sha256"]}
+    assert got["traces"] >= 24 and got["fallbacks"] == 0
+
+
 def test_corpus_covers_every_kind():
     docs = [entry["config"] for entry in CONFIGS]
     assert {doc["input"]["type"] for doc in docs} == {"dicke", "noon", "uniform", "custom"}
