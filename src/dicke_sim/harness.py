@@ -26,18 +26,17 @@ every block before it are done, so on an error the trace holds the lines of
 the blocks finished before it.
 
 Forced replays (`evaluate_sequence`) and the likelihood grid
-(`grid_log_likelihoods`) share one loop, `_forced_replay`.  It and the ML
-estimate's replay take each step's forced row from `_forced_rows` and step
-with `measure.pvm_branches`, the kernel of trials and `measure_pure`, so a
-replay of a trial's own labels gives back the trial's bits.
+(`grid_log_likelihoods`) share one loop, `_forced_replay`.  It takes each
+step's forced row from `_forced_rows` and steps with `measure.pvm_branches`,
+the kernel of trials and `measure_pure`, so a replay of a trial's own labels
+gives back the trial's bits.
 
-The ML estimate (`ml_phase_estimate`) needs no phase in its replay: the
-channel diag(1, e^{i phi}) on every qubit multiplies |nu> by e^{i nu phi}, so
-every amplitude of a forced branch is a polynomial in e^{i phi} with
-phase-free coefficients.  `_joint_log_likelihoods` replays the trace once on
-those coefficients and evaluates them at every grid phase with one FFT.  When
-the best of those joint probabilities is below e ZERO_PROB_EPS, the estimate
-reads the stepwise `grid_log_likelihoods` instead, which is also the referee.
+The ML estimate (`ml_phase_estimate`) needs no replay: the m measured qubits
+split off the input as one block with the paper's coefficients Xi, and the
+channel multiplies |nu> by e^{i nu phi}, so the joint probability of the
+labels is a trigonometric polynomial of degree m in phi, evaluated at every
+grid phase with one FFT (`_joint_log_likelihoods`).  When its best value is
+below e ZERO_PROB_EPS, the stepwise `grid_log_likelihoods`, the referee, decides.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from .measure import (
 )
 from .serialize import SCHEMA_VERSION, trace_lines
 from .spec import ESTIMATE_GRID, LossSchedule, PhaseChannel, Policy, parse_config
-from .states import SymmetricDensity, SymmetricKet, _final_states, require_kets
+from .states import SymmetricDensity, SymmetricKet, _final_states, _split_table, require_kets
 
 BLOCK_BYTES = 1 << 22  # memory budget of a trial block's arrays (_trial_bytes)
 TIE_TOL = 1e-10  # log-likelihood slack of a tie; below the 1e-9 of perfbench's grid-maximum check
@@ -257,28 +256,31 @@ def grid_log_likelihoods(
 
 
 def _joint_log_likelihoods(input_state: SymmetricKet, steps: list, grid_size: int) -> np.ndarray:
-    """log P(g), the joint probability of the forced labels at each phase 2 pi g / grid_size.
+    """log P(g), the joint probability of the forced labels at each phase 2 pi g / grid_size, in closed form.
 
-    diag(1, z) on every qubit, z = e^{i phi}, multiplies psi_nu by z^nu, so
-    each amplitude of the forced branch is a polynomial in z.  The replay runs
-    once, with no phase, on its coefficients C[k, nu'] (power z^k, amplitude
-    of |nu'>), one pvm_branches call with the forced row per measurement.  The
-    rows fold mod grid_size, since z^grid_size = 1 at every grid phase.  Each
-    step applies the forced row without renormalizing, so
-    sum_nu' |sum_k C[k, nu'] z_g^k|^2 is the joint probability P(g), and one
-    inverse FFT over k evaluates it at every grid phase.  By Parseval over the
-    grid, sum |C|^2 = mean_g P(g) <= 1, so C needs no rescaling; a row with
-    P(g) = 0 reads -inf.  ml_phase_estimate decides whether P(g) can stand
-    for the stepwise likelihood.
+    Losses are deferred and measurements on different qubits commute, so the m forced rows (a_j, b_j) act on
+    one m-qubit block, which splits off |nu> as sum_d Xi(m, n; d, nu) |d>|nu - d>.  They send the block's |d>
+    to ebar_d, built a row at a time as ebar'_d = (a sqrt(j+1-d) ebar_d + b sqrt(d) ebar_{d-1}) / sqrt(j+1):
+    normalized, |ebar_d| <= 1, with no binomial formed.  The channel multiplies |nu> by z^nu, so over the band
+    D[d, nu'] = ebar_d Xi(m, n; d, nu' + d) psi_{nu' + d} (_split_table), P(z) = sum_nu' |sum_d D[d, nu'] z^d|^2
+    = sum_{|l| <= m} r_l z^l with r_l = sum D[d + l, nu'] conj(D[d, nu']) = conj(r_{-l}).  The lags fold mod
+    grid_size (z^grid_size = 1 on the grid); one inverse FFT evaluates P at every grid phase within about
+    eps (2m + 1) r_0, and r_0 = mean_g P <= max_g P when nothing folds.  A row whose P reads 0 or below reads
+    -inf.  ml_phase_estimate decides whether P(g) can stand for the stepwise likelihood.
     """
-    n = input_state.n
-    nus = np.arange(n + 1)
-    coeffs = np.zeros((min(n + 1, grid_size), n + 1), dtype=complex)
-    coeffs[nus % len(coeffs), nus] = input_state.amps
-    for row in _forced_rows(n, steps):
-        coeffs = pvm_branches(coeffs, row)[:, 0]
-    amps = np.fft.ifft(coeffs, grid_size, axis=0, norm="forward")  # amps[g, nu'] = sum_k C z_g^k
-    probs = (amps.real**2 + amps.imag**2).sum(axis=1)
+    rows = _forced_rows(input_state.n, steps)
+    m = len(rows)
+    sq = np.sqrt(np.arange(m + 1))
+    ebar = np.zeros(m + 2, dtype=complex)  # ebar_d at [d + 1], after a 0 for ebar_{-1}
+    ebar[1] = 1.0
+    for j, (a, b) in enumerate((rows[:, 0] / sq[1:, None]).tolist()):  # the j-qubit block gains one
+        ebar[1:j + 3] = a * sq[j + 1::-1] * ebar[1:j + 3] + b * sq[:j + 2] * ebar[:j + 2]
+    nus, xi = _split_table(input_state.n, m)
+    band = ebar[1:, None] * xi * input_state.amps[nus]
+    lags = np.zeros(-(-(m + 1) // grid_size) * grid_size, dtype=complex)  # r_0 .. r_m, padded to whole grids
+    lags[:m + 1] = [np.vdot(band[:m + 1 - l], band[l:]) for l in range(m + 1)]
+    lags[1:m + 1] *= 2.0  # r_{-l} = conj(r_l), so P = Re(r_0 + 2 sum_{l > 0} r_l z^l)
+    probs = np.fft.ifft(lags.reshape(-1, grid_size).sum(axis=0), norm="forward").real
     logs = np.full(grid_size, -math.inf)
     np.log(probs, out=logs, where=probs > 0.0)
     return logs
@@ -440,6 +442,10 @@ def run_pvm_cascade(
     """
     if len(initial_amps) != n + 1:
         raise DomainError(f"initial state must have {n + 1} amplitudes")
+    if len(uniforms) < n:
+        raise DomainError(f"a cascade of {n} qubits needs {n} uniforms, got {len(uniforms)}")
+    SymmetricKet(n, np.array(initial_amps, dtype=complex))  # the value checks of a ket and a PVM, once, on copies
+    SingleQubitPVM(np.array(kappa, dtype=complex))
     (k00, k01), (k10, k11) = (
         (complex(kappa[0][0]), complex(kappa[0][1])),
         (complex(kappa[1][0]), complex(kappa[1][1])),

@@ -258,13 +258,13 @@ def general_split(n: int, nu: int, k: int) -> dict[int, float]:
     return dict(zip(range(lo, hi + 1), map(math.sqrt, sq)))
 
 
-@lru_cache(maxsize=1)
-def _loss_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """_final_states' gather table for k of n qubits lost, as read-only arrays.
+@lru_cache(maxsize=2)
+def _split_table(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gather table of a k-qubit block split off n qubits (lost or measured), as read-only arrays.
 
     nus[j, mu] = mu + j and xi[j, mu] = Xi(k, n; j, mu + j), from one
-    general_split call per nu.  It depends only on (n, k), so successive
-    calls for one (n, k) share the one kept.
+    general_split call per nu.  The last two (n, k) are kept: a run_trials
+    block's (n - m, k) and the estimator's (n, m) are each filled once.
     """
     table = np.zeros((k + 1, n + 1))
     for nu in range(n + 1):
@@ -282,7 +282,7 @@ def _final_states(kets: np.ndarray, k: int) -> np.ndarray:
 
     Splitting the k lost qubits off |nu> of the N left leaves j ones among
     them with amplitude Xi(k, N; j, nu), so alpha = sum_j c_j c_j^dag with
-    c_j[mu] = psi[mu + j] Xi(k, N; j, mu + j), gathered through _loss_table.
+    c_j[mu] = psi[mu + j] Xi(k, N; j, mu + j), gathered through _split_table.
     Returns the densities alpha[T, N-k+1, N-k+1], checked once over the
     block as SymmetricDensity checks each (require_densities).  k = 0
     returns the kets as they are (from _trial_block, which checks them once
@@ -301,7 +301,7 @@ def _final_states(kets: np.ndarray, k: int) -> np.ndarray:
     if k == 0:
         return kets
     require_state_entries(max((k + 1) * (n + 1), (n - k + 1) ** 2), "the loss table or final density")
-    nus, xi = _loss_table(n, k)
+    nus, xi = _split_table(n, k)
     c = kets[:, nus] * xi  # c[T, j, mu]
     alpha = np.zeros((len(kets), n - k + 1, n - k + 1), dtype=complex)
     term, product = np.empty(alpha.shape), np.empty(alpha.shape)

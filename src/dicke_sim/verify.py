@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import (DickeSimError, DomainError, NotSymmetricError, ResourceLimitError,
                      ZeroProbabilityError)
-from .harness import (TIE_TOL, ExperimentTrace, TraceEvent, _ordered_map, _trial_block, combined_pvm,
-                      evaluate_sequence, grid_log_likelihoods, ml_phase_estimate, run_ensemble, run_trial,
+from .harness import (TIE_TOL, ExperimentTrace, TraceEvent, _joint_log_likelihoods, _ordered_map, _trial_block,
+                      combined_pvm, evaluate_sequence, grid_log_likelihoods, ml_phase_estimate, run_ensemble, run_trial,
                       run_trials)
 from .measure import (
     ZERO_PROB_EPS,
@@ -552,11 +552,12 @@ def check_estimator_replay(params: SuiteParams) -> PropertyResult:
     and on one unlikely_noon_trace per seed, grid_log_likelihoods must equal,
     at every candidate phase of a small grid, the log of
     compact_sequence_prob's joint probability, which applies each loss where
-    it occurs.  ml_phase_estimate, which evaluates a phase-free replay by FFT,
-    must give exactly the tie-rule argmax of grid_log_likelihoods, on that
-    grid and on a grid of 2 to n points, where the powers of e^{i phi} fold.
-    On the unlikely traces that holds only if the estimate falls back to the
-    grid below the joint replay's floor.
+    it occurs.  On that grid and on one of 2 to n points, where the powers of
+    e^{i phi} fold, ml_phase_estimate must give exactly the tie-rule argmax
+    of grid_log_likelihoods, and where either is above the floor the best
+    closed-form joint log-likelihood (_joint_log_likelihoods: a block split
+    with Xi, then one FFT of its lags) must equal the grid's.  On the unlikely
+    traces the estimate holds only if it falls back to the grid below it.
     """
     grid = 16  # small, so that the suite stays cheap
     tally = _Tally()
@@ -584,6 +585,9 @@ def check_estimator_replay(params: SuiteParams) -> PropertyResult:
             for size, ll in ((grid, got), (folded, grid_log_likelihoods(ket, trace, folded))):
                 tie_rule = 2.0 * math.pi * int(np.argmax(ll >= ll.max() - TIE_TOL)) / size
                 moved += ml_phase_estimate(ket, trace, size) != tie_rule
+                joint = _joint_log_likelihoods(ket, steps, size).max()
+                if max(joint, ll.max()) >= math.log(ZERO_PROB_EPS) + 1.0:  # then both maxima are log P there
+                    tally.add(abs(joint - ll.max()))
     tally.require(not moved, f"{moved} estimates differ from the grid's tie-rule argmax")
     return tally.result("estimator_replay_equivalence", params.tolerance)
 

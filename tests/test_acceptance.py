@@ -167,6 +167,23 @@ def test_criterion_8_scaling():
     assert entries_ok
 
 
+def test_warm_ml_estimate_at_n256():
+    # ROADMAP item 2's bound: one warm estimate at n = 256 with 40 measurements in under 5 ms
+    import numpy as np
+    from dicke_sim.harness import ml_phase_estimate, run_trial
+    from dicke_sim.spec import FeedbackPolicy, LossSchedule, PhaseChannel
+    from dicke_sim.verify import random_symmetric_ket
+
+    ket = random_symmetric_ket(256, np.random.default_rng(7))
+    trace = run_trial(ket, PhaseChannel(0.7), FeedbackPolicy(0.9, 1.3, 0.2), LossSchedule.lossless(40), 5)
+    ml_phase_estimate(ket, trace)  # warm-up: fills the (256, 40) split table
+    runtime = min(_timed(lambda: ml_phase_estimate(ket, trace)) for _ in range(5))
+    status = "PASS" if runtime < 5e-3 else "FAIL"
+    record_acceptance(f"[{status}] ML estimate: one warm estimate at n = 256 with 40 measurements, "
+                      f"{runtime*1e3:.2f} ms (< 5 ms)")
+    assert runtime < 5e-3
+
+
 def test_criterion_9_deterministic_reproducibility():
     config = {
         "input": {"type": "noon"},

@@ -586,13 +586,13 @@ class TestCliVerify:
              ("measurement_oracle_equivalence", 32), ("loss_independence", 125), ("pure_state_sufficiency", 20),
              ("ordering_independence", 20), ("trace_povm_commutation", 40), ("loss_mechanism_irrelevance", 20),
              ("permutation_group_law", 60), ("pvm_update_specialization", 60),
-             ("estimator_replay_equivalence", 640), ("batched_trial_equivalence", 80), ("born_rule_sampling", 10)],
+             ("estimator_replay_equivalence", 680), ("batched_trial_equivalence", 80), ("born_rule_sampling", 10)],
         ("--max-n", "3", "--seeds", "2"): [
             ("worked_example_split", 4), ("xi_completeness_and_support", 10420), ("split_reconstruction", 6),
             ("basis_characterization", 6), ("residual_symmetry_after_channels", 8),
             ("measurement_oracle_equivalence", 6), ("loss_independence", 8), ("pure_state_sufficiency", 2),
             ("ordering_independence", 2), ("trace_povm_commutation", 4), ("loss_mechanism_irrelevance", 2),
-            ("permutation_group_law", 6), ("pvm_update_specialization", 6), ("estimator_replay_equivalence", 64),
+            ("permutation_group_law", 6), ("pvm_update_specialization", 6), ("estimator_replay_equivalence", 68),
             ("batched_trial_equivalence", 8), ("born_rule_sampling", 1)],
     }
 
@@ -715,13 +715,15 @@ class TestSizeLimit:
         assert (final["kind"], final["n"], final["lost"], len(final["amps"])) == ("ket_with_losses", 19999, 1, 20000)
 
     def test_simulate_estimator_over_the_cap(self, tmp_path, capsys):
-        # a feedback policy estimates by default: C would hold min(n + 1, 1024) (n + 1) > 2**24 entries
-        config = {"input": {"type": "uniform"}, "n": 16384, "phi": 0.3, "policy": {"type": "feedback", "delta": 0.5},
-                  "schedule": ["measure"], "trials": 1, "seed": 1}
+        # a feedback policy estimates by default: the split table of m measured qubits would hold
+        # (m + 1) (n + 1) = 1025 * 16384 > 2**24 entries
+        config = {"input": {"type": "uniform"}, "n": 16383, "phi": 0.3, "policy": {"type": "feedback", "delta": 0.5},
+                  "schedule": ["measure"] * 1024, "trials": 1, "seed": 1}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         self._assert_resource_limit(["simulate", "--config", str(path)], capsys)
-        assert parse_config({**config, "n": 16383})["estimate"] is True  # 1024 * 16384 = 2**24 fits
+        assert parse_config({**config, "schedule": ["measure"] * 1023})["estimate"] is True  # 1024 * 16384 = 2**24 fits
+        assert parse_config({**config, "n": 20000, "schedule": ["measure"]})["estimate"] is True  # refused before
         assert parse_config({**config, "estimate": False})["estimate"] is False
 
     def test_ket_with_losses_density_over_the_cap(self, tmp_path, capsys):

@@ -355,16 +355,29 @@ class TestBatchedTrials:
         per_trial = harness._trial_bytes(600, 2, True)
         assert sizes == [18, 18, 4] and 18 * per_trial <= harness.BLOCK_BYTES < 19 * per_trial
 
-    def test_loss_table_is_kept_read_only(self):
-        from dicke_sim.states import _loss_table, general_split
+    def test_split_table_is_kept_read_only(self):
+        from dicke_sim.states import _split_table, general_split
 
-        nus, xi = _loss_table(9, 3)
-        assert _loss_table(9, 3)[1] is xi  # the run_trials blocks of one (n, k) share it
+        nus, xi = _split_table(9, 3)
+        assert _split_table(9, 3)[1] is xi  # the run_trials blocks of one (n, k) share it
         assert not nus.flags.writeable and not xi.flags.writeable
         for j in range(4):
             for mu in range(7):
                 want = general_split(9, mu + j, 3).get(j, 0.0)
                 assert nus[j, mu] == mu + j and xi[j, mu] == want
+
+    def test_split_table_filled_once_per_ensemble(self):
+        from dicke_sim.states import _split_table
+
+        _split_table.cache_clear()
+        run_ensemble(self._lossy_feedback_config(50))  # every estimate reads the (8, 4) table
+        assert _split_table.cache_info().misses == 1
+        parsed = parse_config(self._lossy_feedback_config(1))
+        args = (parsed["input"], parsed["channel"], parsed["policy"], parsed["schedule"])
+        for seeds in ([1, 2, 3], [4, 5]):  # final densities read (4, 2), their estimates (8, 4)
+            for trace in run_trials(*args, seeds):
+                ml_phase_estimate(parsed["input"], trace)
+        assert _split_table.cache_info().misses == 2
 
     def test_trial_does_not_depend_on_its_block(self):
         parsed = parse_config(self._lossy_feedback_config(1))
@@ -961,7 +974,7 @@ class TestMlEstimate:
 
 
 class TestJointLikelihood:
-    """ml_phase_estimate's phase-free replay, evaluated at every grid phase by one FFT."""
+    """ml_phase_estimate's joint probability in closed form, evaluated at every grid phase by one FFT of its lags."""
 
     @staticmethod
     def joint_and_grid(ket, trace, grid_size):
@@ -977,7 +990,7 @@ class TestJointLikelihood:
     def test_joint_matches_stepwise_near_the_maximum(self, n, m, grid_size):
         # (40, 20, 16) aliases: 41 powers of e^{i phi} fold onto 16 columns;
         # (96, 42, 1024) at seed 1 peaks 1.1 above log(e ZERO_PROB_EPS), the
-        # edge of the joint replay's regime, after 42 unrescaled steps
+        # edge of the closed form's regime, after 42 measurements
         for seed in range(3):
             rng = np.random.default_rng(seed)
             ket = random_symmetric_ket(n, rng)
@@ -1039,6 +1052,40 @@ class TestJointLikelihood:
             assert ml_phase_estimate(ket, trace, 16) == 0.0
             differ += self.tie_rule(joint, 16) != 0.0
         assert differ >= 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_long_likely_trace_needs_no_binomial(self):
+        # 1100 labels 0 on |0..0>, detectors within 0.1 of theta = 0: P = prod cos^2(theta_j / 2) >= e^-3
+        # at every phase; C(1100, d) overflows a float, the normalized block amplitudes do not
+        n, m = 1104, 1100
+        rng = np.random.default_rng(11)
+        ket = basis_state(n, 0)
+        events = tuple(TraceEvent(j, "measure", float(rng.uniform(-0.1, 0.1)), float(rng.uniform(0.0, 2 * math.pi)), 0)
+                       for j in range(m))
+        trace = ExperimentTrace(0, events, ket)
+        joint, grid = self.joint_and_grid(ket, trace, 16)
+        assert grid.max() > -3.0 and np.abs(joint - grid).max() <= 1e-12
+        assert ml_phase_estimate(ket, trace, 16) == self.tie_rule(grid, 16)
+
+    def test_estimates_equal_the_grid_tie_rule_on_random_lossy_traces(self):
+        # 1000 sampled traces: random, NOON and Dicke inputs; fixed, round-robin and feedback
+        # policies; grids of 2 to 63 points, where the 2m + 1 lags fold
+        traces = 0
+        for i in range(125):
+            rng = np.random.default_rng([2026, i])
+            n = int(rng.integers(2, 17))
+            ket = (random_symmetric_ket(n, rng), input_from_config({"type": "noon"}, n),
+                   basis_state(n, int(rng.integers(0, n + 1))))[i % 3]
+            a = [float(x) for x in rng.uniform(0.0, math.pi, 4)]
+            policy = (FixedPolicy(a[0], a[1]), RoundRobinPolicy(((a[0], a[1]), (a[2], a[3]))),
+                      FeedbackPolicy(a[0], a[1], a[2]))[i // 3 % 3]
+            schedule = LossSchedule.random(n, 0.3, int(rng.integers(0, 2**31)))
+            channel = PhaseChannel(float(rng.uniform(0.0, 2.0 * math.pi)))
+            for trace in run_trials(ket, channel, policy, schedule, [int(s) for s in rng.integers(0, 2**31, 8)]):
+                size = int(rng.integers(2, 64))
+                assert ml_phase_estimate(ket, trace, size) == self.tie_rule(grid_log_likelihoods(ket, trace, size), size)
+                traces += 1
+        assert traces == 1000
 
     @pytest.mark.parametrize("grid_size", [0, -3, 2.5, True, "8", None])
     def test_bad_grid_size_rejected(self, grid_size):
@@ -1140,7 +1187,14 @@ class TestCascadeKernel:
      "workers must be >= 1, got 0"),
     (lambda: run_pvm_cascade(3, pvm_from_bloch(0.3, 0.2).kappa, [1.0, 0.0, 0.0, 0.0, 0.0], []),
      "initial state must have 4 amplitudes"),
-], ids=["ensemble-workers-0", "cascade-n-plus-2-amplitudes"])
+    (lambda: run_pvm_cascade(2, np.full((2, 2), np.nan), [1.0, 0.0, 0.0], [0.5, 0.5]), "kappa must be finite"),
+    (lambda: run_pvm_cascade(2, [[2.0, 0.0], [0.0, 1.0]], [1.0, 0.0, 0.0], [0.5, 0.5]),
+     "PVM rows are not orthonormal: max deviation 3.000e+00"),
+    (lambda: run_pvm_cascade(2, np.eye(2), [3.0, 0.0, 0.0], [0.5, 0.5]), "ket is not normalized: |norm - 1| = 2.000e+00"),
+    (lambda: run_pvm_cascade(2, np.eye(2), [math.nan, 0.0, 0.0], [0.5, 0.5]), "ket must be finite"),
+    (lambda: run_pvm_cascade(3, np.eye(2), [1.0, 0.0, 0.0, 0.0], [0.5, 0.5]), "a cascade of 3 qubits needs 3 uniforms, got 2"),
+], ids=["ensemble-workers-0", "cascade-n-plus-2-amplitudes", "cascade-nan-kappa", "cascade-non-unitary-kappa",
+        "cascade-unnormalized", "cascade-nan-amplitude", "cascade-too-few-uniforms"])
 def test_malformed_arguments_rejected(call, message):
     with pytest.raises(DomainError) as excinfo:
         call()
