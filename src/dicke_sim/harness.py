@@ -32,11 +32,10 @@ the kernel of trials and `measure_pure`, so a replay of a trial's own labels
 gives back the trial's bits.
 
 The ML estimate (`ml_phase_estimate`) needs no replay: the m measured qubits
-split off the input as one block with the paper's coefficients Xi, and the
-channel multiplies |nu> by e^{i nu phi}, so the joint probability of the
-labels is a trigonometric polynomial of degree m in phi, evaluated at every
-grid phase with one FFT (`_joint_log_likelihoods`).  When its best value is
-below e ZERO_PROB_EPS, the stepwise `grid_log_likelihoods`, the referee, decides.
+split off the input as one block with the paper's coefficients Xi, so the
+joint probability of the labels is a trigonometric polynomial of degree m in
+phi, evaluated at every grid phase by one FFT (`_joint_log_likelihoods`).
+Below e ZERO_PROB_EPS the stepwise `grid_log_likelihoods`, the referee, decides.
 """
 
 from __future__ import annotations
@@ -259,14 +258,13 @@ def _joint_log_likelihoods(input_state: SymmetricKet, steps: list, grid_size: in
     """log P(g), the joint probability of the forced labels at each phase 2 pi g / grid_size, in closed form.
 
     Losses are deferred and measurements on different qubits commute, so the m forced rows (a_j, b_j) act on
-    one m-qubit block, which splits off |nu> as sum_d Xi(m, n; d, nu) |d>|nu - d>.  They send the block's |d>
-    to ebar_d, built a row at a time as ebar'_d = (a sqrt(j+1-d) ebar_d + b sqrt(d) ebar_{d-1}) / sqrt(j+1):
-    normalized, |ebar_d| <= 1, with no binomial formed.  The channel multiplies |nu> by z^nu, so over the band
-    D[d, nu'] = ebar_d Xi(m, n; d, nu' + d) psi_{nu' + d} (_split_table), P(z) = sum_nu' |sum_d D[d, nu'] z^d|^2
-    = sum_{|l| <= m} r_l z^l with r_l = sum D[d + l, nu'] conj(D[d, nu']) = conj(r_{-l}).  The lags fold mod
-    grid_size (z^grid_size = 1 on the grid); one inverse FFT evaluates P at every grid phase within about
-    eps (2m + 1) r_0, and r_0 = mean_g P <= max_g P when nothing folds.  A row whose P reads 0 or below reads
-    -inf.  ml_phase_estimate decides whether P(g) can stand for the stepwise likelihood.
+    one m-qubit block, split off |nu> as sum_d Xi(m, n; d, nu) |d>|nu - d>.  They send its |d> to ebar_d, built
+    a row at a time as ebar'_d = (a sqrt(j+1-d) ebar_d + b sqrt(d) ebar_{d-1}) / sqrt(j+1) (|ebar_d| <= 1: no
+    binomial).  The channel multiplies |nu> by z^nu, so over the band D[d, nu'] = ebar_d Xi(m, n; d, nu' + d)
+    psi_{nu' + d} (_split_table), P(z) = sum_nu' |sum_d D[d, nu'] z^d|^2 = sum_{|l| <= m} r_l z^l with lags
+    r_l = sum D[d + l, nu'] conj(D[d, nu']) = conj(r_{-l}), folded mod grid_size.  One inverse FFT gives P at
+    every grid phase within about eps (2m + 1) r_0, and r_0 = mean_g P <= max_g P when nothing folds.  P <= 0
+    reads -inf, and so does every row, with no table filled, when P <= |ebar|^2 |psi|^2 < e ZERO_PROB_EPS.
     """
     rows = _forced_rows(input_state.n, steps)
     m = len(rows)
@@ -275,13 +273,15 @@ def _joint_log_likelihoods(input_state: SymmetricKet, steps: list, grid_size: in
     ebar[1] = 1.0
     for j, (a, b) in enumerate((rows[:, 0] / sq[1:, None]).tolist()):  # the j-qubit block gains one
         ebar[1:j + 3] = a * sq[j + 1::-1] * ebar[1:j + 3] + b * sq[:j + 2] * ebar[:j + 2]
+    logs = np.full(grid_size, -math.inf)
+    if np.vdot(ebar, ebar).real < math.e * ZERO_PROB_EPS * (1.0 - 1e-9):  # |psi|^2 = 1 within NORM_TOL
+        return logs
     nus, xi = _split_table(input_state.n, m)
     band = ebar[1:, None] * xi * input_state.amps[nus]
     lags = np.zeros(-(-(m + 1) // grid_size) * grid_size, dtype=complex)  # r_0 .. r_m, padded to whole grids
     lags[:m + 1] = [np.vdot(band[:m + 1 - l], band[l:]) for l in range(m + 1)]
     lags[1:m + 1] *= 2.0  # r_{-l} = conj(r_l), so P = Re(r_0 + 2 sum_{l > 0} r_l z^l)
     probs = np.fft.ifft(lags.reshape(-1, grid_size).sum(axis=0), norm="forward").real
-    logs = np.full(grid_size, -math.inf)
     np.log(probs, out=logs, where=probs > 0.0)
     return logs
 

@@ -357,6 +357,6 @@ def parse_config(config) -> dict:
     }
     feedback = isinstance(parsed["policy"], FeedbackPolicy)
     parsed["estimate"] = convert(bool, config.get("estimate", feedback), "config 'estimate'")
-    if parsed["estimate"]:  # harness._joint_log_likelihoods' split table Xi[d, nu], above its band D[d, nu']
-        require_state_entries((parsed["schedule"].measurement_count() + 1) * (n + 1), "the estimator's split table")
+    if parsed["estimate"]:  # the estimator's split table Xi[d, nu], or its grid fallback's (G, n + 1) kets
+        require_state_entries(max(parsed["schedule"].measurement_count() + 1, ESTIMATE_GRID) * (n + 1), "the estimator")
     return parsed

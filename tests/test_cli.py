@@ -723,7 +723,17 @@ class TestSizeLimit:
         path.write_text(json.dumps(config))
         self._assert_resource_limit(["simulate", "--config", str(path)], capsys)
         assert parse_config({**config, "schedule": ["measure"] * 1023})["estimate"] is True  # 1024 * 16384 = 2**24 fits
-        assert parse_config({**config, "n": 20000, "schedule": ["measure"]})["estimate"] is True  # refused before
+        assert parse_config({**config, "estimate": False})["estimate"] is False
+
+    @pytest.mark.parametrize("measurements", [1, 100])
+    def test_simulate_estimator_grid_over_the_cap(self, tmp_path, capsys, measurements):
+        # at n = 16384 the grid fallback's 1024 kets would hold 1024 * 16385 > 2**24 entries; 100
+        # measurements fall below the floor, where the fallback runs, and the check comes before any trace
+        config = {"input": {"type": "uniform"}, "n": 16384, "phi": 0.3, "policy": {"type": "feedback", "delta": 0.5},
+                  "schedule": ["measure"] * measurements, "trials": 1, "seed": 1}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        self._assert_resource_limit(["simulate", "--config", str(path)], capsys)
         assert parse_config({**config, "estimate": False})["estimate"] is False
 
     def test_ket_with_losses_density_over_the_cap(self, tmp_path, capsys):
