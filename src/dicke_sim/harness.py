@@ -420,8 +420,10 @@ class CascadeResult:
 
 
 def _norm2(amps: list[complex]) -> float:
-    """Squared norm of a list of complex amplitudes, summed with C-level maps."""
-    return sum(map(mul, amps, map(complex.conjugate, amps))).real
+    """Squared norm of a list of complex amplitudes, in one numpy reduction."""
+    x = np.fromiter(amps, complex, len(amps)).view(float)
+    x *= x
+    return float(x.sum())
 
 
 def run_pvm_cascade(
@@ -433,51 +435,58 @@ def run_pvm_cascade(
     """Measure all n qubits with a fixed combined PVM, in O(n^2) total time.
 
     This is the performance path behind the scaling benchmark; it computes
-    exactly the same branch amplitudes as measure_pure (checked by tests) but
-    avoids per-step array dispatch, which would otherwise dominate at small
-    n; branches and norms are built with `map` over the weight tables, so the
-    inner loops run in C while the kernel stays quadratic.  The running state
-    is a plain list holding at most n+1 complex amplitudes; normalization is folded into the tracked squared norm and the
-    state is rescaled only when the norm leaves a wide safety window.
+    the same branch amplitudes as measure_pure (checked by tests) without
+    per-step array dispatch.  Each step builds one branch with `map` over the
+    weight tables, the one that the previous step's p0 (1/2 at the first)
+    draws with this step's uniform, and takes its squared norm in one numpy
+    reduction; its probability, clamped to at most 1, gives p0, and u < p0
+    draws the label.  The other branch is built only when that guess misses,
+    a few times per cascade on random inputs.  The state stays a plain list
+    of at most n+1 amplitudes, so a step costs O(m) and the kernel stays
+    quadratic at n = 512..2048, as criterion 8's time ratios require (an
+    all-numpy step costs about the same at every m there).  Normalization is
+    folded into the tracked squared norm, and the state is rescaled only when
+    the norm leaves a wide safety window.
     """
     if len(initial_amps) != n + 1:
         raise DomainError(f"initial state must have {n + 1} amplitudes")
     if len(uniforms) < n:
         raise DomainError(f"a cascade of {n} qubits needs {n} uniforms, got {len(uniforms)}")
+    if not all(0.0 <= u < 1.0 for u in uniforms[:n]):
+        raise DomainError("uniforms must be finite and lie in [0, 1)")
     SymmetricKet(n, np.array(initial_amps, dtype=complex))  # the value checks of a ket and a PVM, once, on copies
     SingleQubitPVM(np.array(kappa, dtype=complex))
-    (k00, k01), (k10, k11) = (
-        (complex(kappa[0][0]), complex(kappa[0][1])),
-        (complex(kappa[1][0]), complex(kappa[1][1])),
-    )
     psi = [complex(z) for z in initial_amps]
     state_entries = len(psi)
     sq = [math.sqrt(i) for i in range(n + 1)]
-    # weight tables laid out so that step m uses an aligned tail/prefix:
-    # wa*[n-m+j] = kappa[.,0]*sqrt(m-j), wb*[j] = kappa[.,1]*sqrt(j+1)
-    wa0 = [k00 * sq[n - i] for i in range(n)]
-    wb0 = [k01 * sq[j + 1] for j in range(n)]
-    wa1 = [k10 * sq[n - i] for i in range(n)]
-    wb1 = [k11 * sq[j + 1] for j in range(n)]
+    # weight tables per label, laid out so that step m uses an aligned
+    # tail/prefix: wa[n-m+j] = kappa[.,0]*sqrt(m-j), wb[j] = kappa[.,1]*sqrt(j+1)
+    weights = [
+        ([complex(row[0]) * sq[n - i] for i in range(n)], [complex(row[1]) * sq[j + 1] for j in range(n)])
+        for row in kappa
+    ]
     outcomes: list[int] = []
     probs: list[float] = []
     norm2 = _norm2(psi)
+    p0 = 0.5
     for m in range(n, 0, -1):
         off = n - m
-        tail = psi[1:]
-        b0 = list(map(add, map(mul, wa0[off:], psi), map(mul, wb0, tail)))
-        raw0 = _norm2(b0)
-        total = m * norm2
-        p0 = raw0 / total
-        if uniforms[off] < p0:
-            outcomes.append(0)
-            probs.append(p0)
-            psi, norm2 = b0, raw0
-        else:
-            outcomes.append(1)
-            probs.append(1.0 - p0)
-            psi = list(map(add, map(mul, wa1[off:], psi), map(mul, wb1, tail)))
-            norm2 = total - raw0
+        u, tail, total = uniforms[off], psi[1:], m * norm2
+        guess = 0 if u < p0 else 1
+        wa, wb = weights[guess]
+        b = list(map(add, map(mul, wa[off:], psi), map(mul, wb, tail)))
+        norm2 = _norm2(b)
+        p = min(norm2 / total, 1.0)
+        p0 = p if guess == 0 else 1.0 - p
+        label = 0 if u < p0 else 1
+        if label != guess:
+            wa, wb = weights[label]
+            b = list(map(add, map(mul, wa[off:], psi), map(mul, wb, tail)))
+            norm2 = _norm2(b)
+            p = 1.0 - p
+        outcomes.append(label)
+        probs.append(p)
+        psi = b
         if not 1e-120 < norm2 < 1e120:
             scale = 1.0 / math.sqrt(norm2)
             psi = [z * scale for z in psi]

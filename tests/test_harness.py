@@ -10,6 +10,7 @@ from dicke_sim.harness import (
     ExperimentTrace,
     TIE_TOL,
     TraceEvent,
+    _norm2,
     combined_pvm,
     evaluate_sequence,
     grid_log_likelihoods,
@@ -19,7 +20,14 @@ from dicke_sim.harness import (
     run_trial,
     run_trials,
 )
-from dicke_sim.measure import ZERO_PROB_EPS, bloch_kappas, measure_pure, measure_pure_batch, pvm_from_bloch
+from dicke_sim.measure import (
+    ZERO_PROB_EPS,
+    SingleQubitPVM,
+    bloch_kappas,
+    measure_pure,
+    measure_pure_batch,
+    pvm_from_bloch,
+)
 from dicke_sim.spec import (
     FeedbackPolicy,
     FixedPolicy,
@@ -43,6 +51,7 @@ from dicke_sim.verify import (
     compact_sequence_prob,
     exact_label_distribution,
     g_test_ratio,
+    random_pvm,
     random_symmetric_ket,
     unlikely_noon_trace,
 )
@@ -1154,26 +1163,78 @@ class TestGridReplayRows:
         assert ml_phase_estimate(ket, trace) == 0.0
 
 
+def _walk_measure_pure(ket, kappa, choose):
+    """Measure every qubit with measure_pure, drawing label 0 when u < p0.
+
+    choose(previous p0, p0) gives each step's uniform, with previous p0 = 1/2
+    at the first step.  Returns the uniforms, the labels and their probabilities.
+    """
+    pvm = SingleQubitPVM(kappa)
+    uniforms, labels, probs, previous = [], [], [], 0.5
+    state = ket
+    for _ in range(ket.n):
+        outcomes = measure_pure(state, pvm)
+        p0 = outcomes[0].probability
+        uniforms.append(choose(previous, p0))
+        labels.append(0 if uniforms[-1] < p0 else 1)
+        probs.append(outcomes[labels[-1]].probability)
+        state = outcomes[labels[-1]].require_post_state()
+        previous = p0
+    return uniforms, labels, probs
+
+
 class TestCascadeKernel:
     def test_matches_measure_pure_stepwise(self):
+        # the bench detector, then random detectors, each on several kets and uniform streams
         n = 40
-        rng = np.random.default_rng(19)
-        ket = random_symmetric_ket(n, rng)
-        kappa = combined_pvm(PhaseChannel(0.7), pvm_from_bloch(math.pi / 2, 0.0)).kappa
-        uniforms = np.random.default_rng(91).random(n)
-        result = run_pvm_cascade(n, kappa, list(ket.amps), uniforms)
-        assert result.state_entries == n + 1
-        # replay with the production path, same uniforms
-        from dicke_sim.measure import SingleQubitPVM
+        bench = combined_pvm(PhaseChannel(0.7), pvm_from_bloch(math.pi / 2, 0.0)).kappa
+        for seed in range(19, 27):
+            rng = np.random.default_rng(seed)
+            ket = random_symmetric_ket(n, rng)
+            kappa = bench if seed < 23 else random_pvm(rng).kappa
+            draws = iter(np.random.default_rng(seed + 72).random(n))
+            uniforms, labels, probs = _walk_measure_pure(ket, kappa, lambda previous, p0: next(draws))
+            result = run_pvm_cascade(n, kappa, list(ket.amps), uniforms)
+            assert result.state_entries == n + 1
+            assert result.outcomes == labels
+            assert result.probabilities == pytest.approx(probs, rel=0, abs=1e-12)
 
-        pvm = SingleQubitPVM(kappa)
-        state = ket
-        for step in range(n):
-            outcomes = measure_pure(state, pvm)
-            label = 0 if uniforms[step] < outcomes[0].probability else 1
-            assert label == result.outcomes[step]
-            assert outcomes[label].probability == pytest.approx(result.probabilities[step], abs=1e-12)
-            state = outcomes[label].require_post_state()
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_every_guess_misses(self, seed, monkeypatch):
+        # each uniform lies between the previous step's p0 and this step's, so
+        # the branch the kernel builds first is never the one drawn
+        import dicke_sim.harness as harness
+
+        n = 40
+        rng = np.random.default_rng(seed)
+        ket = random_symmetric_ket(n, rng)
+        kappa = random_pvm(rng).kappa
+        uniforms, labels, probs = _walk_measure_pure(ket, kappa, lambda previous, p0: (previous + p0) / 2)
+        norms = []
+
+        def counting(amps):
+            norms.append(len(amps))
+            return _norm2(amps)
+
+        monkeypatch.setattr(harness, "_norm2", counting)
+        result = run_pvm_cascade(n, kappa, list(ket.amps), uniforms)
+        assert norms == [n + 1] + [m for m in range(n, 0, -1) for _ in ("guess", "drawn")]
+        assert result.outcomes == labels
+        assert result.probabilities == pytest.approx(probs, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64])
+    def test_basis_states_under_the_computational_pvm(self, n):
+        # |nu> holds nu ones: with r ones left among m qubits, outcome 1 has
+        # probability r / m, and a forced step (r = 0 or r = m) records at most 1
+        for nu in range(n + 1):
+            for uniforms in ([0.5] * n, np.random.default_rng(nu).random(n)):
+                result = run_pvm_cascade(n, np.eye(2), list(basis_state(n, nu).amps), uniforms)
+                assert sum(result.outcomes) == nu
+                ones = nu
+                for m, label, p in zip(range(n, 0, -1), result.outcomes, result.probabilities):
+                    assert p <= 1.0
+                    assert p == pytest.approx(ones / m if label else 1 - ones / m, rel=0, abs=1e-15)
+                    ones -= label
 
     def test_norm_rescue_on_long_cascades(self):
         n = 300
@@ -1182,7 +1243,7 @@ class TestCascadeKernel:
         kappa = pvm_from_bloch(0.3, 0.2).kappa
         result = run_pvm_cascade(n, kappa, list(ket.amps), np.random.default_rng(5).random(n))
         assert len(result.outcomes) == n
-        assert all(0.0 < p <= 1.0 + 1e-12 for p in result.probabilities)
+        assert all(0.0 < p <= 1.0 for p in result.probabilities)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -1198,8 +1259,14 @@ class TestCascadeKernel:
     (lambda: run_pvm_cascade(2, np.eye(2), [3.0, 0.0, 0.0], [0.5, 0.5]), "ket is not normalized: |norm - 1| = 2.000e+00"),
     (lambda: run_pvm_cascade(2, np.eye(2), [math.nan, 0.0, 0.0], [0.5, 0.5]), "ket must be finite"),
     (lambda: run_pvm_cascade(3, np.eye(2), [1.0, 0.0, 0.0, 0.0], [0.5, 0.5]), "a cascade of 3 qubits needs 3 uniforms, got 2"),
+    (lambda: run_pvm_cascade(2, np.eye(2), [1.0, 0.0, 0.0], [math.nan, math.nan]), "uniforms must be finite and lie in [0, 1)"),
+    (lambda: run_pvm_cascade(2, np.eye(2), [1.0, 0.0, 0.0], [0.5, math.inf]), "uniforms must be finite and lie in [0, 1)"),
+    (lambda: run_pvm_cascade(2, np.eye(2), [1.0, 0.0, 0.0], [1.5, 0.2]), "uniforms must be finite and lie in [0, 1)"),
+    (lambda: run_pvm_cascade(2, np.eye(2), [1.0, 0.0, 0.0], [0.5, 1.0]), "uniforms must be finite and lie in [0, 1)"),
+    (lambda: run_pvm_cascade(2, np.eye(2), [1.0, 0.0, 0.0], np.array([0.5, -0.25])), "uniforms must be finite and lie in [0, 1)"),
 ], ids=["ensemble-workers-0", "cascade-n-plus-2-amplitudes", "cascade-nan-kappa", "cascade-non-unitary-kappa",
-        "cascade-unnormalized", "cascade-nan-amplitude", "cascade-too-few-uniforms"])
+        "cascade-unnormalized", "cascade-nan-amplitude", "cascade-too-few-uniforms", "cascade-nan-uniforms",
+        "cascade-inf-uniform", "cascade-uniform-above-1", "cascade-uniform-1", "cascade-negative-uniform"])
 def test_malformed_arguments_rejected(call, message):
     with pytest.raises(DomainError) as excinfo:
         call()
