@@ -90,9 +90,6 @@ class ExperimentTrace:
     events: tuple[TraceEvent, ...]
     final_state: SymmetricKet | SymmetricDensity | None  # None in the ensemble's estimator traces
 
-    def outcome_labels(self) -> tuple[int, ...]:
-        return tuple(ev.label for ev in self.events if ev.kind == "measure")
-
     def steps(self) -> list[tuple]:
         """The replay encoding of each event: ("measure", (theta, phi), label) or ("lose",)."""
         return [("lose",) if ev.kind == "lose" else ("measure", (ev.theta, ev.phi), ev.label)

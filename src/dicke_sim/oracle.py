@@ -8,17 +8,18 @@ by the compact modules.
 
 The kernels do not spell out that definition: a channel on one qubit is one
 4x4 superoperator product over rho reshaped around that qubit's bit, and the
-symmetry check compares swapped-axis views.  Their reference is the Kronecker
-definition, kron(I, K, I) rho kron(I, K, I)^dag and P(pi) built from
-apply_permutation, which tests/test_oracle.py compares them with at every
-position.
+symmetry check compares quarter blocks of the reshaped matrix with their
+swaps.  Their reference is the Kronecker definition, kron(I, K, I) rho
+kron(I, K, I)^dag and P(pi) built from apply_permutation, which
+tests/test_oracle.py compares them with at every position.
 
 Dense work is capped (kets at 20 qubits, densities at 12 by default); the
 DICKE_SIM_DENSE_CAP environment variable overrides the density cap.  `expand`
 and `expand_density` gather the compact entries by Hamming weight, with no
 weight-basis product.  A 20-qubit `expand` peaks at 32 MiB: the 16 MiB ket
 and as much again while its norm is checked.  A 12-qubit density is 256 MiB,
-and its Hermiticity check (states.hermitian_deviation) adds about 3 MiB.
+and its Hermiticity check (states.hermitian_deviation), which compares
+64 x 64 tiles with their mirror tiles, adds about 0.2 MiB.
 """
 
 from __future__ import annotations
@@ -216,7 +217,9 @@ def is_symmetric_over(rho: DenseDensity, subset, tol: float) -> bool:
     Adjacent transpositions of the sorted subset generate the full symmetric
     group on the subset, so checking them suffices.  The transposition of
     positions p < q swaps two axes of the matrix reshaped around those bits;
-    the row side and the column side are checked separately.
+    the row side and the column side are checked separately, each on its bit q = 0,
+    bit p = 1 block against the swapped one.  Entries whose two bits agree meet
+    themselves, and rho's entries are finite, so that quarter gives the same max.
     """
     positions = sorted(set(subset))
     if any(not 1 <= p <= rho.n for p in positions):
@@ -226,10 +229,10 @@ def is_symmetric_over(rho: DenseDensity, subset, tol: float) -> bool:
     for p, q in zip(positions, positions[1:]):
         bits = (2 ** (n - q), 2, 2 ** (q - p - 1), 2, 2 ** (p - 1))
         rows = m.reshape(bits + (d,))
-        if not np.max(np.abs(rows.swapaxes(1, 3) - rows)) <= tol:
+        if not np.max(np.abs(rows[:, 0, :, 1] - rows[:, 1, :, 0])) <= tol:
             return False
         cols = m.reshape((d,) + bits)
-        if not np.max(np.abs(cols.swapaxes(2, 4) - cols)) <= tol:
+        if not np.max(np.abs(cols[:, :, 0, :, 1] - cols[:, :, 1, :, 0])) <= tol:
             return False
     return True
 
@@ -265,23 +268,23 @@ def apply_kraus_at(
     return DenseDensity(rho.n, total)
 
 
-def apply_kraus_outcomes_at(
-    rho: DenseDensity, position: int, kraus_set: list[SingleQubitKraus]
-) -> list[tuple[float, DenseDensity | None]]:
-    """Per-outcome (probability, conditional state) pairs."""
+def apply_kraus_outcome_at(
+    rho: DenseDensity, position: int, kraus_set: list[SingleQubitKraus], label: int
+) -> tuple[float, DenseDensity | None]:
+    """(probability, conditional state) of outcome kraus_set[label]; the state is None below ZERO_PROB_EPS."""
     if not 1 <= position <= rho.n:
         raise DomainError(f"position {position} not within 1..{rho.n}")
     _check_complete(kraus_set)
-    results = []
-    for k in kraus_set:
-        raw = _sandwich_at(rho.matrix, rho.n, position, k.matrix)
-        p = float(raw.trace().real)
-        if p >= ZERO_PROB_EPS:
-            cond = (raw + raw.conj().T) / 2.0 / p
-            results.append((p, DenseDensity(rho.n, cond)))
-        else:
-            results.append((p, None))
-    return results
+    raw = _sandwich_at(rho.matrix, rho.n, position, kraus_set[label].matrix)
+    p = float(raw.trace().real)
+    return p, (DenseDensity(rho.n, (raw + raw.conj().T) / 2.0 / p) if p >= ZERO_PROB_EPS else None)
+
+
+def apply_kraus_outcomes_at(
+    rho: DenseDensity, position: int, kraus_set: list[SingleQubitKraus]
+) -> list[tuple[float, DenseDensity | None]]:
+    """Per-outcome (probability, conditional state) pairs; an empty set still reaches the checks, which refuse it."""
+    return [apply_kraus_outcome_at(rho, position, kraus_set, label) for label in range(len(kraus_set) or 1)]
 
 
 def apply_matrix_at_ket(amps: np.ndarray, n: int, position: int, mat: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ import json
 import numpy as np
 
 from .errors import ConfigError
-from .measure import SingleQubitPVM
 from .states import SymmetricDensity, SymmetricKet
 
 SCHEMA_VERSION = 1
@@ -31,14 +30,6 @@ def state_to_json(state) -> dict:
     if isinstance(state, SymmetricDensity):
         return {"n": state.n, "alpha": _pairs(state.alpha)}
     raise ConfigError(f"not a compact state: {type(state).__name__}")
-
-
-def measurement_to_json(measurement) -> dict:
-    if isinstance(measurement, SingleQubitPVM):
-        return {"type": "pvm_kappa", "kappa": _pairs(measurement.kappa)}
-    if isinstance(measurement, list):
-        return {"type": "kraus", "matrices": [_pairs(k.matrix) for k in measurement]}
-    raise ConfigError(f"not a measurement: {type(measurement).__name__}")
 
 
 def float_texts(values) -> np.ndarray:

@@ -39,7 +39,7 @@ from .oracle import (
     Permutation,
     _sandwich_at,
     apply_kraus_at,
-    apply_kraus_outcomes_at,
+    apply_kraus_outcome_at,
     apply_matrix_at_ket,
     apply_permutation,
     compress,
@@ -123,8 +123,7 @@ class DenseRunner:
         return self.live.index(original) + 1
 
     def measure(self, original: int, kraus_set: list[SingleQubitKraus], label: int) -> float:
-        results = apply_kraus_outcomes_at(self.rho, self._pos(original), kraus_set)
-        p, cond = results[label]
+        p, cond = apply_kraus_outcome_at(self.rho, self._pos(original), kraus_set, label)
         if cond is None:
             raise DomainError(f"conditioning on zero-probability outcome {label}")
         self.rho = cond

@@ -19,11 +19,17 @@ from dicke_sim.errors import (
 )
 from dicke_sim.harness import run_trial
 from dicke_sim.measure import SingleQubitPVM, pvm_from_bloch
-from dicke_sim.serialize import (_jsonable, _pairs, _pairs_template, dumps_json, float_texts, measurement_to_json,
-                                 rows_to_csv, state_to_json)
+from dicke_sim.serialize import _jsonable, _pairs, _pairs_template, dumps_json, float_texts, rows_to_csv, state_to_json
 from dicke_sim.spec import measurement_from_json, parse_config, state_from_json
 from dicke_sim.states import SymmetricDensity, SymmetricKet, basis_state, make_ket, to_density
 from dicke_sim.verify import SuiteParams, random_kraus_pair, random_symmetric_density
+
+
+def measurement_to_json(measurement) -> dict:
+    """The config-document form of a PVM or of a list of Kraus operators, as spec.measurement_from_json reads it."""
+    if isinstance(measurement, SingleQubitPVM):
+        return {"type": "pvm_kappa", "kappa": _pairs(measurement.kappa)}
+    return {"type": "kraus", "matrices": [_pairs(k.matrix) for k in measurement]}
 
 
 class TestStateJson:

@@ -146,6 +146,11 @@ class TestPolicies:
                 assert (thetas[t], phis[t]) == (policy.theta, phase)
 
 
+def _outcome_labels(trace: ExperimentTrace) -> tuple[int, ...]:
+    """The label of each measurement in the trace, in order."""
+    return tuple(ev.label for ev in trace.events if ev.kind == "measure")
+
+
 def _setting(policy, labels):
     """(theta, phi) for one trial with these labels so far, stepping the batched method once per label."""
     history = np.array([labels], dtype=int).reshape(1, len(labels))
@@ -185,7 +190,7 @@ class TestRunTrial:
         trace = run_trial(
             basis_state(4, 2), PhaseChannel(0.3), FixedPolicy(), LossSchedule(("lose",) * 3), seed=1
         )
-        assert trace.outcome_labels() == ()
+        assert _outcome_labels(trace) == ()
         assert isinstance(trace.final_state, SymmetricDensity)
         assert trace.final_state.n == 1
         assert trace.final_state.alpha.trace().real == pytest.approx(1.0, abs=1e-12)
@@ -200,7 +205,7 @@ class TestRunTrial:
                 LossSchedule.lossless(6),
                 seed=seed,
             )
-            assert sum(trace.outcome_labels()) == 2
+            assert sum(_outcome_labels(trace)) == 2
 
     def test_deterministic_given_seed(self):
         cfgs = (basis_state(5, 3), PhaseChannel(1.7), FeedbackPolicy(0.5), LossSchedule.lossless(5))
@@ -339,7 +344,7 @@ class TestBatchedTrials:
         counts, estimates = {}, {}
         for t in range(10):
             trace = run_trial(*args, parsed["seed"] + t)
-            labels = "".join(str(b) for b in trace.outcome_labels())
+            labels = "".join(str(b) for b in _outcome_labels(trace))
             counts[labels] = counts.get(labels, 0) + 1
             key = f"{ml_phase_estimate(parsed['input'], trace):.10f}"
             estimates[key] = estimates.get(key, 0) + 1
@@ -719,7 +724,7 @@ class TestRunEnsemble:
                 parsed["input"], parsed["channel"], parsed["policy"], parsed["schedule"],
                 parsed["seed"] + t,
             )
-            labels.append("".join(str(b) for b in trace.outcome_labels()))
+            labels.append("".join(str(b) for b in _outcome_labels(trace)))
         counts = {}
         for lab in labels:
             counts[lab] = counts.get(lab, 0) + 1
@@ -931,7 +936,7 @@ class TestMlEstimate:
         # cos^2(phi/2), below ZERO_PROB_EPS only at phi = pi (g = 512)
         ket = make_ket(2, [0.5, math.sqrt(0.5), 0.5])
         trace = run_trial(ket, PhaseChannel(0.3), FixedPolicy(math.pi / 2, 0.0), LossSchedule.lossless(2), seed=0)
-        assert trace.outcome_labels() == (0, 0)
+        assert _outcome_labels(trace) == (0, 0)
         ll = grid_log_likelihoods(ket, trace)
         assert ll[512] == -math.inf
         phis = 2 * math.pi * np.arange(1024) / 1024
@@ -950,7 +955,7 @@ class TestMlEstimate:
         ket = make_ket(2, [0.5, math.sqrt(0.5), 0.5])
         schedule = LossSchedule(("measure", "lose"))
         trace = run_trial(ket, PhaseChannel(0.3), FixedPolicy(math.pi / 2, 0.0), schedule, seed=0)
-        assert trace.outcome_labels() == (0,)
+        assert _outcome_labels(trace) == (0,)
         with pytest.raises(ZeroProbabilityError):
             evaluate_sequence(ket, PhaseChannel(math.pi), trace.steps())
         ll = grid_log_likelihoods(ket, trace)
@@ -1129,11 +1134,11 @@ class TestGridReplayRows:
         ket = random_symmetric_ket(n, np.random.default_rng(41))
         schedule = LossSchedule(("measure", "lose") * 3 + ("measure",) * 7 + ("lose",) * 3)
         trace = run_trial(ket, PhaseChannel(1.1), FeedbackPolicy(0.6, 0.2, 0.9), schedule, seed=8)
-        assert len(trace.outcome_labels()) == 10
+        assert len(_outcome_labels(trace)) == 10
         phis = 2.0 * math.pi * np.arange(grid) / grid
         phases = np.exp(1j * phis)
         probs, kets = _forced_replay(ket, trace.steps(), phases)
-        finals = _final_states(kets, len(schedule.events) - len(trace.outcome_labels()))
+        finals = _final_states(kets, len(schedule.events) - len(_outcome_labels(trace)))
         for g in range(grid):
             alone, final = evaluate_sequence(ket, PhaseChannel(2.0 * math.pi * g / grid), trace.steps())
             assert alone == probs[g].tolist()

@@ -16,6 +16,7 @@ from dicke_sim.oracle import (
     _basis_matrix,
     _sandwich_at,
     apply_kraus_at,
+    apply_kraus_outcome_at,
     apply_kraus_outcomes_at,
     apply_permutation,
     compress,
@@ -31,6 +32,7 @@ from dicke_sim.oracle import (
 from dicke_sim.states import NORM_TOL, SymmetricKet, basis_state, make_ket, to_density
 from dicke_sim.verify import (
     REV_RESIDUAL,
+    DenseRunner,
     _cases,
     random_dense_density,
     random_kraus_pair,
@@ -97,7 +99,7 @@ class TestExpand:
         assert peak <= 64 * 2**20
 
     def test_density_memory_is_one_matrix(self):
-        # the Hermiticity check works in bands of rows, with no second 2^n x 2^n array
+        # the Hermiticity check works a 64 x 64 tile pair at a time, with no second 2^n x 2^n array
         rho = random_symmetric_density(10, np.random.default_rng(38))
         tracemalloc.start()
         try:
@@ -261,6 +263,26 @@ class TestKernelsAgainstKronecker:
             assert abs(p - raw.trace().real) < 1e-14
             assert np.max(np.abs(cond.matrix - raw / raw.trace().real)) < 1e-14
 
+    @pytest.mark.parametrize("n, position", CASES)
+    def test_one_outcome_is_that_entry_of_the_outcome_list(self, n, position):
+        # the all-zero state under a Z measurement gives label 1 probability 0, so no conditional state
+        rng = np.random.default_rng(700 * n + position)
+        zero, z_pvm = expand_density(to_density(basis_state(n, 0))), pvm_from_bloch(0, 0).kraus_pair()
+        for rho, kraus in [(random_dense_density(n, rng), random_kraus_pair(rng)), (zero, z_pvm)]:
+            for label, (p, cond) in enumerate(apply_kraus_outcomes_at(rho, position, kraus)):
+                got_p, got = apply_kraus_outcome_at(rho, position, kraus, label)
+                assert got_p == p
+                assert (got is None) == (cond is None)
+                assert got is None or got.matrix.tobytes() == cond.matrix.tobytes()
+        assert apply_kraus_outcome_at(zero, position, z_pvm, 1) == (0.0, None)
+        with pytest.raises(DomainError, match="zero-probability outcome 1"):
+            DenseRunner(zero).measure(position, z_pvm, 1)
+
+    def test_empty_kraus_set_rejected(self):
+        rho = expand_density(to_density(basis_state(2, 1)))
+        with pytest.raises(InvalidMeasurementError, match="empty Kraus set"):
+            apply_kraus_outcomes_at(rho, 1, [])
+
 
 class TestIsSymmetricOverDefinition:
     """is_symmetric_over against P rho = rho and rho P^dag = rho for every pair."""
@@ -286,12 +308,12 @@ class TestIsSymmetricOverDefinition:
         assert got == [self._definition(rho, s, tol) for s in subsets]
         return got
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])  # from n = 6 a transposition's middle block spans more bits
     def test_symmetric(self, n):
         rho = expand_density(random_symmetric_density(n, np.random.default_rng(300 + n)))
         assert all(self._agree(rho))
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_symmetric_on_complement_of_a_channel(self, n):
         rng = np.random.default_rng(400 + n)
         rho = expand_density(random_symmetric_density(n, rng))
@@ -299,7 +321,7 @@ class TestIsSymmetricOverDefinition:
         got = self._agree(touched)
         assert not got[0] and got[2]  # full set fails, complement of position 2 holds
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_random(self, n):
         assert not self._agree(random_dense_density(n, np.random.default_rng(500 + n)))[0]
 

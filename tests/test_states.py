@@ -122,13 +122,31 @@ class TestConstructors:
                 build()
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (7, 7), (256, 256), (257, 257), (300, 300),
-                                       (3, 5, 5), (2, 300, 300), (4, 1, 1)])
+                                       (3, 5, 5), (2, 300, 300), (4, 1, 1),
+                                       (63, 63), (64, 64), (65, 65), (129, 129), (3, 65, 65),
+                                       (128, 128), (192, 192), (2, 129, 129)])
     def test_banded_hermitian_deviation_is_the_whole_matrix_one(self, shape):
-        # d > 256 spans more than one band of 2^16 entries
+        # up to d = 128 one tile is the whole matrix; above it 192 is three whole 64 x 64 tiles a side, and 129,
+        # 257 and 300 end in a partial row and column of tiles
         rng = np.random.default_rng(sum(shape))
         a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         a = a + a.conj().swapaxes(-1, -2) + 1e-9 * rng.standard_normal(shape)
         assert hermitian_deviation(a) == np.abs(a - a.conj().swapaxes(-1, -2)).max()
+        a[..., -1, -min(2, shape[-1])] += 1e-3  # now the largest deviation lies in the last, bottom-right tile
+        assert hermitian_deviation(a) == np.abs(a - a.conj().swapaxes(-1, -2)).max()
+
+    @pytest.mark.parametrize("n, where, bad", [(7, (100, 3), math.nan), (7, (70, 70), math.inf),
+                                               (8, (200, 3), math.nan), (8, (140, 140), math.inf)])
+    def test_non_finite_entry_below_the_diagonal_rejected(self, n, where, bad):
+        # at d = 256, (200, 3) lies in tile (192, 0), read only as the mirror of tile (0, 192)
+        from dicke_sim.oracle import DenseDensity
+
+        a = np.eye(2**n, dtype=complex) / 2**n
+        a[where] = bad
+        assert math.isnan(hermitian_deviation(a))
+        for build in (lambda: DenseDensity(n, a), lambda: SymmetricDensity(2**n - 1, a)):
+            with pytest.raises(DomainError, match="must be finite"):
+                build()
 
     def test_amps_are_read_only(self):
         ket = basis_state(2, 0)
